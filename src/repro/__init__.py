@@ -29,10 +29,8 @@ The documented programming surface is :mod:`repro.omp`::
     offload(region, arrays={"A": a, "B": b, "C": c}, scalars={"N": n},
             runtime=runtime)
 
-The package-root re-exports of these names completed their deprecation
-cycle (warned since 1.0) and are **removed**: accessing one raises
-:class:`AttributeError` with the migration target.  The removal list is
-documented in ``docs/API.md``.
+The package root itself exports only ``__version__`` (the single source of
+the distribution's version: ``pyproject.toml`` reads it from here).
 
 See DESIGN.md for the architecture and EXPERIMENTS.md for paper-vs-measured
 results.
@@ -42,55 +40,4 @@ from __future__ import annotations
 
 __version__ = "1.1.0"
 
-#: Former package-root re-exports -> the module now documented for them.
-#: The deprecation cycle is complete: these names no longer resolve here;
-#: the table survives so the removal error can say exactly where to import
-#: from (and so docs/API.md's removal list has a single source of truth).
-_REMOVED: dict[str, str] = {
-    "AnalysisError": "repro.omp",
-    "AnalysisReport": "repro.omp",
-    "verify_region": "repro.omp",
-    "Buffer": "repro.omp",
-    "CloudConfig": "repro.omp",
-    "CloudDevice": "repro.omp",
-    "DirectiveError": "repro.omp",
-    "ExecutionMode": "repro.omp",
-    "HostDevice": "repro.omp",
-    "OffloadReport": "repro.omp",
-    "OffloadRuntime": "repro.omp",
-    "ParallelLoop": "repro.omp",
-    "TargetRegion": "repro.omp",
-    "load_config": "repro.omp",
-    "offload": "repro.omp",
-    "omp_get_num_devices": "repro.omp",
-    "parse_pragma": "repro.omp",
-    "region_from_source": "repro.omp",
-    "omp_kernel": "repro.omp",
-    "demo_config": "repro.omp",
-    "SparkCluster": "repro.spark",
-    "SparkConf": "repro.spark",
-    "SparkContext": "repro.spark",
-    "WORKLOADS": "repro.workloads",
-}
-
 __all__ = ["__version__"]
-
-
-def __getattr__(name: str):
-    """Removal tombstones for the legacy package-root surface.
-
-    The names in :data:`_REMOVED` spent a full release deprecated (every
-    access warned); they now fail fast with the exact replacement import so
-    stragglers get a one-line fix instead of a silent legacy path.
-    """
-    target = _REMOVED.get(name)
-    if target is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    raise AttributeError(
-        f"'repro.{name}' was removed after its deprecation cycle; "
-        f"use 'from {target} import {name}'"
-    )
-
-
-def __dir__() -> list[str]:
-    return sorted(__all__)

@@ -34,6 +34,7 @@ from repro.core.omp_ast import REDUCTION_OPS, MapType
 from repro.core.partition import partition_for_tile, partition_windows
 from repro.core.tiling import (Tile, drop_empty_tiles, tile_by_chunk,
                                tile_iterations, tile_weighted, untiled)
+from repro.core.transfer import StagingCodec
 from repro.perfmodel.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.perfmodel.compression import CompressionModel, gzip_compress, gzip_decompress, model_for_density
 from repro.perfmodel.compute import ComputeModel
@@ -173,11 +174,12 @@ class SparkJobGenerator:
         self.tiling = tiling
         self.intra_compression = intra_compression
         self.fault_plan = fault_plan
-        self.host_compression = host_compression
-        self.min_compress_size = (
+        #: How the plugin encoded what it staged, and how outputs must be
+        #: encoded for it: the same rule decides both sides of the hop.
+        self.staging = StagingCodec(
+            host_compression,
             min_compress_size if min_compress_size is not None
-            else calibration.min_compress_size
-        )
+            else calibration.min_compress_size)
         self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
         self.schedule = schedule
         #: Recovery wiring: when ``checkpoint`` is on, completed tile outputs
@@ -237,11 +239,6 @@ class SparkJobGenerator:
         report.storage_bytes_written = self._storage_bytes_written
         return report
 
-    def driver_array(self, name: str) -> "np.ndarray | None":
-        """Final driver-side value of a mapped or local array (functional
-        mode; ``None`` in modeled mode or before the job ran)."""
-        return self._driver_arrays.get(name)
-
     # --------------------------------------------------------------- staging
     def _storage_retry(self, op_name: str, fn, *args, **kwargs):
         """Driver-side storage access with Hadoop-client-style retries;
@@ -257,11 +254,6 @@ class SparkJobGenerator:
                           retry_on=(TransientStorageError,),
                           op_name=op_name, on_retry=on_retry, **kwargs)
 
-    def staged_compressed(self, buf: Buffer) -> bool:
-        """Whether the plugin gzip'd this buffer when staging it (the same
-        threshold rule decides both sides of the storage hop)."""
-        return self.host_compression and buf.nbytes >= self.min_compress_size
-
     def _read_inputs(self, buffers, storage, input_keys) -> None:
         clock, timeline = self.sc.clock, self.sc.timeline
         for name in self.region.input_names:
@@ -271,13 +263,13 @@ class SparkJobGenerator:
             self._storage_bytes_read += wire
             codec = self._codec_for(buf)
             dt = storage.cluster_read_time(wire)
-            if self.staged_compressed(buf):
+            if self.staging.compresses(buf.nbytes):
                 dt += codec.decompress_time(buf.nbytes)
             timeline.record(Phase.STORAGE_READ, clock.now, clock.advance(dt),
                             resource="driver", label=f"read-{name}")
             if self.mode == ExecutionMode.FUNCTIONAL:
                 raw = self._storage_retry("GET", storage.get_bytes, key)
-                if self.staged_compressed(buf):
+                if self.staging.compresses(buf.nbytes):
                     raw = gzip_decompress(raw)
                 self._driver_arrays[name] = np.frombuffer(raw, dtype=buf.dtype).copy()
             else:
@@ -312,8 +304,8 @@ class SparkJobGenerator:
         for name in self.region.output_names:
             buf = self._buffer_info[name]
             codec = self._codec_for(buf)
-            compressed = self.staged_compressed(buf)
-            key = f"{key_prefix}/out/{name}.bin" + (".gz" if compressed else "")
+            compressed = self.staging.compresses(buf.nbytes)
+            key = self.staging.key(f"{key_prefix}/out/{name}", buf.nbytes)
             if self.mode == ExecutionMode.FUNCTIONAL:
                 arr = self._driver_arrays[name]
                 assert arr is not None
@@ -324,7 +316,7 @@ class SparkJobGenerator:
                 obj = self._storage_retry("PUT", storage.put, key, data=payload)
                 wire = len(payload)
             else:
-                wire = codec.compressed_size(buf.nbytes) if compressed else buf.nbytes
+                wire = self.staging.wire_size(codec, buf.nbytes)
                 obj = self._storage_retry("PUT", storage.put, key, size=wire)
             self._storage_bytes_written += wire
             dt = codec.compress_time(buf.nbytes) if compressed else 0.0

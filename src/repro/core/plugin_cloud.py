@@ -8,18 +8,16 @@ plugin against the simulated substrates:
 * device setup from the configuration file (provider, storage, credentials);
 * optional on-the-fly EC2 instance management (start on offload, stop after,
   billed per hour);
-* one upload pipeline per mapped buffer: gzip above the minimal compression
-  size, parallel WAN streams;
+* one upload pipeline per mapped buffer (gzip above the minimal compression
+  size, parallel WAN streams) and the mirror-image result download, whichever
+  construct asks: :class:`~repro.core.transfer.TransferEngine`;
 * job submission over SSH to the Spark driver, which runs the generated job
-  (:class:`~repro.core.codegen.SparkJobGenerator`);
-* result download + decompression back into the host arrays.
+  (:class:`~repro.core.codegen.SparkJobGenerator`).
 """
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
-import threading
 from typing import Mapping, Sequence, Union
 
 import numpy as np
@@ -37,8 +35,6 @@ from repro.cloud.provision import ClusterSpec, ProvisionedCluster, provision_clu
 from repro.cloud.s3 import S3Store
 from repro.cloud.ssh import SSHClient, SSHEndpoint, SSHError, CommandResult
 from repro.cloud.storage import (
-    CorruptObjectError,
-    NoSuchObjectError,
     ObjectStore,
     StorageError,
     TransientStorageError,
@@ -55,21 +51,22 @@ from repro.obs.events import (
     BreakerOpen,
     CacheHit,
     CorruptionDetected,
-    MapDownload,
-    MapUpload,
     Preemption,
     Recovery,
     ResidentHit,
     Resubmit,
     ResumeFromCheckpoint,
     SparkSubmit,
-    TargetUpdate,
     get_bus,
 )
 from repro.core.staging_cache import CacheKey, StagingCache
+from repro.core.transfer import StagingCodec, TransferEngine
 from repro.perfmodel.calibration import Calibration, DEFAULT_CALIBRATION
-from repro.perfmodel.comm import HostCommModel, TransferPlan
-from repro.perfmodel.compression import gzip_compress, gzip_decompress, model_for_density
+from repro.perfmodel.comm import HostCommModel
+# Not used here since compression moved to repro.core.transfer; kept bound
+# because perf/tests/test_trace.py (frozen with the benchmark) checks that
+# the tracer re-binds by-name imports of it in this module.
+from repro.perfmodel.compression import gzip_compress  # noqa: F401
 from repro.resilience import CircuitBreaker, OffloadJournal, RetryPolicy, retry_call
 from repro.simtime.clock import SimClock
 from repro.simtime.timeline import Phase
@@ -106,7 +103,6 @@ class CloudDevice(Device):
         fabric instead of the WAN, "removing the overhead of host-target
         communication"."""
         super().__init__(name="CLOUD")
-        self.colocated = colocated
         self.config = config
         self.cal = calibration
         self.clock = clock if clock is not None else SimClock()
@@ -135,10 +131,6 @@ class CloudDevice(Device):
         self.storage = storage if storage is not None else self._storage_from_config()
         # Storage events carry this device's simulated time.
         self.storage.clock = self.clock
-        self.comm = HostCommModel(
-            calibration, network=self.network,
-            compress=config.compression, parallel_streams=parallel_streams,
-        )
         self.tiling = tiling
         self.intra_compression = intra_compression
         self.fault_plan = fault_plan
@@ -165,11 +157,6 @@ class CloudDevice(Device):
         # Offload-level fault injection armed from the (immutable) plan.
         self._ssh_faults_left = fault_plan.ssh_connect_failures
         self._submit_faults_left = fault_plan.spark_submit_failures
-        # Backoff accumulated by concurrent staging threads, flushed to the
-        # simulated clock once staging completes.
-        self._pending_backoff_s = 0.0
-        self._pending_retries = 0
-        self._backoff_lock = threading.Lock()
         # --- Durable recovery (docs/RESILIENCE.md) ---
         #: Driver-loss recovery policy: "none" (host fallback), "restart"
         #: (journal-driven driver replacement, full resubmission) or
@@ -186,36 +173,24 @@ class CloudDevice(Device):
         #: never reached storage.  A later offload that maps one as input
         #: stages these values instead of the (pristine) host array.
         self._fusion_spill: dict[str, np.ndarray] = {}
-        #: Checksums of host-staged inputs by storage key: the evidence that
-        #: the "implicit checkpoint" a resubmission reuses is still intact.
-        self._staged_checksums: dict[str, str] = {}
-        self._checksum_lock = threading.Lock()
+        #: The one host<->storage transfer path (docs/DATA_ENV.md).
+        self.transfer = TransferEngine(
+            storage=self.storage, credentials=config.credentials,
+            codec=StagingCodec(config.compression, config.min_compress_size),
+            comm=HostCommModel(calibration, network=self.network,
+                               compress=config.compression,
+                               parallel_streams=parallel_streams),
+            clock=self.clock, device_name=self.name, colocated=colocated,
+            retry_policy=lambda: self.retry_policy,
+            on_failure=self._record_breaker_failure,
+            warn=lambda msg: self.sc.log.warn(self.clock.now, "CloudPlugin", msg),
+            spill=self._fusion_spill,
+        )
         #: Corrupt reads already attributed to a finished offload's report
         #: (the storage's detector counts globally; reports take deltas).
         self._corruptions_attributed = 0
         for substring, count in fault_plan.corrupt_keys.items():
             self.storage.arm_corruption(substring, count)
-
-    # --------------------------------------------------- legacy retry knobs
-    @property
-    def storage_retries(self) -> int:
-        """Attempts per storage operation (compat alias for the policy)."""
-        return self.retry_policy.max_attempts
-
-    @storage_retries.setter
-    def storage_retries(self, attempts: int) -> None:
-        self.retry_policy = dataclasses.replace(
-            self.retry_policy, max_attempts=int(attempts))
-
-    @property
-    def retry_backoff_s(self) -> float:
-        """Base backoff delay (compat alias for the policy)."""
-        return self.retry_policy.base_delay_s
-
-    @retry_backoff_s.setter
-    def retry_backoff_s(self, delay: float) -> None:
-        self.retry_policy = dataclasses.replace(
-            self.retry_policy, base_delay_s=float(delay))
 
     # --------------------------------------------------------------- set-up
     def _storage_from_config(self) -> ObjectStore:
@@ -293,7 +268,6 @@ class CloudDevice(Device):
         seq = next(self._offload_seq)
         report = OffloadReport(region_name=region.name, device_name=self.name,
                                mode=mode.value)
-        timeline = report.timeline
         # Registered up front so a failed data_begin can still be aborted
         # (and its retry accounting preserved) by the runtime.
         self._pending = {"report": report}
@@ -312,8 +286,8 @@ class CloudDevice(Device):
 
         key_prefix = f"{region.name}/{seq}"
         input_keys: dict[str, str] = {}
-        plans: list[TransferPlan] = []
-        to_stage: list[tuple[Buffer, str, CacheKey | None]] = []
+        to_stage: list[tuple[Buffer, str]] = []
+        cache_keys: list[tuple[CacheKey, str]] = []
         begun: list[str] = []
         self._pending["begun"] = begun
         if self.recovery != "none":
@@ -340,6 +314,7 @@ class CloudDevice(Device):
                 continue
             self.env.begin(buf, region.map_type_of(name) or MapType.TO)
             begun.append(name)
+            ckey = None
             # A spilled intermediate's content is not the host array's, so
             # a host-bytes cache key would alias stale content: skip cache.
             if (self.stage_cache.enabled and name not in self._fusion_spill
@@ -347,21 +322,14 @@ class CloudDevice(Device):
                          or buf.is_virtual)):
                 ckey = CacheKey.for_buffer(buf)
                 cached = self.stage_cache.lookup(ckey)
-                with self._backoff_lock:
-                    probe_retries_before = self._pending_retries
-                try:
-                    cache_hit = cached is not None and self._with_retries(
-                        "EXISTS", self.storage.exists, cached)
-                except TransientStorageError:
-                    cache_hit = False  # degrade to a re-stage, not a failure
+                cache_hit, probe_retries = (
+                    self.transfer.exists(cached) if cached is not None
+                    else (False, 0))
                 if cache_hit:
                     # Already staged with identical content: reuse in place.
                     # Retried EXISTS probes billed real storage round-trips,
                     # so their wire cost is netted out of the saved bytes.
                     assert cached is not None
-                    with self._backoff_lock:
-                        probe_retries = (self._pending_retries
-                                         - probe_retries_before)
                     probe_cost = probe_retries * len(cached.encode("utf-8"))
                     saved = max(0, buf.nbytes - probe_cost)
                     input_keys[name] = cached
@@ -374,24 +342,17 @@ class CloudDevice(Device):
                                             buffer=name,
                                             bytes_saved=saved))
                     continue
-            else:
-                ckey = None
-            compressed = (self.config.compression
-                          and buf.nbytes >= self.config.min_compress_size)
-            key = f"{key_prefix}/in/{name}.bin" + (".gz" if compressed else "")
+            key = self.transfer.codec.key(f"{key_prefix}/in/{name}", buf.nbytes)
             input_keys[name] = key
-            plans.append(TransferPlan(name, buf.nbytes, model_for_density(buf.density)))
-            to_stage.append((buf, key, ckey))
-        try:
-            wire_sizes = self._stage_inputs(to_stage, mode)
-        except TransientStorageError as e:
-            self._charge_retry_backoff(report)
-            self._record_breaker_failure()
-            raise DeviceError(
-                f"staging inputs to {self.storage.name} failed after "
-                f"{self.retry_policy.max_attempts} attempt(s): {e}"
-            ) from e
-        self._charge_retry_backoff(report)
+            to_stage.append((buf, key))
+            if ckey is not None:
+                cache_keys.append((ckey, key))
+        up = self.transfer.upload(to_stage, mode, report, what="staging inputs",
+                                  phase=Phase.HOST_UPLOAD,
+                                  codec_phase=Phase.HOST_COMPRESS)
+        report.host_comm_up_s += up.seconds
+        for ckey, key in cache_keys:
+            self.stage_cache.record(ckey, key)
         # Persistent entries that had no device copy yet (alloc-mapped, or
         # invalidated by a fallback) were staged above; remember the key so
         # the *next* target inside the environment reuses it in place.
@@ -405,34 +366,6 @@ class CloudDevice(Device):
             if name not in input_keys:
                 self.env.begin(buffers[name], region.map_type_of(name) or MapType.FROM)
                 begun.append(name)
-
-        if plans:
-            cost = self.comm.upload(plans)
-            # Wire sizes are the *actual* staged sizes (real gzip output in
-            # functional mode), not the model's estimate.  A colocated host
-            # moves them over the cluster fabric instead of the WAN.
-            link = self.network.lan if self.colocated else self.network.wan
-            transfer_s = (
-                link.parallel_transfer_time(wire_sizes)
-                if self.comm.parallel_streams
-                else link.serial_transfer_time(wire_sizes)
-            )
-            t0 = self.clock.now
-            if cost.compress_s > 0:
-                timeline.record(Phase.HOST_COMPRESS, t0, self.clock.advance(cost.compress_s),
-                                resource="host")
-            t1 = self.clock.now
-            timeline.record(Phase.HOST_UPLOAD, t1, self.clock.advance(transfer_s),
-                            resource="host")
-            report.host_comm_up_s = self.clock.now - t0
-            report.bytes_up_raw = sum(p.nbytes for p in plans)
-            report.bytes_up_wire = sum(wire_sizes)
-            bus = get_bus()
-            for plan, wire in zip(plans, wire_sizes):
-                bus.emit(MapUpload(time=self.clock.now, resource="host",
-                                   buffer=plan.name, bytes_raw=plan.nbytes,
-                                   bytes_wire=wire, start=t1,
-                                   end=self.clock.now))
 
         self._pending = {
             "report": report,
@@ -451,40 +384,6 @@ class CloudDevice(Device):
                 time=self.clock.now, resource=self.name, device=self.name,
                 consecutive_failures=self.breaker.consecutive_failures))
 
-    def _with_retries(self, op_name: str, fn, *args, **kwargs):
-        """Run a storage operation under :attr:`retry_policy` (thread-safe;
-        the backoff is charged to the simulated clock once staging
-        completes, via :meth:`_charge_retry_backoff`)."""
-
-        def on_retry(failure: int, delay: float, exc: BaseException) -> None:
-            with self._backoff_lock:
-                self._pending_backoff_s += delay
-                self._pending_retries += 1
-            self.sc.log.warn(self.clock.now, "CloudPlugin",
-                             f"{op_name} failed transiently ({exc}); "
-                             f"retrying in {delay:.1f}s")
-
-        return retry_call(self.retry_policy, fn, *args,
-                          retry_on=(TransientStorageError,),
-                          op_name=op_name, on_retry=on_retry,
-                          now=lambda: self.clock.now, **kwargs)
-
-    def _charge_retry_backoff(self, report: OffloadReport | None = None) -> None:
-        """Flush accumulated backoff to the simulated clock and, when a
-        report is given, into its observability counters + timeline."""
-        with self._backoff_lock:
-            delay, self._pending_backoff_s = self._pending_backoff_s, 0.0
-            n_retries, self._pending_retries = self._pending_retries, 0
-        if delay > 0.0:
-            t0 = self.clock.now
-            self.clock.advance(delay)
-            if report is not None:
-                report.timeline.record(Phase.RETRY_BACKOFF, t0, self.clock.now,
-                                       resource="host", label="storage-backoff")
-        if report is not None:
-            report.retries += n_retries
-            report.backoff_s += delay
-
     def _flush_corruptions(self, report: OffloadReport | None) -> None:
         """Attribute corrupt reads the storage detected since the last flush
         to ``report`` and journal them.  The storage layer counts every
@@ -499,135 +398,40 @@ class CloudDevice(Device):
         if report is not None:
             report.corruption_detected += detected
 
-    def _stage_inputs(
-        self, to_stage: list[tuple[Buffer, str, "CacheKey | None"]], mode: ExecutionMode
-    ) -> list[int]:
-        """Stage all buffers — really concurrently in functional mode, one
-        thread per buffer, as the paper's plugin does ("automatically creates
-        a new thread for transmitting each offloaded data")."""
-        if not to_stage:
-            return []
-        if mode == ExecutionMode.FUNCTIONAL and len(to_stage) > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=len(to_stage)) as pool:
-                sizes = list(pool.map(
-                    lambda item: self._stage_input(item[0], item[1], mode), to_stage
-                ))
-        else:
-            sizes = [self._stage_input(buf, key, mode) for buf, key, _ in to_stage]
-        for (buf, key, ckey), _size in zip(to_stage, sizes):
-            if ckey is not None:
-                self.stage_cache.record(ckey, key)
-        return sizes
-
-    def _stage_input(self, buf: Buffer, key: str, mode: ExecutionMode) -> int:
-        codec = model_for_density(buf.density)
-        if mode == ExecutionMode.FUNCTIONAL:
-            # A fusion-elided intermediate has its live value in the spill,
-            # not in the (never written-back) host array.
-            spilled = self._fusion_spill.get(buf.name)
-            if spilled is not None:
-                src = (spilled if spilled.flags["C_CONTIGUOUS"]
-                       else np.ascontiguousarray(spilled))
-                view = memoryview(src).cast("B").toreadonly()
-            else:
-                view = buf.payload_view()
-            # Compress straight off the zero-copy view; the old
-            # ``tobytes()`` staged a full intermediate copy of every
-            # payload.  Storage materialises its own bytes on PUT, so the
-            # stored object never aliases the live host array.
-            payload: "bytes | memoryview" = view
-            if self.config.compression and buf.nbytes >= self.config.min_compress_size:
-                payload = gzip_compress(view)
-            obj = self._with_retries("PUT", self.storage.put, key, data=payload,
-                                     credentials=self.config.credentials)
-            with self._checksum_lock:
-                self._staged_checksums[key] = obj.checksum
-            return len(payload)
-        wire = (
-            codec.compressed_size(buf.nbytes, self.config.min_compress_size)
-            if self.config.compression
-            else buf.nbytes
-        )
-        obj = self._with_retries("PUT", self.storage.put, key, size=wire,
-                                 credentials=self.config.credentials)
-        with self._checksum_lock:
-            self._staged_checksums[key] = obj.checksum
-        return wire
-
     def data_end(self, buffers: Mapping[str, Buffer], region: TargetRegion,
                  mode: ExecutionMode) -> None:
         report: OffloadReport = self._pending["report"]  # type: ignore[assignment]
         out_keys: dict[str, str] = self._pending.get("output_keys", {})  # type: ignore[assignment]
-        timeline = report.timeline
+        downloads: list[tuple[Buffer, str]] = []
+        for name in region.output_names:
+            key = out_keys.get(name)
+            if key is None:
+                continue  # the job never committed its outputs
+            entry = self.env.entry_or_none(name)
+            if entry is not None and entry.ref_count > 1:
+                # Enclosing `target data` environment: the output stays on
+                # the device (in storage) until `exit data` or an explicit
+                # `target update from`; no download here.
+                entry.device_handle = key
+                entry.dirty = True
+                continue
+            downloads.append((buffers[name], key))
 
-        plans = []
-        wire_sizes = []
-        downloads: list[tuple[str, int, int]] = []
-        try:
-            for name in region.output_names:
-                buf = buffers[name]
-                key = out_keys.get(name)
-                entry = self.env.entry_or_none(name)
-                if (entry is not None and entry.ref_count > 1
-                        and key is not None):
-                    # Enclosing `target data` environment: the output stays on
-                    # the device (in storage) until `exit data` or an explicit
-                    # `target update from`; no download here.
-                    entry.device_handle = key
-                    entry.dirty = True
-                    continue
-                plans.append(TransferPlan(name, buf.nbytes, model_for_density(buf.density)))
-                if key is None:
-                    continue
-                wire = self._with_retries("HEAD", self.storage.size_of, key)
-                wire_sizes.append(wire)
-                downloads.append((name, buf.nbytes, wire))
-                if mode == ExecutionMode.FUNCTIONAL:
-                    payload = self._with_retries(
-                        "GET", self.storage.get_bytes, key,
-                        credentials=self.config.credentials)
-                    self._charge_retry_backoff(report)
-                    if key.endswith(".gz"):
-                        payload = gzip_decompress(payload)
-                    buf.require_data()[:] = np.frombuffer(payload, dtype=buf.dtype)
-                    if self.stage_cache.enabled:
-                        # The result now lives both on the host and in storage;
-                        # re-offloading it later is a cache hit (no re-upload).
-                        self.stage_cache.record(CacheKey.for_bytes(payload), key)
-        except TransientStorageError as e:
-            self._charge_retry_backoff(report)
-            self._record_breaker_failure()
-            raise DeviceError(
-                f"downloading results from {self.storage.name} failed after "
-                f"{self.retry_policy.max_attempts} attempt(s): {e}"
-            ) from e
-        self._charge_retry_backoff(report)
+        def landed(buf: Buffer, key: str) -> None:
+            # Backoff is charged per output, so the next one's storage events
+            # carry the time its predecessor's retries cost.
+            self.transfer.charge_backoff(report)
+            if self.stage_cache.enabled:
+                # The result now lives both on the host and in storage;
+                # re-offloading it later is a cache hit (no re-upload).
+                self.stage_cache.record(
+                    CacheKey.for_bytes(buf.payload_view()), key)
 
-        if plans and wire_sizes:
-            cost = self.comm.download(plans)
-            link = self.network.lan if self.colocated else self.network.wan
-            transfer_s = (
-                link.parallel_transfer_time(wire_sizes)
-                if self.comm.parallel_streams
-                else link.serial_transfer_time(wire_sizes)
-            )
-            t0 = self.clock.now
-            timeline.record(Phase.HOST_DOWNLOAD, t0, self.clock.advance(transfer_s),
-                            resource="host")
-            if cost.decompress_s > 0:
-                timeline.record(Phase.HOST_DECOMPRESS, self.clock.now,
-                                self.clock.advance(cost.decompress_s), resource="host")
-            report.host_comm_down_s = self.clock.now - t0
-            report.bytes_down_raw = sum(p.nbytes for p in plans)
-            report.bytes_down_wire = sum(wire_sizes)
-            bus = get_bus()
-            for name, raw, wire in downloads:
-                bus.emit(MapDownload(time=self.clock.now, resource="host",
-                                     buffer=name, bytes_raw=raw,
-                                     bytes_wire=wire, start=t0,
-                                     end=self.clock.now))
+        down = self.transfer.download(
+            downloads, mode, report, what="downloading results",
+            phase=Phase.HOST_DOWNLOAD, codec_phase=Phase.HOST_DECOMPRESS,
+            landed=landed)
+        report.host_comm_down_s += down.seconds
 
         # Consume the list: if execute() failed, data_end runs in the
         # runtime's finally and abort() follows — popping here keeps the two
@@ -665,9 +469,7 @@ class CloudDevice(Device):
         seq = next(self._offload_seq)
         key_prefix = f"env/{seq}"
         bus = get_bus()
-        plans: list[TransferPlan] = []
-        to_stage: list[tuple[Buffer, str, CacheKey | None]] = []
-        staged_entries: list[tuple[MapEntry, str]] = []
+        staged: list[tuple[MapEntry, str]] = []
         begun: list[str] = []
         for name, buf in buffers.items():
             existing = self.env.entry_or_none(name)
@@ -686,54 +488,24 @@ class CloudDevice(Device):
             begun.append(name)
             if not map_types[name].is_input:
                 continue  # alloc / from: device space only, no motion
-            compressed = (self.config.compression
-                          and buf.nbytes >= self.config.min_compress_size)
-            key = f"{key_prefix}/{name}.bin" + (".gz" if compressed else "")
-            plans.append(TransferPlan(name, buf.nbytes,
-                                      model_for_density(buf.density)))
-            to_stage.append((buf, key, None))
-            staged_entries.append((entry, key))
+            staged.append(
+                (entry, self.transfer.codec.key(f"{key_prefix}/{name}", buf.nbytes)))
         try:
-            wire_sizes = self._stage_inputs(to_stage, mode)
-        except TransientStorageError as e:
+            up = self.transfer.upload(
+                [(entry.buffer, key) for entry, key in staged], mode, report,
+                what="staging `target data` inputs", phase=Phase.ENV_ENTER)
+        except DeviceError:
             for name in begun:  # unwind: keep refcounts balanced
                 if self.env.is_mapped(name):
                     self.env.end(name)
-            self._charge_retry_backoff(report)
-            self._record_breaker_failure()
-            raise DeviceError(
-                f"staging `target data` inputs to {self.storage.name} failed "
-                f"after {self.retry_policy.max_attempts} attempt(s): {e}"
-            ) from e
-        self._charge_retry_backoff(report)
-        for entry, key in staged_entries:
+            raise
+        report.enter_s += up.seconds
+        for entry, key in staged:
             entry.device_handle = key
             entry.dirty = False
             self.journal.record("env_enter", bus.current_correlation(),
-                                time=self.clock.now,
-                                name=entry.buffer.name, key=key,
-                                checksum=self._staged_checksums.get(key, ""))
-        if plans:
-            cost = self.comm.upload(plans)
-            link = self.network.lan if self.colocated else self.network.wan
-            transfer_s = (
-                link.parallel_transfer_time(wire_sizes)
-                if self.comm.parallel_streams
-                else link.serial_transfer_time(wire_sizes)
-            )
-            t0 = self.clock.now
-            report.timeline.record(
-                Phase.ENV_ENTER, t0,
-                self.clock.advance(cost.compress_s + transfer_s),
-                resource="host")
-            report.enter_s += self.clock.now - t0
-            report.bytes_up_raw += sum(p.nbytes for p in plans)
-            report.bytes_up_wire += sum(wire_sizes)
-            for plan, wire in zip(plans, wire_sizes):
-                bus.emit(MapUpload(time=self.clock.now, resource="host",
-                                   buffer=plan.name, bytes_raw=plan.nbytes,
-                                   bytes_wire=wire, start=t0,
-                                   end=self.clock.now))
+                                time=up.start, name=entry.buffer.name, key=key,
+                                checksum=self.transfer.staged_checksum(key))
 
     def exit_data(self, names: Sequence[str], mode: ExecutionMode,
                   report: DataEnvReport) -> None:
@@ -759,55 +531,11 @@ class CloudDevice(Device):
             if entry.device_handle is None or not entry.map_type.is_output:
                 continue
             released.append(entry)
-        plans: list[TransferPlan] = []
-        wire_sizes: list[int] = []
-        downloads: list[tuple[str, int, int]] = []
-        try:
-            for entry in released:
-                key: str = entry.device_handle
-                buf = entry.buffer
-                wire = self._with_retries("HEAD", self.storage.size_of, key)
-                plans.append(TransferPlan(buf.name, buf.nbytes,
-                                          model_for_density(buf.density)))
-                wire_sizes.append(wire)
-                downloads.append((buf.name, buf.nbytes, wire))
-                if mode == ExecutionMode.FUNCTIONAL and not buf.is_virtual:
-                    payload = self._with_retries(
-                        "GET", self.storage.get_bytes, key,
-                        credentials=self.config.credentials)
-                    if key.endswith(".gz"):
-                        payload = gzip_decompress(payload)
-                    buf.require_data()[:] = np.frombuffer(payload,
-                                                          dtype=buf.dtype)
-        except TransientStorageError as e:
-            self._charge_retry_backoff(report)
-            self._record_breaker_failure()
-            raise DeviceError(
-                f"downloading `target data` outputs from {self.storage.name} "
-                f"failed after {self.retry_policy.max_attempts} attempt(s): {e}"
-            ) from e
-        self._charge_retry_backoff(report)
-        if plans:
-            cost = self.comm.download(plans)
-            link = self.network.lan if self.colocated else self.network.wan
-            transfer_s = (
-                link.parallel_transfer_time(wire_sizes)
-                if self.comm.parallel_streams
-                else link.serial_transfer_time(wire_sizes)
-            )
-            t0 = self.clock.now
-            report.timeline.record(
-                Phase.ENV_EXIT, t0,
-                self.clock.advance(transfer_s + cost.decompress_s),
-                resource="host")
-            report.exit_s += self.clock.now - t0
-            report.bytes_down_raw += sum(p.nbytes for p in plans)
-            report.bytes_down_wire += sum(wire_sizes)
-            for name, raw, wire in downloads:
-                bus.emit(MapDownload(time=self.clock.now, resource="host",
-                                     buffer=name, bytes_raw=raw,
-                                     bytes_wire=wire, start=t0,
-                                     end=self.clock.now))
+        down = self.transfer.download(
+            [(entry.buffer, entry.device_handle) for entry in released], mode,
+            report, what="downloading `target data` outputs",
+            phase=Phase.ENV_EXIT)
+        report.exit_s += down.seconds
 
     def update_data(self, to_names: Sequence[str], from_names: Sequence[str],
                     mode: ExecutionMode, report: DataEnvReport) -> None:
@@ -818,124 +546,42 @@ class CloudDevice(Device):
         bus = get_bus()
         seq = next(self._offload_seq)
         # --- host -> device -------------------------------------------------
-        plans: list[TransferPlan] = []
-        to_stage: list[tuple[Buffer, str, CacheKey | None]] = []
-        staged_entries: list[tuple[MapEntry, str]] = []
-        for name in to_names:
-            entry = self.env.entry_or_none(name)
-            if entry is None:
-                continue
-            buf = entry.buffer
-            compressed = (self.config.compression
-                          and buf.nbytes >= self.config.min_compress_size)
-            # Always a fresh key: the old handle may be a content-addressed
-            # cache object whose hash would no longer match its content.
-            key = (f"env/{seq}/update/{name}.bin"
-                   + (".gz" if compressed else ""))
-            plans.append(TransferPlan(name, buf.nbytes,
-                                      model_for_density(buf.density)))
-            to_stage.append((buf, key, None))
-            staged_entries.append((entry, key))
-        try:
-            wire_sizes = self._stage_inputs(to_stage, mode)
-        except TransientStorageError as e:
-            self._charge_retry_backoff(report)
-            self._record_breaker_failure()
-            raise DeviceError(
-                f"`target update to` staging to {self.storage.name} failed "
-                f"after {self.retry_policy.max_attempts} attempt(s): {e}"
-            ) from e
-        self._charge_retry_backoff(report)
-        for entry, key in staged_entries:
+        # Always a fresh key: the old handle may be a content-addressed
+        # cache object whose hash would no longer match its content.
+        staged = [
+            (entry, self.transfer.codec.key(f"env/{seq}/update/{name}",
+                                            entry.buffer.nbytes))
+            for name in to_names
+            if (entry := self.env.entry_or_none(name)) is not None]
+        up = self.transfer.upload(
+            [(entry.buffer, key) for entry, key in staged], mode, report,
+            what="`target update to` staging", phase=Phase.TARGET_UPDATE,
+            label="update-to")
+        report.update_s += up.seconds
+        report.updates_to += len(staged)
+        for entry, key in staged:
             entry.device_handle = key
             entry.dirty = False
             self.journal.record("env_update", bus.current_correlation(),
-                                time=self.clock.now,
-                                name=entry.buffer.name, key=key,
+                                time=up.start, name=entry.buffer.name, key=key,
                                 direction="to",
-                                checksum=self._staged_checksums.get(key, ""))
-        if plans:
-            cost = self.comm.upload(plans)
-            link = self.network.lan if self.colocated else self.network.wan
-            transfer_s = (
-                link.parallel_transfer_time(wire_sizes)
-                if self.comm.parallel_streams
-                else link.serial_transfer_time(wire_sizes)
-            )
-            t0 = self.clock.now
-            report.timeline.record(
-                Phase.TARGET_UPDATE, t0,
-                self.clock.advance(cost.compress_s + transfer_s),
-                resource="host", label="update-to")
-            report.update_s += self.clock.now - t0
-            report.bytes_up_raw += sum(p.nbytes for p in plans)
-            report.bytes_up_wire += sum(wire_sizes)
-            for plan, wire in zip(plans, wire_sizes):
-                report.updates_to += 1
-                bus.emit(TargetUpdate(time=self.clock.now, resource=self.name,
-                                      device=self.name, buffer=plan.name,
-                                      direction="to", bytes_raw=plan.nbytes,
-                                      bytes_wire=wire))
+                                checksum=self.transfer.staged_checksum(key))
         # --- device -> host -------------------------------------------------
-        plans = []
-        wire_sizes = []
-        downloads = []
-        try:
-            for name in from_names:
-                entry = self.env.entry_or_none(name)
-                if entry is None or entry.device_handle is None:
-                    continue
-                key = entry.device_handle
-                buf = entry.buffer
-                wire = self._with_retries("HEAD", self.storage.size_of, key)
-                plans.append(TransferPlan(name, buf.nbytes,
-                                          model_for_density(buf.density)))
-                wire_sizes.append(wire)
-                downloads.append((entry, buf.nbytes, wire))
-                if mode == ExecutionMode.FUNCTIONAL and not buf.is_virtual:
-                    payload = self._with_retries(
-                        "GET", self.storage.get_bytes, key,
-                        credentials=self.config.credentials)
-                    if key.endswith(".gz"):
-                        payload = gzip_decompress(payload)
-                    buf.require_data()[:] = np.frombuffer(payload,
-                                                          dtype=buf.dtype)
-        except TransientStorageError as e:
-            self._charge_retry_backoff(report)
-            self._record_breaker_failure()
-            raise DeviceError(
-                f"`target update from` download from {self.storage.name} "
-                f"failed after {self.retry_policy.max_attempts} attempt(s): {e}"
-            ) from e
-        self._charge_retry_backoff(report)
-        if plans:
-            cost = self.comm.download(plans)
-            link = self.network.lan if self.colocated else self.network.wan
-            transfer_s = (
-                link.parallel_transfer_time(wire_sizes)
-                if self.comm.parallel_streams
-                else link.serial_transfer_time(wire_sizes)
-            )
-            t0 = self.clock.now
-            report.timeline.record(
-                Phase.TARGET_UPDATE, t0,
-                self.clock.advance(transfer_s + cost.decompress_s),
-                resource="host", label="update-from")
-            report.update_s += self.clock.now - t0
-            report.bytes_down_raw += sum(p.nbytes for p in plans)
-            report.bytes_down_wire += sum(wire_sizes)
-            for entry, raw, wire in downloads:
-                entry.dirty = False  # host and device agree again
-                self.journal.record("env_sync", bus.current_correlation(),
-                                    time=self.clock.now,
-                                    name=entry.buffer.name,
-                                    key=entry.device_handle)
-                report.updates_from += 1
-                bus.emit(TargetUpdate(time=self.clock.now, resource=self.name,
-                                      device=self.name,
-                                      buffer=entry.buffer.name,
-                                      direction="from", bytes_raw=raw,
-                                      bytes_wire=wire))
+        synced = [entry for name in from_names
+                  if (entry := self.env.entry_or_none(name)) is not None
+                  and entry.device_handle is not None]
+        down = self.transfer.download(
+            [(entry.buffer, entry.device_handle) for entry in synced], mode,
+            report, what="`target update from` download",
+            phase=Phase.TARGET_UPDATE, label="update-from")
+        report.update_s += down.seconds
+        report.updates_from += len(synced)
+        for entry in synced:
+            entry.dirty = False  # host and device agree again
+            self.journal.record("env_sync", bus.current_correlation(),
+                                time=self.clock.now,
+                                name=entry.buffer.name,
+                                key=entry.device_handle)
 
     def invalidate_data_env(self) -> None:
         """After a failed offload the staged objects can no longer be
@@ -963,17 +609,9 @@ class CloudDevice(Device):
             if (entry.dirty and key is not None
                     and not entry.buffer.is_virtual
                     and not state.already_synced(name, key)):
-                try:
-                    payload = self.storage.get_bytes(
-                        key, credentials=self.config.credentials)
-                    if key.endswith(".gz"):
-                        payload = gzip_decompress(payload)
-                    entry.buffer.require_data()[:] = np.frombuffer(
-                        payload, dtype=entry.buffer.dtype)
+                if self.transfer.sync_home(entry.buffer, key):
                     self.journal.record("env_sync", time=now,
                                         name=name, key=key)
-                except (StorageError, ValueError):
-                    pass  # best-effort: the host copy stays as-is
             if key is not None:
                 self.journal.record("env_exit", time=now, name=name,
                                     reason="invalidated")
@@ -998,13 +636,9 @@ class CloudDevice(Device):
             if handle is None:
                 continue
             key, checksum = handle
-            try:
-                actual = self._with_retries("CHECKSUM",
-                                            self.storage.checksum_of, key)
-            except (NoSuchObjectError, TransientStorageError):
-                continue
-            if checksum and actual != checksum:
-                continue
+            actual = self.transfer.checksum_of(key)
+            if not actual or (checksum and actual != checksum):
+                continue  # gone, unreachable, or no longer what was journaled
             if self.env.restore(name, key):
                 self.sc.log.warn(self.clock.now, "CloudPlugin",
                                  f"recovered device copy of {name!r} from "
@@ -1022,48 +656,28 @@ class CloudDevice(Device):
         mismatch or a missing object is surfaced as a corruption event and
         the input is re-staged from the host (and billed like any upload)."""
         bus = get_bus()
-        restage_wire: list[int] = []
-        restage_raw = 0
+        restage: list[tuple[Buffer, str]] = []
         for name, key in input_keys.items():
-            expected = self._staged_checksums.get(key, "")
+            expected = self.transfer.staged_checksum(key)
             if not expected:
                 continue  # resident/cached object this offload did not stage
-            try:
-                actual = self._with_retries(
-                    "CHECKSUM", self.storage.checksum_of, key)
-            except NoSuchObjectError:
-                actual = ""
-            except TransientStorageError:
-                continue  # storage flaking, not evidence of corruption
-            if actual == expected:
-                continue
+            actual = self.transfer.checksum_of(key)
+            if actual is None or actual == expected:
+                continue  # storage flaking is not evidence of corruption
             bus.emit(CorruptionDetected(
                 time=self.clock.now, resource=self.storage.name,
                 store=self.storage.name, op="VERIFY", key=key,
                 expected=expected, actual=actual))
             self.journal.record("corruption", bus.current_correlation(),
                                 time=self.clock.now, key=key, op="VERIFY")
-            buf = buffers.get(name)
-            if buf is None:
-                continue
-            restage_wire.append(self._stage_input(buf, key, mode))
-            restage_raw += buf.nbytes
-            report.restaged_inputs += 1
-        self._charge_retry_backoff(report)
-        if restage_wire:
-            link = self.network.lan if self.colocated else self.network.wan
-            transfer_s = (
-                link.parallel_transfer_time(restage_wire)
-                if self.comm.parallel_streams
-                else link.serial_transfer_time(restage_wire)
-            )
-            t0 = self.clock.now
-            report.timeline.record(Phase.HOST_UPLOAD, t0,
-                                   self.clock.advance(transfer_s),
-                                   resource="host", label="restage")
-            report.host_comm_up_s += self.clock.now - t0
-            report.bytes_up_raw += restage_raw
-            report.bytes_up_wire += sum(restage_wire)
+            if name in buffers:
+                restage.append((buffers[name], key))
+        up = self.transfer.upload(restage, mode, report, what="re-staging inputs",
+                                  phase=Phase.HOST_UPLOAD,
+                                  codec_phase=Phase.HOST_COMPRESS,
+                                  label="restage")
+        report.host_comm_up_s += up.seconds
+        report.restaged_inputs += len(restage)
 
     # ------------------------------------------------------------- execution
     def execute(
@@ -1399,7 +1013,7 @@ class CloudDevice(Device):
         for name in self._pending.get("begun", ()):  # type: ignore[union-attr]
             if self.env.is_mapped(name):
                 self.env.end(name)
-        self._charge_retry_backoff(report)
+        self.transfer.charge_backoff(report)
         self._flush_corruptions(report)
         if self.config.manage_instances and self._provisioned is not None:
             self._provisioned.stop_all(self.clock.now)

@@ -28,8 +28,7 @@ The module mirrors the split of the OpenMP accelerator model:
 * *infrastructure types* — devices, configuration, reports, events.
 
 The package-root aliases for these names (``from repro import ...``)
-finished their deprecation cycle and were removed; the tombstone
-``AttributeError`` names the replacement import (removal list in
+finished their deprecation cycle and were removed (migration table in
 ``docs/API.md``).  Import from ``repro.omp`` (model surface) or the
 defining submodule (internals).
 

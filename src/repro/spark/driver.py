@@ -9,7 +9,7 @@ back per-partition results plus the job's timeline and statistics.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 import numpy as np
 
@@ -28,7 +28,7 @@ from repro.spark.scheduler import (
 )
 from repro.spark.serialization import sizeof_element
 
-if True:  # keep import group tight for the type checker
+if TYPE_CHECKING:
     from repro.spark.cluster import SparkCluster
 
 

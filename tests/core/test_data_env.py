@@ -9,6 +9,7 @@ the upload of environment-mapped buffers), the host-fallback interaction
 """
 
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -356,19 +357,20 @@ def test_root_package_reexports_removed_with_migration_hint():
     import repro
 
     # The deprecation cycle is complete: the legacy package-root surface is
-    # gone, and the tombstone names the replacement import.
-    with pytest.raises(AttributeError, match="from repro.omp import offload"):
-        repro.offload
-    with pytest.raises(AttributeError,
-                       match="from repro.workloads import WORKLOADS"):
-        repro.WORKLOADS
-    # Unknown names still fail with the plain AttributeError shape.
-    with pytest.raises(AttributeError, match="no attribute"):
-        repro.not_a_name
+    # gone and fails like any unknown name.
+    for name in ("offload", "WORKLOADS", "not_a_name"):
+        with pytest.raises(AttributeError, match="no attribute"):
+            getattr(repro, name)
     # The documented surface itself is untouched.
     from repro.omp import offload as facade_offload
 
     assert callable(facade_offload)
+
+
+def test_pyproject_version_is_read_from_the_package():
+    pyproject = (Path(__file__).parents[2] / "pyproject.toml").read_text()
+    assert ('version = {attr = "repro.__version__"}' in pyproject
+            and '\nversion = "' not in pyproject)
 
 
 def test_offload_options_override_precedence(cloud_config):

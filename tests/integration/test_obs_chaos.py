@@ -10,6 +10,7 @@ would fall into during a real incident.
 
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from repro.core.api import offload
@@ -154,6 +155,46 @@ def test_resubmission_events_match_report(cloud_config, stack):
     assert [s.ok for s in submits] == [False, True]
     assert submits[1].submission == 2
     assert builder.latest().resubmissions == 1
+
+
+def test_restaged_input_is_announced_like_any_upload(cloud_config, stack):
+    """A staged input lost between a failed and a retried spark-submit is
+    re-staged through the ordinary upload path: the bytes it moves reach the
+    event stream (``MapUpload``) as well as the report, and the result is
+    bit-identical to a healthy run."""
+    bus, _registry, builder = stack
+    spec = WORKLOADS["gemm"]
+    scalars = spec.scalars(spec.test_size)
+
+    def run(rt):
+        arrays = spec.inputs(spec.test_size, density=1.0, seed=21)
+        return arrays, offload(spec.build_region("CLOUD"), arrays=arrays,
+                               scalars=scalars, runtime=rt)
+
+    healthy, clean = run(make_cloud_runtime(cloud_config))
+
+    rt = make_cloud_runtime(cloud_config,
+                            fault_plan=FaultPlan(spark_submit_failures=1))
+    store = rt.device("CLOUD").storage
+
+    def lose_staged_a(event):
+        if not event.ok:
+            store.delete(next(k for k in store.list_keys() if "in/A" in k))
+
+    bus.subscribe(lose_staged_a, kinds=("spark_submit",))
+    arrays, report = run(rt)
+
+    assert report.restaged_inputs == 1
+    assert not report.fell_back_to_host
+    for key in healthy:
+        assert np.array_equal(healthy[key], arrays[key]), key
+    assert report.bytes_up_raw == clean.bytes_up_raw + arrays["A"].nbytes
+    derived = builder.latest()
+    assert (report.bytes_up_raw, report.bytes_up_wire) \
+        == (derived.bytes_up_raw, derived.bytes_up_wire)
+    uploads = [e.buffer for e in bus.events_of("map_upload")
+               if e.correlation_id == derived.correlation_id]
+    assert sorted(uploads) == ["A", "A", "B", "C"]
 
 
 def test_chaos_stream_is_fully_correlated(cloud_config, stack):

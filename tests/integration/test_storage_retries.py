@@ -1,5 +1,7 @@
 """Transient cloud-storage failures: the plugin retries with backoff."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -90,7 +92,7 @@ def test_persistent_failure_falls_back_to_host(cloud_config):
 def test_retry_budget_is_configurable(cloud_config):
     rt = make_cloud_runtime(cloud_config)
     dev = rt.device("CLOUD")
-    dev.storage_retries = 5
+    dev.retry_policy = replace(dev.retry_policy, max_attempts=5)
     dev.storage.inject_failures(puts=4)
     report = _offload(rt)  # 4 failures, 5th attempt wins
     assert report.tasks_run > 0
