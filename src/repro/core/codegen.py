@@ -163,7 +163,7 @@ class SparkJobGenerator:
         schedule: ScheduleConfig = STATIC_SCHEDULE,
         journal: OffloadJournal | None = None,
         checkpoint: bool = False,
-        resume: Mapping[str, Mapping[int, TileCheckpoint]] | None = None,
+        resume: Mapping[int, Mapping[int, TileCheckpoint]] | None = None,
         death_at: float | None = None,
     ) -> None:
         self.region = region
@@ -184,10 +184,12 @@ class SparkJobGenerator:
         self.schedule = schedule
         #: Recovery wiring: when ``checkpoint`` is on, completed tile outputs
         #: are committed to storage and journaled; ``resume`` carries the
-        #: checkpoints a replacement driver verified, so those tiles are
-        #: restored instead of rescheduled.  ``death_at`` bounds which task
-        #: completions were durable before the driver died (None = no death
-        #: pending — every completion commits).
+        #: checkpoints a replacement driver verified, by the loop's ordinal
+        #: in the region (loops of one region may share a loop variable —
+        #: 2mm, 3mm), so those tiles are restored instead of rescheduled.
+        #: ``death_at`` bounds which task completions were durable before
+        #: the driver died (None = no death pending — every completion
+        #: commits).
         self.journal = journal
         self.checkpoint = checkpoint
         self.resume = dict(resume) if resume else {}
@@ -229,8 +231,8 @@ class SparkJobGenerator:
         self._allocate_locals()
 
         report = SparkJobReport(started_at=started, finished_at=started)
-        for loop in self.region.loops:
-            report.loops.append(self._run_loop(loop))
+        for ordinal, loop in enumerate(self.region.loops):
+            report.loops.append(self._run_loop(loop, ordinal))
 
         report.output_keys, report.output_checksums = \
             self._write_outputs(storage, key_prefix)
@@ -328,7 +330,7 @@ class SparkJobGenerator:
         return out_keys, out_checksums
 
     # ------------------------------------------------------------- loop jobs
-    def _run_loop(self, loop: ParallelLoop) -> LoopJobReport:
+    def _run_loop(self, loop: ParallelLoop, ordinal: int) -> LoopJobReport:
         clock, timeline = self.sc.clock, self.sc.timeline
         n = loop.trip_count_value(self.scalars)
         cores = self.sc.cluster.total_task_slots
@@ -351,7 +353,7 @@ class SparkJobGenerator:
         if self.resume:
             by_index = {t.index: t for t in tiles}
             completed = {
-                i: c for i, c in self.resume.get(loop.loop_var, {}).items()
+                i: c for i, c in self.resume.get(ordinal, {}).items()
                 if i in by_index
                 and by_index[i].lo == c.lo and by_index[i].hi == c.hi
             }
@@ -414,7 +416,8 @@ class SparkJobGenerator:
                              f"({job.stats.recomputed_tasks} task(s) recomputed)")
             computation = job.timeline.filter([Phase.COMPUTE, Phase.JNI_CALL]).span()
 
-        committed = self._commit_checkpoints(loop, live, job, costs_for)
+        committed = self._commit_checkpoints(loop, ordinal, live, job,
+                                             costs_for)
         restored, bytes_restored = self._restore_checkpoints(loop, completed)
 
         partitions = (list(job.partitions) if job is not None else []) + restored
@@ -435,8 +438,8 @@ class SparkJobGenerator:
             task_bytes_wire=task_bytes,
         )
 
-    def _commit_checkpoints(self, loop: ParallelLoop, live: list[Tile],
-                            job, costs_for) -> int:
+    def _commit_checkpoints(self, loop: ParallelLoop, ordinal: int,
+                            live: list[Tile], job, costs_for) -> int:
         """Durably commit each completed tile's output (tile-granular
         checkpointing).  Only completions that landed *before* a pending
         driver death were flushed; later ones died with the driver.  Commits
@@ -453,7 +456,7 @@ class SparkJobGenerator:
             tile = live[split]
             if self.death_at is not None and tres.end >= self.death_at:
                 continue  # completed after the driver was already gone
-            key = f"{self._key_prefix}/ckpt/{loop.loop_var}/{tile.index}.bin"
+            key = f"{self._key_prefix}/ckpt/{ordinal}/{tile.index}.bin"
             if self.mode == ExecutionMode.FUNCTIONAL:
                 payload = pickle.dumps(job.partitions[split])
                 obj = self._storage_retry("PUT", storage.put, key, data=payload)
@@ -465,7 +468,8 @@ class SparkJobGenerator:
             if self.journal is not None:
                 self.journal.record(
                     "tile_done", get_bus().current_correlation(), clock.now,
-                    region=self.region.name, loop_var=loop.loop_var,
+                    region=self.region.name, loop=ordinal,
+                    loop_var=loop.loop_var,
                     tile=tile.index, lo=tile.lo, hi=tile.hi, key=key,
                     checksum=obj.checksum, nbytes=obj.size, end=tres.end,
                 )

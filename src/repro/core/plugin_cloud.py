@@ -719,7 +719,7 @@ class CloudDevice(Device):
                                 elided=list(getattr(region, "fused_elided", ())),
                                 key_prefix=key_prefix)
         fused_t0 = self.clock.now
-        resume_tiles: Mapping[str, Mapping[int, object]] | None = None
+        resume_tiles: Mapping[int, Mapping[int, object]] | None = None
         for submission in range(1, max_submissions + 1):
             if submission > 1:
                 report.resubmissions += 1

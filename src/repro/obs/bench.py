@@ -917,7 +917,6 @@ def run_scaling(
     point, handy for probing one configuration from the CLI.
     """
     import dataclasses
-    from contextlib import nullcontext
     from time import perf_counter
 
     from repro.core.api import ParallelLoop, TargetRegion, offload
@@ -961,18 +960,15 @@ def run_scaling(
         rt.register(CloudDevice(demo_config(workers),
                                 physical_cores=workers * 8,
                                 calibration=cal))
-        # Points up to 100k tasks run instrumented (their event counts and
-        # metrics land in the payload).  Larger points run with the bus
-        # detached: per-task TaskStart/TaskEnd delivery costs ~10 us/task of
-        # pure observability-plane overhead, and the wall budget is a
-        # contract on the *simulation core* (docs/PERFORMANCE.md).
-        instrumented = tasks <= 100_000
+        # Every point runs with the bus attached, inside its wall budget:
+        # the metrics of all points accumulate in the payload's registry
+        # snapshot.  (The payload's "events" stay empty — this bus keeps no
+        # history, so there is nothing for ``bus.counts()`` to count.)
         t0 = perf_counter()
-        with use_bus(bus) if instrumented else nullcontext():
-            with coarse_timelines():
-                rep = offload(region_for(), scalars={"N": tasks, "R": 4},
-                              runtime=rt, mode=ExecutionMode.MODELED,
-                              densities={"A": density, "C": density})
+        with use_bus(bus), coarse_timelines():
+            rep = offload(region_for(), scalars={"N": tasks, "R": 4},
+                          runtime=rt, mode=ExecutionMode.MODELED,
+                          densities={"A": density, "C": density})
         wall = perf_counter() - t0
         if rep.tasks_run != tasks:
             raise RuntimeError(

@@ -32,8 +32,8 @@ import itertools
 import logging
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, fields, replace
-from typing import Callable, ClassVar, Iterable, Iterator
+from dataclasses import dataclass, fields
+from typing import Callable, ClassVar, Iterable, Iterator, Sequence
 
 from repro.obs.metrics_registry import Counter
 
@@ -50,6 +50,8 @@ class Event:
     ``kind`` is a class-level discriminator (stable, snake_case); the
     correlation triple (``correlation_id``, ``span_id``, ``parent_id``) is
     stamped by the bus at emission time — emitters never fill it themselves.
+    The bus stamps the object it is handed, in place: an event belongs to the
+    bus once emitted, so construct a fresh one per :meth:`EventBus.emit`.
     """
 
     kind: ClassVar[str] = "event"
@@ -459,6 +461,74 @@ EVENT_KINDS: frozenset[str] = frozenset(EVENT_TYPES)
 
 Subscriber = Callable[[Event], None]
 
+#: Task rows the bus holds before it delivers them as one :class:`TaskBatch`.
+#: A constant, not a knob: large enough that the per-batch fixed cost (one
+#: lock acquisition, one transpose, one subscriber call) vanishes per row,
+#: small enough that a 1M-task job never holds more than this many rows.
+_BATCH_ROWS = 4096
+
+#: Fields of one task row (the arguments of :meth:`EventBus.task_done`).
+_ROW_FIELDS = 6
+
+_TASK_KINDS = frozenset(("task_start", "task_end"))
+
+_stamp = object.__setattr__
+
+
+class TaskBatch:
+    """A contiguous run of completed tasks, one column per field.
+
+    Row ``i`` stands for the pair ``TaskStart`` (``time=start[i]``,
+    ``span_id = first_span_id + 2*i``) then ``TaskEnd`` (``time=end[i]``,
+    ``span_id`` one higher); the whole run shares ``correlation_id`` and
+    ``parent_id``.  A subscriber with an ``on_task_batch(batch)`` method is
+    handed the batch itself; every other subscriber (and the recorded
+    history) gets the events of :meth:`events`, which are field for field
+    what two ``emit`` calls per task would have delivered.
+    """
+
+    kind = "task_batch"
+
+    __slots__ = ("task_id", "worker", "start", "end", "duration_s",
+                 "attempts", "correlation_id", "parent_id", "first_span_id",
+                 "_events")
+
+    def __init__(self, task_id: Sequence[int], worker: Sequence[str],
+                 start: Sequence[float], end: Sequence[float],
+                 duration_s: Sequence[float], attempts: Sequence[int],
+                 correlation_id: str = "", parent_id: int = 0,
+                 first_span_id: int = 0) -> None:
+        self.task_id = task_id
+        self.worker = worker
+        self.start = start
+        self.end = end
+        self.duration_s = duration_s
+        self.attempts = attempts
+        self.correlation_id = correlation_id
+        self.parent_id = parent_id
+        self.first_span_id = first_span_id
+        self._events: list[Event] | None = None
+
+    def __len__(self) -> int:
+        return len(self.task_id)
+
+    def events(self) -> list[Event]:
+        """The run as stamped events, in emission order (built once)."""
+        if self._events is None:
+            corr, parent = self.correlation_id, self.parent_id
+            span = self.first_span_id
+            out: list[Event] = []
+            for tid, worker, start, end, duration_s, attempts in zip(
+                    self.task_id, self.worker, self.start, self.end,
+                    self.duration_s, self.attempts):
+                out.append(TaskStart(start, worker, corr, span, parent,
+                                     tid, worker))
+                out.append(TaskEnd(end, worker, corr, span + 1, parent,
+                                   tid, worker, duration_s, attempts))
+                span += 2
+            self._events = out
+        return self._events
+
 
 @dataclass
 class _Scope:
@@ -474,18 +544,34 @@ class EventBus:
     additionally records every emitted event (tests, derived views, traces);
     the process-default bus keeps no history so long-lived processes do not
     accumulate memory.
+
+    Completed tasks arrive as plain rows (:meth:`task_done`) and leave in
+    :class:`TaskBatch` objects.  The pending run is flushed before anything that
+    could observe the difference — any :meth:`emit`, a scope boundary, a read
+    of :attr:`events`, the end of the scheduler's job, or ``_BATCH_ROWS``
+    rows — so a per-event subscriber sees the stream two ``emit`` calls per
+    task would have produced: same kinds, fields, span ids and order.
     """
 
     def __init__(self, keep_history: bool = False) -> None:
-        self._subs: list[tuple[Subscriber, frozenset[str] | None]] = []
+        #: (callable, kinds filter, its ``on_task_batch`` or None); replaced,
+        #: never mutated, so delivery iterates it without a copy.
+        self._subs: tuple[tuple[Subscriber, frozenset[str] | None,
+                                Callable[[TaskBatch], None] | None], ...] = ()
         self._history: list[Event] | None = [] if keep_history else None
         self._lock = threading.Lock()
-        self._span_seq = itertools.count(1)
+        self._next_span = 1
         self._corr_seq = itertools.count(1)
         self._scopes: list[_Scope] = []
+        #: Task rows reported since the last flush, in completion order,
+        #: flattened (``_ROW_FIELDS`` items per row): no per-row object
+        #: survives the call, and a column is one strided slice.  Only ever
+        #: mutated in place by single list operations, which is what lets
+        #: :meth:`task_done` stay off the lock.
+        self._pending: list = []
         #: Subscriber callbacks that raised, by subscriber and event kind.
         #: A broken tool must never abort the offload it is watching, so
-        #: :meth:`emit` catches, counts here, and logs once per subscriber.
+        #: delivery catches, counts here, and logs once per subscriber.
         #: :meth:`MetricsSubscriber.attach` surfaces this counter in its
         #: registry's exposition as ``repro_bus_subscriber_errors``.
         self.subscriber_errors = Counter(
@@ -500,20 +586,23 @@ class EventBus:
         kinds: Iterable[str] | None = None,
     ) -> Callable[[], None]:
         """Register ``fn`` for ``kinds`` (all kinds when None).  Returns an
-        unsubscribe callable."""
+        unsubscribe callable.
+
+        A subscriber that defines ``on_task_batch(batch)`` receives runs of
+        completed tasks through it, as :class:`TaskBatch` columns, instead of
+        one ``task_start`` and one ``task_end`` call per task."""
         want = None if kinds is None else frozenset(kinds)
         if want is not None:
             unknown = want - EVENT_KINDS
             if unknown:
                 raise ValueError(f"unknown event kinds: {sorted(unknown)}")
-        entry = (fn, want)
+        entry = (fn, want, getattr(fn, "on_task_batch", None))
         with self._lock:
-            self._subs.append(entry)
+            self._subs += (entry,)
 
         def unsubscribe() -> None:
             with self._lock:
-                if entry in self._subs:
-                    self._subs.remove(entry)
+                self._subs = tuple(e for e in self._subs if e is not entry)
 
         return unsubscribe
 
@@ -531,15 +620,19 @@ class EventBus:
         return bool(self._subs) or self._history is not None
 
     def emit(self, event: Event) -> Event | None:
-        """Stamp correlation ids onto ``event`` and deliver it.
+        """Stamp correlation ids onto ``event`` (in place) and deliver it,
+        after any pending run of task rows.
 
-        Returns the stamped event, or None when nothing is listening (the
-        fast path skips stamping entirely)."""
+        Returns the event, or None when nothing is listening (the fast path
+        skips stamping entirely)."""
         with self._lock:
-            if not self._subs and self._history is None:
+            subs = self._subs
+            if not subs and self._history is None:
                 return None
+            batch = self._take_batch()
             scope = self._scopes[-1] if self._scopes else None
-            span_id = next(self._span_seq)
+            span_id = self._next_span
+            self._next_span = span_id + 1
             parent = 0
             corr = event.correlation_id
             if scope is not None:
@@ -550,20 +643,87 @@ class EventBus:
                               if len(self._scopes) > 1 else 0)
                 else:
                     parent = scope.root_span
-            stamped = replace(event, correlation_id=corr, span_id=span_id,
-                              parent_id=parent)
+            _stamp(event, "correlation_id", corr)
+            _stamp(event, "span_id", span_id)
+            _stamp(event, "parent_id", parent)
             if self._history is not None:
-                self._history.append(stamped)
-            subs = list(self._subs)
-        for fn, want in subs:
-            if want is None or stamped.kind in want:
-                try:
-                    fn(stamped)
-                except Exception as exc:
-                    self._subscriber_raised(fn, stamped, exc)
-        return stamped
+                self._history.append(event)
+        if batch is not None:
+            self._deliver_batch(batch, subs)
+        self._deliver(event, subs)
+        return event
 
-    def _subscriber_raised(self, fn: Subscriber, event: Event,
+    def task_done(self, task_id: int, worker: str, start: float, end: float,
+                  duration_s: float, attempts: int) -> None:
+        """Report one completed task: what ``emit(TaskStart(time=start, ...))``
+        followed by ``emit(TaskEnd(time=end, ...))`` reports, as a row.
+
+        Rows are held until the next flush point (see the class docstring)
+        and delivered as one :class:`TaskBatch`."""
+        pending = self._pending
+        pending.extend((task_id, worker, start, end, duration_s, attempts))
+        if len(pending) >= _BATCH_ROWS * _ROW_FIELDS:
+            self.flush()
+
+    def flush(self) -> None:
+        """Deliver the pending run of task rows now (no-op when empty)."""
+        if not self._pending:
+            return
+        with self._lock:
+            batch = self._take_batch()
+            subs = self._subs
+        if batch is not None:
+            self._deliver_batch(batch, subs)
+
+    def _take_batch(self) -> TaskBatch | None:
+        """Lock held: turn the pending rows into a stamped batch — span ids
+        reserved ``2·n`` at once, history recorded — ready to deliver."""
+        pending = self._pending
+        n = len(pending)
+        if not n:
+            return None
+        flat = pending[:n]
+        del pending[:n]  # a row reported meanwhile stays for the next run
+        if not self._subs and self._history is None:
+            return None  # every listener left mid-run
+        scope = self._scopes[-1] if self._scopes else None
+        batch = TaskBatch(
+            *(flat[i::_ROW_FIELDS] for i in range(_ROW_FIELDS)),
+            correlation_id=scope.correlation_id if scope is not None else "",
+            parent_id=scope.root_span if scope is not None else 0,
+            first_span_id=self._next_span)
+        self._next_span += 2 * len(batch)
+        if self._history is not None:
+            self._history.extend(batch.events())
+        return batch
+
+    def _deliver_batch(self, batch: TaskBatch, subs: tuple) -> None:
+        per_event = []
+        for entry in subs:
+            fn, want, on_batch = entry
+            if want is not None and not want & _TASK_KINDS:
+                continue
+            if on_batch is None:
+                per_event.append(entry)
+                continue
+            try:
+                on_batch(batch)
+            except Exception as exc:
+                self._subscriber_raised(on_batch, batch, exc)
+        if per_event:
+            for event in batch.events():
+                self._deliver(event, per_event)
+
+    def _deliver(self, event: Event, subs: Iterable[tuple]) -> None:
+        kind = event.kind
+        for fn, want, _ in subs:
+            if want is None or kind in want:
+                try:
+                    fn(event)
+                except Exception as exc:
+                    self._subscriber_raised(fn, event, exc)
+
+    def _subscriber_raised(self, fn: Callable, event: Event | TaskBatch,
                            exc: Exception) -> None:
         """Record a raising subscriber without propagating: the offload being
         observed must not die because a tool attached to it is broken."""
@@ -585,12 +745,14 @@ class EventBus:
 
         Yields the correlation id.  Scopes nest (a host fallback inside a
         cloud offload keeps the outer id as its parent span)."""
+        self.flush()  # pending rows belong to the scope they were reported in
         with self._lock:
             corr = f"{name}#{next(self._corr_seq)}"
             self._scopes.append(_Scope(correlation_id=corr))
         try:
             yield corr
         finally:
+            self.flush()
             with self._lock:
                 self._scopes.pop()
 
@@ -603,6 +765,7 @@ class EventBus:
     @property
     def events(self) -> tuple[Event, ...]:
         """Recorded events (empty when history is disabled)."""
+        self.flush()
         with self._lock:
             return tuple(self._history) if self._history is not None else ()
 
@@ -617,6 +780,7 @@ class EventBus:
         return dict(sorted(out.items()))
 
     def clear(self) -> None:
+        self.flush()
         with self._lock:
             if self._history is not None:
                 self._history.clear()

@@ -23,7 +23,10 @@ from __future__ import annotations
 import json
 import re
 import threading
-from typing import Iterable, Mapping
+from bisect import bisect_right
+from functools import lru_cache, reduce
+from operator import add
+from typing import Iterable, Mapping, Sequence
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
@@ -40,11 +43,22 @@ class MetricError(Exception):
     """Bad metric name, label, or kind mismatch."""
 
 
-def _label_key(labels: Mapping[str, str]) -> LabelKey:
-    for name in labels:
+@lru_cache(maxsize=1024)
+def _sorted_label_names(names: tuple[str, ...]) -> tuple[str, ...]:
+    """``names`` validated and sorted — once per distinct tuple of label
+    names (call sites spell the same few), not once per ``inc``/``observe``.
+    An invalid tuple raises every time: exceptions are not cached."""
+    for name in names:
         if not _LABEL_RE.match(name):
             raise MetricError(f"invalid label name {name!r}")
-    return tuple(sorted((k, str(v)) for k, v in labels.items()))
+    return tuple(sorted(names))
+
+
+def _label_key(labels: Mapping[str, str]) -> LabelKey:
+    if not labels:
+        return ()
+    return tuple([(name, str(labels[name]))
+                  for name in _sorted_label_names(tuple(labels))])
 
 
 def _render_labels(key: LabelKey, extra: tuple[tuple[str, str], ...] = ()) -> str:
@@ -197,16 +211,24 @@ class Histogram(Metric):
         self._states: dict[LabelKey, _HistogramState] = {}
 
     def observe(self, value: float, **labels: str) -> None:
+        self.observe_many((value,), **labels)
+
+    def observe_many(self, values: Sequence[float], **labels: str) -> None:
+        """Fold ``values`` in, exactly as one :meth:`observe` per value in
+        order would: ``sum`` accumulates left to right with plain float adds
+        (not :func:`sum`, which compensates), so snapshots stay bit-identical
+        however the observations were grouped."""
         key = _label_key(labels)
+        ordered = sorted(values)
         with self._lock:
             state = self._states.get(key)
             if state is None:
                 state = self._states[key] = _HistogramState(len(self.buckets))
+            counts = state.bucket_counts
             for i, bound in enumerate(self.buckets):
-                if value <= bound:
-                    state.bucket_counts[i] += 1
-            state.total += value
-            state.count += 1
+                counts[i] += bisect_right(ordered, bound)
+            state.total = reduce(add, values, state.total)
+            state.count += len(ordered)
 
     def count(self, **labels: str) -> int:
         with self._lock:

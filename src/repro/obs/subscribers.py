@@ -18,6 +18,7 @@ The point of the event bus is that yesterday's bespoke artifacts become
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.obs.events import (
     Event,
@@ -29,6 +30,7 @@ from repro.obs.events import (
     Retry,
     TargetBegin,
     TargetEnd,
+    TaskBatch,
     TaskEnd,
     TaskStart,
 )
@@ -156,6 +158,28 @@ class MetricsSubscriber:
         return bus.subscribe(self)
 
     # ---------------------------------------------------------------- handler
+    def on_task_batch(self, batch: TaskBatch) -> None:
+        """A run of completed tasks, folded a column at a time."""
+        self._tasks_started(batch.worker)
+        self._tasks_ended(batch.worker, batch.duration_s)
+
+    def _tasks_started(self, workers: Sequence[str]) -> None:
+        self._active_tasks.inc(len(workers))
+        new = set(workers) - self._workers
+        if new:
+            self._workers |= new
+            self._workers_seen.set(len(self._workers))
+
+    def _tasks_ended(self, workers: Sequence[str],
+                     durations: Sequence[float]) -> None:
+        self._active_tasks.dec(len(workers))
+        tally: dict[str, int] = {}
+        for worker in workers:
+            tally[worker] = tally.get(worker, 0) + 1
+        for worker, n in tally.items():
+            self._tasks.inc(n, worker=worker)
+        self._task_seconds.observe_many(durations)
+
     def __call__(self, e: Event) -> None:
         kind = e.kind
         if kind == "target_begin":
@@ -192,14 +216,9 @@ class MetricsSubscriber:
         elif kind == "job_end":
             self._jobs.inc()
         elif kind == "task_start":
-            self._active_tasks.inc()
-            if e.worker not in self._workers:
-                self._workers.add(e.worker)
-                self._workers_seen.set(len(self._workers))
+            self._tasks_started((e.worker,))
         elif kind == "task_end":
-            self._active_tasks.dec()
-            self._tasks.inc(worker=e.worker)
-            self._task_seconds.observe(e.duration_s)
+            self._tasks_ended((e.worker,), (e.duration_s,))
         elif kind == "task_speculated":
             self._speculated.inc(worker=e.copy_worker)
         elif kind == "speculation_won":

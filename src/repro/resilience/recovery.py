@@ -28,7 +28,8 @@ class TileCheckpoint:
     """One committed tile output, verifiable by key + checksum."""
 
     region: str
-    loop_var: str
+    loop: int          # the loop's ordinal in its region (with `tile`, the identity)
+    loop_var: str      # informational: loops of one region may share it
     tile: int          # tile index within the loop's tiling
     lo: int            # iteration bounds the tile covered
     hi: int
@@ -48,8 +49,8 @@ class RecoveryState:
         #: (docs/TASKGRAPH.md): checkpoints replay against the fused job's
         #: correlation, never against the member regions on their own.
         self.fused_members: dict[str, tuple[str, ...]] = {}
-        #: (correlation id, loop var) -> {tile index: checkpoint}.
-        self._tiles: dict[tuple[str, str], dict[int, TileCheckpoint]] = {}
+        #: (correlation id, loop ordinal) -> {tile index: checkpoint}.
+        self._tiles: dict[tuple[str, int], dict[int, TileCheckpoint]] = {}
         #: buffer name -> (storage key, checksum) of its live device copy.
         self._env_handles: dict[str, tuple[str, str]] = {}
         #: (buffer name, storage key) pairs already synced back to the host.
@@ -63,12 +64,12 @@ class RecoveryState:
 
     # ------------------------------------------------------------------ tiles
     def completed_tiles(self, correlation_id: str
-                        ) -> dict[str, dict[int, TileCheckpoint]]:
-        """``{loop_var: {tile index: checkpoint}}`` for one offload."""
-        out: dict[str, dict[int, TileCheckpoint]] = {}
-        for (corr, loop_var), tiles in self._tiles.items():
+                        ) -> dict[int, dict[int, TileCheckpoint]]:
+        """``{loop ordinal: {tile index: checkpoint}}`` for one offload."""
+        out: dict[int, dict[int, TileCheckpoint]] = {}
+        for (corr, loop), tiles in self._tiles.items():
             if corr == correlation_id and tiles:
-                out[loop_var] = dict(tiles)
+                out[loop] = dict(tiles)
         return out
 
     # ----------------------------------------------------- data environments
@@ -98,6 +99,7 @@ def replay_journal(records: Iterable[JournalRecord]) -> RecoveryState:
         elif rec.kind == "tile_done":
             ckpt = TileCheckpoint(
                 region=str(p.get("region", "")),
+                loop=int(p.get("loop", 0)),
                 loop_var=str(p.get("loop_var", "")),
                 tile=int(p.get("tile", -1)),
                 lo=int(p.get("lo", 0)), hi=int(p.get("hi", 0)),
@@ -108,7 +110,7 @@ def replay_journal(records: Iterable[JournalRecord]) -> RecoveryState:
             )
             if ckpt.tile >= 0 and ckpt.key:
                 bucket = state._tiles.setdefault(
-                    (rec.correlation_id, ckpt.loop_var), {})
+                    (rec.correlation_id, ckpt.loop), {})
                 bucket[ckpt.tile] = ckpt
         elif rec.kind == "output_commit":
             name = str(p.get("name", ""))

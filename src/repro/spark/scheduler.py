@@ -28,8 +28,10 @@ Scale notes (docs/PERFORMANCE.md): the job loop runs over a columnar
 :class:`~repro.spark.tasktable.TaskTable` (plain scalars in the hot loop, no
 per-task dataclass), picks executors through the amortized-O(log n)
 :class:`~repro.spark.exindex.ExecutorIndex`, orders collects with one
-``np.lexsort`` instead of repeated ``sorted(results, ...)`` passes, and
-materializes :class:`TaskResult` objects lazily.  All of it is bit-identical
+``np.lexsort`` instead of repeated ``sorted(results, ...)`` passes,
+materializes :class:`TaskResult` objects lazily, and reports each completed
+task to the event bus as one plain row (``EventBus.task_done``; the bus
+batches them, docs/OBSERVABILITY.md).  All of it is bit-identical
 to the historical object-per-task implementation — scheduling order is
 observable through reports, journals and traces, and a property test pins
 the equivalence.
@@ -44,8 +46,7 @@ from typing import Any, Callable, Sequence
 import numpy as np
 
 from repro.cloud.network import NetworkModel
-from repro.obs.events import (SpeculationWon, TaskEnd, TaskSpeculated,
-                              TaskStart, get_bus)
+from repro.obs.events import SpeculationWon, TaskSpeculated, get_bus
 from repro.simtime.clock import SimClock
 from repro.simtime.timeline import Phase, Timeline
 from repro.spark.broadcast import Broadcast
@@ -150,7 +151,10 @@ class TaskScheduler:
         """
         job = _JobRun(self.costs, tasks, executors, network, clock, timeline,
                       fault_plan, functional, schedule)
-        return job.run(broadcasts)
+        try:
+            return job.run(broadcasts)
+        finally:
+            job.bus.flush()  # no task row outlives the job that reported it
 
 
 class _JobRun:
@@ -454,13 +458,8 @@ class _JobRun:
 
             self._record_task_spans(row, res.start, ex)
             if self.bus.is_active:
-                tid = self.tid[row]
-                self.bus.emit(TaskStart(time=res.start, resource=ex.worker_id,
-                                        task_id=tid, worker=ex.worker_id))
-                self.bus.emit(TaskEnd(time=res.end, resource=ex.worker_id,
-                                      task_id=tid, worker=ex.worker_id,
-                                      duration_s=duration / ex.speed,
-                                      attempts=attempts))
+                self.bus.task_done(self.tid[row], ex.worker_id, res.start,
+                                   res.end, duration / ex.speed, attempts)
             self.r_start[row] = res.start
             self.r_end[row] = res.end
             self.r_attempts[row] = attempts
@@ -556,12 +555,8 @@ class _JobRun:
         self.stats.speculation_saved_s += saved
         self._record_task_spans(row, copy.start, copy_ex, label_suffix="-spec")
         if bus.is_active:
-            bus.emit(TaskStart(time=copy.start, resource=copy_ex.worker_id,
-                               task_id=tid, worker=copy_ex.worker_id))
-            bus.emit(TaskEnd(time=copy.end, resource=copy_ex.worker_id,
-                             task_id=tid, worker=copy_ex.worker_id,
-                             duration_s=duration / copy_ex.speed,
-                             attempts=attempts))
+            bus.task_done(tid, copy_ex.worker_id, copy.start, copy.end,
+                          duration / copy_ex.speed, attempts)
             bus.emit(SpeculationWon(time=copy.end, resource=copy_ex.worker_id,
                                     task_id=tid,
                                     winner=copy_ex.worker_id,

@@ -12,6 +12,7 @@ from repro.obs.events import (
     Retry,
     TargetBegin,
     TargetEnd,
+    TaskEnd,
     get_bus,
     set_bus,
     use_bus,
@@ -220,7 +221,7 @@ def test_subscriber_errors_logged_once_per_subscriber(caplog):
     assert bus.subscriber_errors.total() == 6
 
 
-def test_offload_continues_past_a_broken_subscriber():
+def _gemm_offload(bus):
     from repro.core.api import offload
     from repro.core.buffers import ExecutionMode
     from repro.core.plugin_cloud import CloudDevice
@@ -228,18 +229,102 @@ def test_offload_continues_past_a_broken_subscriber():
     from repro.metrics.figures import demo_config
     from repro.workloads.specs import WORKLOADS
 
+    spec = WORKLOADS["gemm"]
+    rt = OffloadRuntime()
+    rt.register(CloudDevice(demo_config(4), physical_cores=32))
+    with use_bus(bus):
+        return offload(spec.build_region("CLOUD"),
+                       scalars=spec.scalars(spec.test_size),
+                       runtime=rt, mode=ExecutionMode.MODELED)
+
+
+def test_offload_continues_past_a_broken_subscriber():
     bus = EventBus(keep_history=True)
 
     def broken(event):
         raise RuntimeError("observer crash")
 
     bus.subscribe(broken)
-    spec = WORKLOADS["gemm"]
-    rt = OffloadRuntime()
-    rt.register(CloudDevice(demo_config(4), physical_cores=32))
-    with use_bus(bus):
-        report = offload(spec.build_region("CLOUD"),
-                         scalars=spec.scalars(spec.test_size),
-                         runtime=rt, mode=ExecutionMode.MODELED)
+    report = _gemm_offload(bus)
     assert report.full_s > 0            # the offload finished
     assert bus.subscriber_errors.total() == len(bus.events) > 0
+
+
+# ------------------------------------------------------------- task batches
+def test_task_rows_reach_a_per_event_subscriber_as_stamped_events():
+    bus = EventBus(keep_history=True)
+    got = []
+    bus.subscribe(got.append)
+    with bus.offload_scope("gemm"):
+        root = bus.emit(TargetBegin(region="gemm"))
+        bus.task_done(7, "worker-1", 1.0, 1.5, 0.5, 1)
+        bus.task_done(8, "worker-2", 1.0, 2.0, 1.0, 2)
+        assert got == [root]                 # rows are pending ...
+        retry = bus.emit(Retry(op="PUT"))    # ... until any emit flushes them
+    assert [e.kind for e in got] == ["target_begin", "task_start", "task_end",
+                                     "task_start", "task_end", "retry"]
+    assert [e.span_id for e in got] == [1, 2, 3, 4, 5, 6]
+    assert all(e.parent_id == root.span_id and e.correlation_id == "gemm#1"
+               for e in got[1:])
+    assert got[4] == TaskEnd(time=2.0, resource="worker-2",
+                             correlation_id="gemm#1", span_id=5, parent_id=1,
+                             task_id=8, worker="worker-2", duration_s=1.0,
+                             attempts=2)
+    assert got[-1] is retry
+    assert bus.events == tuple(got)
+
+
+def test_reading_history_flushes_pending_rows():
+    bus = EventBus(keep_history=True)
+    bus.task_done(1, "w", 0.0, 1.0, 1.0, 1)
+    assert bus.counts() == {"task_end": 1, "task_start": 1}
+    bus.task_done(2, "w", 1.0, 2.0, 1.0, 1)
+    bus.clear()
+    assert bus.events == ()
+
+
+def test_long_runs_are_delivered_in_bounded_chunks():
+    from repro.obs.events import _BATCH_ROWS
+
+    sizes = []
+
+    class Tool:
+        def __call__(self, event):
+            raise AssertionError("asked for batches, got an event")
+
+        def on_task_batch(self, batch):
+            sizes.append(len(batch))
+
+    bus = EventBus()
+    bus.subscribe(Tool())
+    for i in range(2 * _BATCH_ROWS + 5):
+        bus.task_done(i, "w", 0.0, 1.0, 1.0, 1)
+    assert sizes == [_BATCH_ROWS, _BATCH_ROWS]
+    bus.flush()
+    assert sizes == [_BATCH_ROWS, _BATCH_ROWS, 5]
+
+
+def test_raising_batch_handler_is_counted_and_the_offload_survives():
+    class BrokenTool:
+        def __call__(self, event):
+            pass
+
+        def on_task_batch(self, batch):
+            raise RuntimeError("batch tool is on fire")
+
+    bus = EventBus(keep_history=True)
+    ends = []
+    bus.subscribe(BrokenTool())
+    bus.subscribe(ends.append, kinds=("task_end",))
+    report = _gemm_offload(bus)
+    assert report.tasks_run > 0
+    errors = bus.subscriber_errors
+    assert errors.value(subscriber=BrokenTool.on_task_batch.__qualname__,
+                        kind="task_batch") >= 1
+    assert errors.total() == errors.value(
+        subscriber=BrokenTool.on_task_batch.__qualname__, kind="task_batch")
+    # The kinds-filtered per-event subscriber still got exactly the TaskEnds,
+    # in emission order, as the same objects the history holds.
+    assert len(ends) == report.tasks_run
+    assert ends == bus.events_of("task_end")
+    assert [e.span_id for e in ends] == sorted(e.span_id for e in ends)

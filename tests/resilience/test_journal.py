@@ -159,9 +159,9 @@ def test_replay_is_idempotent_and_pure():
 def test_replay_folds_tiles_and_commits():
     state = _sample_journal().replay()
     tiles = state.completed_tiles("mm#1")
-    assert set(tiles) == {"i"}
-    assert set(tiles["i"]) == {0, 1}
-    ckpt = tiles["i"][1]
+    assert set(tiles) == {0}  # keyed by loop ordinal (absent = first loop)
+    assert set(tiles[0]) == {0, 1}
+    ckpt = tiles[0][1]
     assert (ckpt.lo, ckpt.hi, ckpt.key) == (64, 128, "out/C/t1")
     assert state.completed_tiles("other#9") == {}
     assert state.output_commits["mm#1"] == {"C": "out/C"}
