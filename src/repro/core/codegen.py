@@ -23,7 +23,7 @@ durations from the performance model).
 from __future__ import annotations
 
 import pickle
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Mapping, Sequence, Union
 
 import numpy as np
@@ -42,7 +42,7 @@ from repro.obs.events import CheckpointCommit, get_bus
 from repro.resilience import OffloadJournal, RetryPolicy, TileCheckpoint, retry_call
 from repro.simtime.timeline import Phase
 from repro.spark.context import SparkContext
-from repro.spark.driver import TaskCosts, TaskCostsArrays
+from repro.spark.driver import TaskCostsArrays
 from repro.spark.faults import NO_FAULTS, FaultPlan
 from repro.spark.schedule import STATIC_SCHEDULE, ScheduleConfig
 from repro.cloud.storage import TransientStorageError
@@ -142,6 +142,33 @@ class SparkJobReport:
     @property
     def task_bytes_wire(self) -> int:
         return sum(lp.task_bytes_wire for lp in self.loops)
+
+
+@dataclass
+class _LoopTiling:
+    """One loop's tiles as arrays, derived once per loop and shared by the
+    memory check, the cost synthesis and the element building: the tile
+    bounds, how each variable travels, and per partitioned variable the
+    element window ``[wlo, whi)`` every tile touches (Eq. 3)."""
+
+    lo: np.ndarray
+    hi: np.ndarray
+    partitioned_reads: list[str]
+    broadcast_reads: list[str]
+    #: Written through a per-tile window (partitioned, not a reduction);
+    #: every other write ships a full partial buffer per task.
+    partitioned_writes: list[str]
+    windows: dict[str, tuple[np.ndarray, np.ndarray]]
+
+    def __len__(self) -> int:
+        return len(self.lo)
+
+    def take(self, keep: np.ndarray) -> "_LoopTiling":
+        """The tiling restricted to the tiles selected by mask ``keep``."""
+        return replace(
+            self, lo=self.lo[keep], hi=self.hi[keep],
+            windows={nm: (wlo[keep], whi[keep])
+                     for nm, (wlo, whi) in self.windows.items()})
 
 
 class SparkJobGenerator:
@@ -339,12 +366,11 @@ class SparkJobGenerator:
             return LoopJobReport(loop_var=loop.loop_var, n_tasks=0,
                                  computation_s=0.0, recomputed_tasks=0)
 
-        partitioned_reads = [
-            nm for nm in loop.reads if nm in loop.partitions and loop.partitions[nm].is_partitioned
-        ]
-        broadcast_reads = [nm for nm in loop.reads if nm not in partitioned_reads]
         self._check_jvm_limits(loop)
-        self._check_executor_memory(loop, tiles, partitioned_reads, broadcast_reads)
+        tiling = self._tiling_for(loop, tiles)
+        partitioned_reads = tiling.partitioned_reads
+        broadcast_reads = tiling.broadcast_reads
+        self._check_executor_memory(loop, tiling)
 
         # Resume: drop tiles whose outputs were durably committed before the
         # crash.  A checkpoint only counts if the current tiling produced the
@@ -358,6 +384,10 @@ class SparkJobGenerator:
                 and by_index[i].lo == c.lo and by_index[i].hi == c.hi
             }
         live = [t for t in tiles if t.index not in completed]
+        if completed:
+            tiling = tiling.take(np.fromiter(
+                (t.index not in completed for t in tiles),
+                dtype=bool, count=len(tiles)))
 
         self.sc.log.info(clock.now, "OmpCloudJob",
                          f"loop over {loop.loop_var!r}: {n} iterations -> "
@@ -385,12 +415,11 @@ class SparkJobGenerator:
             value = self._driver_arrays[nm] if self.mode == ExecutionMode.FUNCTIONAL else None
             handles[nm] = self.sc.broadcast(value, nbytes=wire)
 
-        costs_for, costs_arrays = self._make_costs_fn(
-            loop, live, partitioned_reads, broadcast_reads)
+        costs = self._task_costs(loop, tiling)
         job = None
         computation = 0.0
         if live:
-            elements = self._elements_for(live, loop, partitioned_reads)
+            elements = self._elements_for(live, tiling)
             rdd = self.sc.parallelize(elements, num_slices=len(live))
             map_fn = self._make_map_fn(loop, partitioned_reads, handles)
             mapped = rdd.map(map_fn)
@@ -401,8 +430,7 @@ class SparkJobGenerator:
                              f"({len(live)} tasks)")
             job = self.sc.driver.run_job(
                 mapped,
-                costs_for=costs_for,
-                costs_arrays=costs_arrays,
+                costs=costs,
                 broadcasts=tuple(handles.values()),
                 fault_plan=self.fault_plan,
                 functional=self.mode == ExecutionMode.FUNCTIONAL,
@@ -416,14 +444,12 @@ class SparkJobGenerator:
                              f"({job.stats.recomputed_tasks} task(s) recomputed)")
             computation = job.timeline.filter([Phase.COMPUTE, Phase.JNI_CALL]).span()
 
-        committed = self._commit_checkpoints(loop, ordinal, live, job,
-                                             costs_for)
+        committed = self._commit_checkpoints(loop, ordinal, live, job, costs)
         restored, bytes_restored = self._restore_checkpoints(loop, completed)
 
         partitions = (list(job.partitions) if job is not None else []) + restored
         self._reconstruct(loop, partitions, tiles)
-        task_bytes = int(np.sum(costs_arrays.input_bytes)
-                         + np.sum(costs_arrays.output_bytes))
+        task_bytes = int(np.sum(costs.input_bytes) + np.sum(costs.output_bytes))
         return LoopJobReport(
             loop_var=loop.loop_var,
             n_tasks=len(live),
@@ -439,7 +465,8 @@ class SparkJobGenerator:
         )
 
     def _commit_checkpoints(self, loop: ParallelLoop, ordinal: int,
-                            live: list[Tile], job, costs_for) -> int:
+                            live: list[Tile], job,
+                            costs: TaskCostsArrays) -> int:
         """Durably commit each completed tile's output (tile-granular
         checkpointing).  Only completions that landed *before* a pending
         driver death were flushed; later ones died with the driver.  Commits
@@ -452,7 +479,7 @@ class SparkJobGenerator:
         committed = 0
         write_s = 0.0
         for tres in job.stats.results:
-            split = tres.task.split
+            split = tres.split
             tile = live[split]
             if self.death_at is not None and tres.end >= self.death_at:
                 continue  # completed after the driver was already gone
@@ -462,7 +489,7 @@ class SparkJobGenerator:
                 obj = self._storage_retry("PUT", storage.put, key, data=payload)
             else:
                 obj = self._storage_retry("PUT", storage.put, key,
-                                          size=costs_for(split).output_bytes)
+                                          size=int(costs.output_bytes[split]))
             write_s += storage.cluster_write_time(obj.size)
             self._storage_bytes_written += obj.size
             if self.journal is not None:
@@ -516,6 +543,31 @@ class SparkJobGenerator:
                             label=f"restore-{loop.loop_var}-{i}")
         return restored, total
 
+    def _tiling_for(self, loop: ParallelLoop, tiles: list[Tile]) -> _LoopTiling:
+        """Classify the loop's variables and evaluate (and range-check) every
+        partition window over all ``tiles`` at once."""
+        partitioned_reads = [
+            nm for nm in loop.reads if nm in loop.partitions and loop.partitions[nm].is_partitioned
+        ]
+        reductions = loop.reduction_vars
+        partitioned_writes = [
+            nm for nm in loop.writes
+            if nm not in reductions and nm in loop.partitions
+            and loop.partitions[nm].is_partitioned
+        ]
+        n = len(tiles)
+        lo = np.fromiter((t.lo for t in tiles), dtype=np.int64, count=n)
+        hi = np.fromiter((t.hi for t in tiles), dtype=np.int64, count=n)
+        windows: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        for nm in dict.fromkeys((*partitioned_reads, *partitioned_writes)):
+            wlo, whi = partition_windows(loop.partitions[nm], lo, hi, self.scalars)
+            self._check_windows(self._buffer_info[nm], wlo, whi)
+            windows[nm] = (wlo, whi)
+        return _LoopTiling(
+            lo=lo, hi=hi, partitioned_reads=partitioned_reads,
+            broadcast_reads=[nm for nm in loop.reads if nm not in partitioned_reads],
+            partitioned_writes=partitioned_writes, windows=windows)
+
     def _tiles_for(self, loop: ParallelLoop, n: int, cores: int) -> list[Tile]:
         """Tiling policy: an explicit schedule chunk wins; otherwise
         Algorithm 1 — or its capacity-weighted variant under schedule mode
@@ -536,43 +588,22 @@ class SparkJobGenerator:
         return drop_empty_tiles(tile_iterations(n, cores))
 
     # ------------------------------------------------------------- elements
-    def _element_for(self, tile: Tile, loop: ParallelLoop, partitioned_reads: list[str]):
-        windows: dict[str, tuple[int, Any]] = {}
-        for nm in partitioned_reads:
-            lo, hi = partition_for_tile(loop.partitions[nm], tile, self.scalars)
-            buf = self._buffer_info[nm]
-            buf._check_range(lo, hi)
-            if self.mode == ExecutionMode.FUNCTIONAL:
-                arr = self._driver_arrays[nm]
-                assert arr is not None
-                windows[nm] = (lo, arr[lo:hi].copy())
-            else:
-                windows[nm] = (lo, None)
-        return (tile.index, tile.lo, tile.hi, windows)
-
-    def _elements_for(self, tiles: list[Tile], loop: ParallelLoop,
-                      partitioned_reads: list[str]) -> Sequence[Any]:
-        """RDD elements for every live tile.
-
-        Modeled jobs never read the element payloads (no closures run, no
-        sizes are measured), so the elements collapse to ``range(n)`` — only
-        the window-bound *validation* survives, done in one vectorized pass
-        so out-of-range partition clauses still raise the same errors as the
-        scalar path.  Functional jobs keep the scalar path, which copies the
-        real window data.
-        """
-        if self.mode == ExecutionMode.FUNCTIONAL:
-            if not partitioned_reads:
-                return [(t.index, t.lo, t.hi, {}) for t in tiles]
-            return [self._element_for(t, loop, partitioned_reads) for t in tiles]
-        if partitioned_reads:
-            n = len(tiles)
-            lo = np.fromiter((t.lo for t in tiles), dtype=np.int64, count=n)
-            hi = np.fromiter((t.hi for t in tiles), dtype=np.int64, count=n)
-            for nm in partitioned_reads:
-                wlo, whi = partition_windows(loop.partitions[nm], lo, hi, self.scalars)
-                self._check_windows(self._buffer_info[nm], wlo, whi)
-        return range(len(tiles))
+    def _elements_for(self, tiles: list[Tile], tiling: _LoopTiling) -> Sequence[Any]:
+        """RDD elements for every live tile: ``(index, lo, hi, {name:
+        (window offset, window data)})``, the data copied out of the driver
+        arrays.  Modeled jobs never read an element (no closure runs, no
+        size is measured), so theirs collapse to ``range(n)``."""
+        if self.mode != ExecutionMode.FUNCTIONAL:
+            return range(len(tiles))
+        bounds = [
+            (nm, self._driver_arrays[nm], *(w.tolist() for w in tiling.windows[nm]))
+            for nm in tiling.partitioned_reads]
+        return [
+            (t.index, t.lo, t.hi,
+             {nm: (wlo[j], arr[wlo[j]:whi[j]].copy())
+              for nm, arr, wlo, whi in bounds})
+            for j, t in enumerate(tiles)
+        ]
 
     def _make_map_fn(self, loop: ParallelLoop, partitioned_reads: list[str], handles):
         """The worker-side mapping function (Eq. 5): run the tile body over
@@ -627,33 +658,26 @@ class SparkJobGenerator:
         return map_fn
 
     # ----------------------------------------------------------------- costs
-    def _make_costs_fn(self, loop, tiles, partitioned_reads, broadcast_reads):
-        """Per-task costs for every live tile, computed in one numpy pass.
-
-        Returns ``(costs_for, costs_arrays)``: the scalar closure (functional
-        jobs, checkpoint commits) indexes into the same arrays the columnar
-        :class:`TaskCostsArrays` hands to the driver, so both views are
-        bit-identical to the historical per-tile evaluation — same float
-        operation order, same window bounds, same wire rounding.
-        """
+    def _task_costs(self, loop: ParallelLoop, tiling: _LoopTiling) -> TaskCostsArrays:
+        """Per-task costs for every tile of ``tiling``, in one numpy pass."""
         slots_per_node = self.sc.cluster.executors[0].task_slots
         n_nodes = self.sc.cluster.active_worker_nodes
-        k = min(slots_per_node, max(1, -(-len(tiles) // n_nodes)))
+        n = len(tiling)
+        lo, hi, windows = tiling.lo, tiling.hi, tiling.windows
+        k = min(slots_per_node, max(1, -(-n // n_nodes)))
         intensity = self.region.memory_intensity
         # Each node decompresses its copy of every broadcast once; the cost is
         # amortized over the tasks co-resident on the node.
-        bcast_raw = sum(self._buffer_info[nm].nbytes for nm in broadcast_reads)
+        bcast_raw = sum(self._buffer_info[nm].nbytes for nm in tiling.broadcast_reads)
         bcast_share = bcast_raw / k if k else 0.0
 
-        n = len(tiles)
-        lo = np.fromiter((t.lo for t in tiles), dtype=np.int64, count=n)
-        hi = np.fromiter((t.hi for t in tiles), dtype=np.int64, count=n)
         fpi = loop.flops_per_iter
         if fpi is None:
             flops = np.zeros(n, dtype=np.float64)
         elif callable(fpi):
             flops = np.fromiter(
-                (loop.tile_flops(t.lo, t.hi, self.scalars) for t in tiles),
+                (loop.tile_flops(a, b, self.scalars)
+                 for a, b in zip(lo.tolist(), hi.tolist())),
                 dtype=np.float64, count=n)
         else:
             flops = float(fpi) * (hi - lo)
@@ -663,10 +687,9 @@ class SparkJobGenerator:
 
         in_raw = np.zeros(n, dtype=np.int64)
         in_wire = np.zeros(n, dtype=np.int64)
-        for nm in partitioned_reads:
+        for nm in tiling.partitioned_reads:
             buf = self._buffer_info[nm]
-            wlo, whi = partition_windows(loop.partitions[nm], lo, hi, self.scalars)
-            self._check_windows(buf, wlo, whi)
+            wlo, whi = windows[nm]
             raw = (whi - wlo) * buf.itemsize
             in_raw += raw
             in_wire += self._wire_bytes_vec(buf, raw)
@@ -674,20 +697,17 @@ class SparkJobGenerator:
         out_wire = np.zeros(n, dtype=np.int64)
         for nm in loop.writes:
             buf = self._buffer_info[nm]
-            spec = loop.partitions.get(nm)
-            if nm in loop.reduction_vars:
-                raw = np.full(n, buf.nbytes, dtype=np.int64)
-            elif spec is not None and spec.is_partitioned:
-                wlo, whi = partition_windows(spec, lo, hi, self.scalars)
-                self._check_windows(buf, wlo, whi)
+            if nm in tiling.partitioned_writes:
+                wlo, whi = windows[nm]
                 raw = (whi - wlo) * buf.itemsize
             else:
-                # Full partial array per task (the paper's Eq. 6-8).
+                # Full partial array per task (the paper's Eq. 6-8), or a
+                # whole reduction buffer.
                 raw = np.full(n, buf.nbytes, dtype=np.int64)
             out_raw += raw
             out_wire += self._wire_bytes_vec(buf, raw)
 
-        arrays = TaskCostsArrays(
+        return TaskCostsArrays(
             compute_s=compute_s,
             jni_s=jni_s,
             decompress_s=(in_raw + bcast_share) / self.cal.worker_byte_bps,
@@ -695,18 +715,6 @@ class SparkJobGenerator:
             input_bytes=in_wire,
             output_bytes=out_wire,
         )
-
-        def costs_for(split: int) -> TaskCosts:
-            return TaskCosts(
-                compute_s=float(arrays.compute_s[split]),
-                jni_s=float(arrays.jni_s[split]),
-                decompress_s=float(arrays.decompress_s[split]),
-                compress_s=float(arrays.compress_s[split]),
-                input_bytes=int(arrays.input_bytes[split]),
-                output_bytes=int(arrays.output_bytes[split]),
-            )
-
-        return costs_for, arrays
 
     @staticmethod
     def _check_windows(buf: Buffer, lo: np.ndarray, hi: np.ndarray) -> None:
@@ -798,28 +806,22 @@ class SparkJobGenerator:
             return raw
         return self._codec_for(buf).compressed_size(raw, 0)
 
-    def _check_executor_memory(self, loop, tiles, partitioned_reads, broadcast_reads) -> None:
+    def _check_executor_memory(self, loop: ParallelLoop, tiling: _LoopTiling) -> None:
         """Worst-case resident bytes on one executor: every broadcast block
         plus one input window and one output buffer per concurrent task."""
         executor = self.sc.cluster.executors[0]
         slots = executor.task_slots
         heap = executor.heap_bytes
-        bcast = sum(self._buffer_info[nm].nbytes for nm in broadcast_reads)
-        n = len(tiles)
-        lo = np.fromiter((t.lo for t in tiles), dtype=np.int64, count=n)
-        hi = np.fromiter((t.hi for t in tiles), dtype=np.int64, count=n)
+        bcast = sum(self._buffer_info[nm].nbytes for nm in tiling.broadcast_reads)
+        n = len(tiling)
         task_bytes = np.zeros(n, dtype=np.int64)
-        for nm in partitioned_reads:
-            buf = self._buffer_info[nm]
-            wlo, whi = partition_windows(loop.partitions[nm], lo, hi, self.scalars)
-            self._check_windows(buf, wlo, whi)
-            task_bytes += (whi - wlo) * buf.itemsize
+        for nm in tiling.partitioned_reads:
+            wlo, whi = tiling.windows[nm]
+            task_bytes += (whi - wlo) * self._buffer_info[nm].itemsize
         for nm in loop.writes:
             buf = self._buffer_info[nm]
-            spec = loop.partitions.get(nm)
-            if spec is not None and spec.is_partitioned and nm not in loop.reduction_vars:
-                wlo, whi = partition_windows(spec, lo, hi, self.scalars)
-                self._check_windows(buf, wlo, whi)
+            if nm in tiling.partitioned_writes:
+                wlo, whi = tiling.windows[nm]
                 task_bytes += (whi - wlo) * buf.itemsize
             else:
                 task_bytes += buf.nbytes  # full partial / reduction buffer

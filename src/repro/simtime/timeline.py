@@ -154,33 +154,27 @@ class Timeline:
 
     A **coarse** timeline (``Timeline(coarse=True)``, or any timeline created
     under :func:`coarse_timelines`) does not retain individual spans: each
-    ``record`` folds into one aggregate per (phase, resource) holding the
-    span count, the earliest start, the latest end and the exact busy-seconds
-    sum.  ``busy``/``by_resource``/``span`` stay exact; ``spans`` synthesizes
-    one merged segment per aggregate (what the gantt/trace exporters then
-    show as per-worker segments); ``wall`` unions those merged segments, an
-    upper bound on the exact per-span union.  1M task phases cost a few dict
+    ``record`` folds into the timeline's aggregate table — one entry per
+    (phase, resource) holding the span count, the earliest start, the latest
+    end and the exact busy-seconds sum.  1M task phases cost a few dict
     updates each and O(workers) memory instead of a 4M-element span list.
 
-    Extending a coarse timeline into a fine one keeps the aggregates exact
-    as a *carried* side table (queries fold it in as merged segments), so a
-    mixed chain — coarse job timeline -> long-lived fine accumulator ->
-    coarse report — loses nothing: the final aggregates are identical to an
-    all-coarse chain.
+    Every timeline has both a span list and an aggregate table, and every
+    query reads both: ``busy``/``by_resource``/``span`` stay exact; ``spans``
+    shows each table entry as one merged segment (what the gantt/trace
+    exporters draw as per-worker segments); ``wall`` unions those merged
+    segments with the spans, an upper bound on the exact per-span union.
+    ``coarse`` only decides where ``record`` puts a new activity, so a mixed
+    chain — coarse job timeline -> long-lived fine accumulator -> coarse
+    report — loses nothing: the final table is identical to an all-coarse
+    chain.
     """
 
     def __init__(self, coarse: bool | None = None) -> None:
         self.coarse = _COARSE_DEFAULT if coarse is None else bool(coarse)
         self._spans: list[Span] = []
         # (phase, resource) -> [count, min_start, max_end, busy_sum]
-        self._agg: dict[tuple[Phase, str], list] | None = (
-            {} if self.coarse else None)
-        # Aggregates adopted when a *coarse* timeline is extended into this
-        # *fine* one (a long-lived accumulator like SparkContext.timeline may
-        # predate a coarse_timelines() scope).  Kept exact — not flattened to
-        # merged segments — so extending onward into a coarse timeline
-        # round-trips count/envelope/busy losslessly.
-        self._carried: dict[tuple[Phase, str], list] | None = None
+        self._agg: dict[tuple[Phase, str], list] = {}
 
     def record(
         self,
@@ -192,14 +186,13 @@ class Timeline:
     ) -> Span | None:
         """Record one activity.  Returns the stored span, or None when this
         timeline is coarse (aggregates don't keep individual spans)."""
-        agg = self._agg
-        if agg is not None:
+        if self.coarse:
             if end < start:
                 raise ValueError(
                     f"span ends before it starts: {phase} [{start}, {end})")
-            e = agg.get((phase, resource))
+            e = self._agg.get((phase, resource))
             if e is None:
-                agg[(phase, resource)] = [1, start, end, end - start]
+                self._agg[(phase, resource)] = [1, start, end, end - start]
             else:
                 e[0] += 1
                 if start < e[1]:
@@ -212,110 +205,72 @@ class Timeline:
         self._spans.append(span)
         return span
 
-    @staticmethod
-    def _merge_agg(dst: dict, src: dict) -> None:
-        for key, (cnt, lo, hi, busy) in src.items():
-            e = dst.get(key)
+    def extend(self, other: "Timeline") -> None:
+        # Spans first, then the table: the order busy sums accumulate in.
+        if self.coarse:
+            for s in other._spans:
+                self.record(s.phase, s.start, s.end, s.resource)
+        else:
+            self._spans.extend(other._spans)
+        for key, (cnt, lo, hi, busy) in other._agg.items():
+            e = self._agg.get(key)
             if e is None:
-                dst[key] = [cnt, lo, hi, busy]
+                self._agg[key] = [cnt, lo, hi, busy]
             else:
                 e[0] += cnt
                 e[1] = min(e[1], lo)
                 e[2] = max(e[2], hi)
                 e[3] += busy
 
-    def extend(self, other: "Timeline") -> None:
-        if self._agg is not None:
-            if other._agg is not None:
-                self._merge_agg(self._agg, other._agg)
-            else:
-                for s in other._spans:
-                    self.record(s.phase, s.start, s.end, s.resource)
-                if other._carried:
-                    self._merge_agg(self._agg, other._carried)
-        else:
-            if other._agg is not None or other._carried:
-                if self._carried is None:
-                    self._carried = {}
-                if other._agg is not None:
-                    self._merge_agg(self._carried, other._agg)
-                if other._carried:
-                    self._merge_agg(self._carried, other._carried)
-            self._spans.extend(other._spans)
-
-    @staticmethod
-    def _materialize(agg: dict) -> Iterator[Span]:
-        """Merged segments for an aggregate table, in a stable order."""
-        return (
+    @property
+    def spans(self) -> tuple[Span, ...]:
+        """The recorded spans, then one merged segment per table entry in a
+        stable order."""
+        return tuple(self._spans) + tuple(
             Span(phase=phase, start=lo, end=hi, resource=resource,
                  label=f"coarse:{cnt}")
             for (phase, resource), (cnt, lo, hi, _busy) in sorted(
-                agg.items(),
-                key=lambda kv: (kv[1][1], kv[0][0].value, kv[0][1]))
-        )
-
-    @property
-    def spans(self) -> tuple[Span, ...]:
-        if self._agg is not None:
-            return tuple(self._materialize(self._agg))
-        if self._carried:
-            return tuple(self._spans) + tuple(self._materialize(self._carried))
-        return tuple(self._spans)
+                self._agg.items(),
+                key=lambda kv: (kv[1][1], kv[0][0].value, kv[0][1])))
 
     def __len__(self) -> int:
-        if self._agg is not None:
-            return len(self._agg)
-        return len(self._spans) + (len(self._carried) if self._carried else 0)
+        return len(self._spans) + len(self._agg)
 
     def filter(self, phases: Iterable[Phase]) -> "Timeline":
         keep = set(phases)
         tl = Timeline(coarse=self.coarse)
-        if self._agg is not None:
-            assert tl._agg is not None
-            tl._agg = {k: list(v) for k, v in self._agg.items() if k[0] in keep}
-        else:
-            tl._spans = [s for s in self._spans if s.phase in keep]
-            if self._carried:
-                tl._carried = {k: list(v) for k, v in self._carried.items()
-                               if k[0] in keep}
+        tl._spans = [s for s in self._spans if s.phase in keep]
+        tl._agg = {k: list(v) for k, v in self._agg.items() if k[0] in keep}
         return tl
 
     def busy(self, phase: Phase | None = None) -> float:
         """Total resource-seconds spent in ``phase`` (all phases if None).
 
-        Exact in both modes: coarse aggregates carry the busy-seconds sum.
+        Exact in both modes: table entries carry the busy-seconds sum.
         """
-        if self._agg is not None:
-            return sum(v[3] for k, v in self._agg.items()
-                       if phase is None or k[0] == phase)
-        total = sum(s.duration for s in self._spans
+        return (sum(s.duration for s in self._spans
                     if phase is None or s.phase == phase)
-        if self._carried:
-            total += sum(v[3] for k, v in self._carried.items()
-                         if phase is None or k[0] == phase)
-        return total
+                + sum(v[3] for k, v in self._agg.items()
+                      if phase is None or k[0] == phase))
+
+    def _intervals(self, phase: Phase | None = None) -> list[tuple[float, float]]:
+        """(start, end) of every span and merged table segment of ``phase``."""
+        ivals = [(s.start, s.end) for s in self._spans
+                 if phase is None or s.phase == phase]
+        ivals.extend((v[1], v[2]) for k, v in self._agg.items()
+                     if phase is None or k[0] == phase)
+        return ivals
 
     def wall(self, phase: Phase | None = None) -> float:
         """Length of the union of intervals of ``phase`` (all phases if None).
 
-        On a coarse timeline the union runs over the merged per-(phase,
-        resource) segments, an upper bound on the per-span union.
+        Table entries enter the union as their merged per-(phase, resource)
+        segments, an upper bound on the per-span union.
         """
-        if self._agg is not None:
-            ivals = sorted(
-                (v[1], v[2]) for k, v in self._agg.items()
-                if phase is None or k[0] == phase)
-        else:
-            ivals = [(s.start, s.end) for s in self._spans
-                     if phase is None or s.phase == phase]
-            if self._carried:
-                ivals.extend((v[1], v[2]) for k, v in self._carried.items()
-                             if phase is None or k[0] == phase)
-            ivals.sort()
         total = 0.0
         cur_start: float | None = None
         cur_end = 0.0
-        for a, b in ivals:
+        for a, b in sorted(self._intervals(phase)):
             if cur_start is None:
                 cur_start, cur_end = a, b
             elif a <= cur_end:
@@ -329,19 +284,10 @@ class Timeline:
 
     def span(self) -> float:
         """Makespan: last end minus first start (0 for an empty timeline)."""
-        if self._agg is not None:
-            if not self._agg:
-                return 0.0
-            return (max(v[2] for v in self._agg.values())
-                    - min(v[1] for v in self._agg.values()))
-        ends = [s.end for s in self._spans]
-        starts = [s.start for s in self._spans]
-        if self._carried:
-            starts.extend(v[1] for v in self._carried.values())
-            ends.extend(v[2] for v in self._carried.values())
-        if not starts:
+        ivals = self._intervals()
+        if not ivals:
             return 0.0
-        return max(ends) - min(starts)
+        return max(b for _, b in ivals) - min(a for a, _ in ivals)
 
     def bucket_wall(self) -> dict[str, float]:
         """Union-of-intervals time per Figure-5 bucket."""
@@ -369,13 +315,8 @@ class Timeline:
     def by_resource(self) -> Mapping[str, float]:
         """Busy seconds per resource name (exact in both modes)."""
         out: dict[str, float] = {}
-        if self._agg is not None:
-            for (_phase, resource), v in self._agg.items():
-                out[resource] = out.get(resource, 0.0) + v[3]
-            return out
         for s in self._spans:
             out[s.resource] = out.get(s.resource, 0.0) + s.duration
-        if self._carried:
-            for (_phase, resource), v in self._carried.items():
-                out[resource] = out.get(resource, 0.0) + v[3]
+        for (_phase, resource), v in self._agg.items():
+            out[resource] = out.get(resource, 0.0) + v[3]
         return out

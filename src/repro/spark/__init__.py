@@ -11,7 +11,8 @@ faithfully enough that the generated jobs run unmodified:
   distribution cost model;
 * a :class:`~repro.spark.scheduler.TaskScheduler` that serializes task
   launches through the driver and list-schedules onto executor core slots
-  (honouring ``spark.task.cpus``, ``spark.cores.max``);
+  (honouring ``spark.task.cpus``, ``spark.cores.max``); every job is one
+  columnar :class:`~repro.spark.tasktable.TaskTable`, a row per task;
 * :class:`~repro.spark.executor.Executor` / :class:`~repro.spark.driver.Driver`
   / :class:`~repro.spark.cluster.SparkCluster` wiring, including the JVM's
   2 GiB array-length ceiling the paper runs into.
@@ -26,7 +27,7 @@ from repro.spark.rdd import RDD, Partition
 from repro.spark.broadcast import Broadcast
 from repro.spark.executor import Executor, ExecutorLostError
 from repro.spark.schedule import STATIC_SCHEDULE, ScheduleConfig
-from repro.spark.scheduler import Task, TaskScheduler, TaskResult
+from repro.spark.scheduler import TaskScheduler, TaskResult, TaskTable
 from repro.spark.driver import Driver, JobResult
 from repro.spark.cluster import SparkCluster
 from repro.spark.context import SparkContext
@@ -47,9 +48,9 @@ __all__ = [
     "ExecutorLostError",
     "ScheduleConfig",
     "STATIC_SCHEDULE",
-    "Task",
     "TaskScheduler",
     "TaskResult",
+    "TaskTable",
     "Driver",
     "JobResult",
     "SparkCluster",

@@ -13,7 +13,7 @@ from repro.spark.accumulators import Accumulator
 from repro.spark.broadcast import Broadcast
 from repro.spark.logging import SparkLog
 from repro.spark.cluster import SparkCluster
-from repro.spark.driver import Driver, JobResult, TaskCosts
+from repro.spark.driver import Driver, JobResult, TaskCostsArrays
 from repro.spark.faults import NO_FAULTS, FaultPlan
 from repro.spark.rdd import RDD, ParallelCollectionRDD
 from repro.spark.scheduler import SchedulerCosts
@@ -61,18 +61,18 @@ class SparkContext:
         self,
         rdd: RDD,
         partition_post: Callable[[list[Any]], list[Any]] | None = None,
-        costs_for: Callable[[int], TaskCosts] | None = None,
+        costs: TaskCostsArrays | None = None,
         functional: bool = True,
     ) -> list[list[Any]]:
         """Execute an action; returns per-partition results (used by RDD)."""
-        result = self.run_job_detailed(rdd, partition_post, costs_for, functional)
+        result = self.run_job_detailed(rdd, partition_post, costs, functional)
         return result.partitions
 
     def run_job_detailed(
         self,
         rdd: RDD,
         partition_post: Callable[[list[Any]], list[Any]] | None = None,
-        costs_for: Callable[[int], TaskCosts] | None = None,
+        costs: TaskCostsArrays | None = None,
         functional: bool = True,
     ) -> JobResult:
         """Like :meth:`run_job` but returns timings and stats too."""
@@ -82,7 +82,7 @@ class SparkContext:
         result = self.driver.run_job(
             rdd,
             partition_post=partition_post,
-            costs_for=costs_for,
+            costs=costs,
             broadcasts=tuple(b for b in self._broadcasts if not b.is_destroyed),
             fault_plan=self.fault_plan,
             functional=functional,

@@ -22,7 +22,6 @@ from repro.spark.schedule import STATIC_SCHEDULE, ScheduleConfig
 from repro.spark.scheduler import (
     JobStats,
     SchedulerCosts,
-    Task,
     TaskScheduler,
     TaskTable,
 )
@@ -33,28 +32,15 @@ if TYPE_CHECKING:
 
 
 @dataclass
-class TaskCosts:
-    """Per-task simulated durations and payload sizes, supplied by the
-    OmpCloud codegen in modeled runs (functional runs default to zero cost)."""
-
-    compute_s: float = 0.0
-    jni_s: float = 0.0
-    decompress_s: float = 0.0
-    compress_s: float = 0.0
-    input_bytes: int = -1  # -1 = measure from the partition data
-    output_bytes: int = -1  # -1 = measure from the result
-
-
-@dataclass
 class TaskCostsArrays:
-    """Per-task costs for a whole modeled job, as parallel arrays.
+    """Per-task simulated durations and payload sizes for a whole job, one
+    array element per partition.
 
-    The vectorized codegen computes every tile's durations and payload sizes
-    in one numpy pass; shipping them as arrays lets the driver build a
-    columnar :class:`~repro.spark.tasktable.TaskTable` without a Python
-    ``costs_for`` call (and a :class:`Task` object) per tile.  Negative byte
-    counts mean "unknown" and clamp to 0, matching the scalar
-    :class:`TaskCosts` sentinel semantics for modeled runs.
+    The OmpCloud codegen computes every tile's costs in one numpy pass and
+    the driver turns them straight into :class:`TaskTable` columns.  A
+    negative byte count means "not known in advance": a functional job
+    measures it from the partition data (input) or the closure's result
+    (output); a modeled job has nothing to measure and charges 0.
     """
 
     compute_s: np.ndarray
@@ -63,6 +49,16 @@ class TaskCostsArrays:
     compress_s: np.ndarray
     input_bytes: np.ndarray
     output_bytes: np.ndarray
+
+    @classmethod
+    def uniform(cls, n: int, *, compute_s: float = 0.0, jni_s: float = 0.0,
+                decompress_s: float = 0.0, compress_s: float = 0.0,
+                input_bytes: int = -1, output_bytes: int = -1) -> "TaskCostsArrays":
+        """``n`` identical rows; the default is what a job submitted without
+        costs gets — zero durations, every payload size measured."""
+        return cls(*(np.full(n, v) for v in (
+            compute_s, jni_s, decompress_s, compress_s,
+            input_bytes, output_bytes)))
 
     def __len__(self) -> int:
         return len(self.compute_s)
@@ -81,8 +77,11 @@ class JobResult:
         return self.stats.makespan_s
 
 
-CostsFor = Callable[[int], TaskCosts]
 PartitionPost = Callable[[list[Any]], list[Any]]
+
+#: What a task that ran no closure contributes to ``JobResult.partitions``.
+#: Shared by every such partition of every job, so it must never be mutated.
+_NO_VALUE: list[Any] = []
 
 
 class Driver:
@@ -92,84 +91,71 @@ class Driver:
         self.cluster = cluster
         self.scheduler = TaskScheduler(costs)
         self._job_seq = 0
+        self._next_task_id = 0
 
     def run_job(
         self,
         rdd: RDD,
         partition_post: PartitionPost | None = None,
-        costs_for: CostsFor | None = None,
+        costs: TaskCostsArrays | None = None,
         broadcasts: Sequence[Broadcast] = (),
         fault_plan: FaultPlan = NO_FAULTS,
         functional: bool = True,
         schedule: ScheduleConfig = STATIC_SCHEDULE,
         stage: str = "",
-        costs_arrays: TaskCostsArrays | None = None,
     ) -> JobResult:
-        """Execute ``rdd`` (optionally post-processing each partition).
+        """Execute ``rdd`` (optionally post-processing each partition) as one
+        columnar :class:`TaskTable`, one row per partition.
 
-        In functional mode the closures really run; task payload sizes are
-        measured from the data unless ``costs_for`` overrides them.
-        ``stage`` labels every task's timeline spans with the loop it tiles
-        (fused offloads submit one stage per member loop).
-
-        Modeled callers may pass ``costs_arrays`` instead of ``costs_for``:
-        the whole task set is then submitted as one columnar
-        :class:`TaskTable` — no per-tile ``Task`` objects, no per-tile costs
-        callback.  The schedule produced is bit-identical either way.
+        In functional mode the closures really run, and the payload sizes
+        ``costs`` leaves negative are measured from the data.  ``stage``
+        labels every task's timeline spans with the loop it tiles (fused
+        offloads submit one stage per member loop).
         """
         self._job_seq += 1
         timeline = Timeline()
         n = rdd.num_partitions
-        tasks: list[Task] | TaskTable
-        if costs_arrays is not None and not functional:
-            if len(costs_arrays) != n:
-                raise ValueError(
-                    f"costs_arrays has {len(costs_arrays)} rows for "
-                    f"{n} partitions")
-            splits = np.arange(n, dtype=np.int64)
-            tasks = TaskTable(
-                task_id=self._job_seq * 100_000 + splits,
-                split=splits,
-                compute_s=costs_arrays.compute_s,
-                jni_s=costs_arrays.jni_s,
-                decompress_s=costs_arrays.decompress_s,
-                compress_s=costs_arrays.compress_s,
-                input_bytes=np.maximum(
-                    np.asarray(costs_arrays.input_bytes, dtype=np.int64), 0),
-                output_bytes=np.maximum(
-                    np.asarray(costs_arrays.output_bytes, dtype=np.int64), 0),
-                stage=stage,
-            )
-        else:
-            task_list: list[Task] = []
-            for split in range(n):
-                costs = costs_for(split) if costs_for is not None else TaskCosts()
-                task = Task(
-                    task_id=self._job_seq * 100_000 + split,
-                    split=split,
-                    stage=stage,
-                    compute_s=costs.compute_s,
-                    jni_s=costs.jni_s,
-                    decompress_s=costs.decompress_s,
-                    compress_s=costs.compress_s,
-                    input_bytes=(
-                        costs.input_bytes
-                        if costs.input_bytes >= 0
-                        else (self._measure_input_bytes(rdd, split) if functional else 0)
-                    ),
-                    output_bytes=max(costs.output_bytes, 0),
-                )
-                if functional:
-                    task.closure = self._make_closure(rdd, split, partition_post, task,
-                                                      costs.output_bytes < 0)
-                task_list.append(task)
-            tasks = task_list
+        if costs is None:
+            costs = TaskCostsArrays.uniform(n)
+        elif len(costs) != n:
+            raise ValueError(f"costs has {len(costs)} rows for {n} partitions")
+        # Job k numbers its tasks from k * 100_000; a job past 100_000 tasks
+        # pushes the next one up instead of sharing ids with it.
+        base = max(self._job_seq * 100_000, self._next_task_id)
+        self._next_task_id = base + n
+        splits = np.arange(n, dtype=np.int64)
+        in_bytes = np.array(costs.input_bytes, dtype=np.int64)
+        out_bytes = np.array(costs.output_bytes, dtype=np.int64)
+        closures = None
+        if functional:
+            for split in np.flatnonzero(in_bytes < 0).tolist():
+                in_bytes[split] = self._measure_input_bytes(rdd, split)
+            # The table adopts ``out_bytes`` as its column, so a measuring
+            # closure's write is what the scheduler's collect path reads.
+            closures = [
+                self._make_closure(rdd, split, partition_post,
+                                   out_bytes if unknown else None)
+                for split, unknown in enumerate((out_bytes < 0).tolist())]
+        np.maximum(in_bytes, 0, out=in_bytes)
+        np.maximum(out_bytes, 0, out=out_bytes)
+        table = TaskTable(
+            task_id=base + splits,
+            split=splits,
+            compute_s=costs.compute_s,
+            jni_s=costs.jni_s,
+            decompress_s=costs.decompress_s,
+            compress_s=costs.compress_s,
+            input_bytes=in_bytes,
+            output_bytes=out_bytes,
+            stage=stage,
+            closures=closures,
+        )
 
         bus = get_bus()
         bus.emit(JobStart(time=self.cluster.clock.now, resource="driver",
                           job_id=self._job_seq, tasks=n))
         stats = self.scheduler.run_job(
-            tasks,
+            table,
             executors=self.cluster.executors,
             network=self.cluster.network,
             clock=self.cluster.clock,
@@ -182,14 +168,8 @@ class Driver:
         bus.emit(JobEnd(time=self.cluster.clock.now, resource="driver",
                         job_id=self._job_seq, makespan_s=stats.makespan_s,
                         tasks_recomputed=stats.recomputed_tasks))
-        if isinstance(tasks, TaskTable):
-            # Modeled columnar jobs have no values; don't materialize 1M
-            # TaskResult objects just to read None from each.  The empty
-            # list is shared — partitions of a modeled job are never mutated.
-            partitions: list[list[Any]] = [[]] * n
-        else:
-            partitions = [r.value if r.value is not None else []
-                          for r in stats.results]
+        partitions = [_NO_VALUE if v is None else v
+                      for v in stats.results.values()]
         return JobResult(partitions=partitions, stats=stats, timeline=timeline)
 
     # ------------------------------------------------------------- internals
@@ -198,15 +178,17 @@ class Driver:
         rdd: RDD,
         split: int,
         partition_post: PartitionPost | None,
-        task: Task,
-        measure_output: bool,
+        measured: np.ndarray | None,
     ) -> Callable[[], list[Any]]:
+        """The task body for one partition; when ``measured`` is given, the
+        result's wire size is written to ``measured[split]``."""
+
         def closure() -> list[Any]:
             data = rdd.iterator(split)
             if partition_post is not None:
                 data = partition_post(data)
-            if measure_output:
-                task.output_bytes = sum(sizeof_element(x) for x in data)
+            if measured is not None:
+                measured[split] = sum(sizeof_element(x) for x in data)
             return data
 
         return closure

@@ -24,24 +24,22 @@ scatters instead of the strict end-of-job barrier.
 Everything is accounted on a :class:`~repro.simtime.timeline.Timeline` with
 the phases Figure 5 of the paper stacks.
 
-Scale notes (docs/PERFORMANCE.md): the job loop runs over a columnar
-:class:`~repro.spark.tasktable.TaskTable` (plain scalars in the hot loop, no
-per-task dataclass), picks executors through the amortized-O(log n)
-:class:`~repro.spark.exindex.ExecutorIndex`, orders collects with one
-``np.lexsort`` instead of repeated ``sorted(results, ...)`` passes,
-materializes :class:`TaskResult` objects lazily, and reports each completed
-task to the event bus as one plain row (``EventBus.task_done``; the bus
-batches them, docs/OBSERVABILITY.md).  All of it is bit-identical
-to the historical object-per-task implementation — scheduling order is
-observable through reports, journals and traces, and a property test pins
-the equivalence.
+Scale notes (docs/PERFORMANCE.md): every job, functional or modeled, is one
+columnar :class:`~repro.spark.tasktable.TaskTable` (plain scalars in the hot
+loop, no per-task object).  The loop picks executors through the
+amortized-O(log n) :class:`~repro.spark.exindex.ExecutorIndex`, orders
+collects with one ``np.lexsort``, materializes :class:`TaskResult` objects
+lazily, and reports each completed task to the event bus as one plain row
+(``EventBus.task_done``; the bus batches them, docs/OBSERVABILITY.md).
+Scheduling order is observable through reports, journals and traces, so it is
+pinned bit for bit by the committed baselines and golden event streams.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from dataclasses import dataclass
+from typing import Any, Sequence
 
 import numpy as np
 
@@ -54,13 +52,12 @@ from repro.spark.executor import Executor, ExecutorLostError
 from repro.spark.exindex import ExecutorIndex
 from repro.spark.faults import NO_FAULTS, FaultPlan
 from repro.spark.schedule import STATIC_SCHEDULE, ScheduleConfig
-from repro.spark.tasktable import LazyResults, Task, TaskResult, TaskTable
+from repro.spark.tasktable import LazyResults, TaskResult, TaskTable
 
 __all__ = [
     "MAX_TASK_FAILURES",
     "JobFailedError",
     "SchedulerCosts",
-    "Task",
     "TaskResult",
     "TaskTable",
     "JobStats",
@@ -115,6 +112,8 @@ class SchedulerCosts:
 class JobStats:
     """Aggregates the benches report."""
 
+    #: Per-task results ordered by ``split``.
+    results: LazyResults
     tasks: int = 0
     recomputed_tasks: int = 0
     broadcast_s: float = 0.0
@@ -122,7 +121,6 @@ class JobStats:
     speculated_tasks: int = 0
     speculation_wins: int = 0
     speculation_saved_s: float = 0.0
-    results: Sequence[TaskResult] = field(default_factory=list)
 
 
 class TaskScheduler:
@@ -133,7 +131,7 @@ class TaskScheduler:
 
     def run_job(
         self,
-        tasks: Sequence[Task] | TaskTable,
+        table: TaskTable,
         executors: Sequence[Executor],
         network: NetworkModel,
         clock: SimClock,
@@ -143,13 +141,8 @@ class TaskScheduler:
         functional: bool = True,
         schedule: ScheduleConfig = STATIC_SCHEDULE,
     ) -> JobStats:
-        """Run all tasks; advances ``clock`` to job completion.
-
-        ``tasks`` is either a sequence of :class:`Task` objects or a columnar
-        :class:`TaskTable` (what the modeled codegen submits at scale).
-        Returns per-task results ordered by ``split``.
-        """
-        job = _JobRun(self.costs, tasks, executors, network, clock, timeline,
+        """Run every row of ``table``; advances ``clock`` to job completion."""
+        job = _JobRun(self.costs, table, executors, network, clock, timeline,
                       fault_plan, functional, schedule)
         try:
             return job.run(broadcasts)
@@ -163,7 +156,7 @@ class _JobRun:
     def __init__(
         self,
         costs: SchedulerCosts,
-        tasks: Sequence[Task] | TaskTable,
+        table: TaskTable,
         executors: Sequence[Executor],
         network: NetworkModel,
         clock: SimClock,
@@ -173,8 +166,7 @@ class _JobRun:
         schedule: ScheduleConfig,
     ) -> None:
         self.costs = costs
-        self.table = (tasks if isinstance(tasks, TaskTable)
-                      else TaskTable.from_tasks(tasks))
+        self.table = table
         self.executors = executors
         self.network = network
         self.clock = clock
@@ -182,14 +174,13 @@ class _JobRun:
         self.fault_plan = fault_plan
         self.functional = functional
         self.schedule = schedule
-        self.stats = JobStats(tasks=len(self.table))
         self.index = ExecutorIndex(executors)
-        #: Fine timelines carry per-task labels; coarse ones aggregate and
-        #: ignore labels, so the hot loop skips building the f-strings and
-        #: updates the timeline's aggregate dict in place (same math as
-        #: ``Timeline.record``, without a method call per span).
-        self.fine = not timeline.coarse
-        self.agg = timeline._agg
+        #: A coarse timeline's aggregate table; ``None`` for a fine one, which
+        #: keeps a labelled span per activity.  Coarse timelines ignore
+        #: labels, so the hot loop skips building the f-strings and updates
+        #: the table in place (same math as ``Timeline.record``, without a
+        #: method call per span).
+        self.agg = timeline._agg if timeline.coarse else None
         #: (id(executor) -> [entry or None] * 4) coarse aggregate entries for
         #: the four per-task worker phases, created lazily per executor.
         self._ex_entries: dict[int, list] = {}
@@ -221,12 +212,12 @@ class _JobRun:
         self.r_attempts = [1] * n
         self.r_worker = [0] * n
         self.spec_rows: set[int] = set()
-        self.values: list[Any] | None = (
-            [None] * n if self.table.closures is not None else None)
+        self.values: list[Any] = [None] * n
         #: Worker-id snapshot at job start; results reference positions so a
         #: post-job ``replace_executor`` cannot rewrite history.
         self.worker_ids = [ex.worker_id for ex in executors]
         self.pos_of = {id(ex): i for i, ex in enumerate(executors)}
+        self.stats = JobStats(results=self._results(), tasks=n)
 
     # --------------------------------------------------------------- the job
     def run(self, broadcasts: Sequence[Broadcast]) -> JobStats:
@@ -234,7 +225,7 @@ class _JobRun:
         if not alive:
             raise JobFailedError("no alive executors")
         clock, timeline, network = self.clock, self.timeline, self.network
-        schedule, stats, fine = self.schedule, self.stats, self.fine
+        schedule, stats = self.schedule, self.stats
         t0 = clock.now
 
         # ------------------------------------------------------- broadcasts
@@ -257,7 +248,11 @@ class _JobRun:
         record = timeline.record
         lan_time = network.lan_transfer_time
         tid, in_b, out_b = self.tid, self.in_b, self.out_b
-        functional_rows = self.values is not None
+        # A closure that measures its result writes the table's column;
+        # the collect path must see the post-run value.
+        measured_out = (self.table.output_bytes
+                        if self.functional and self.table.closures is not None
+                        else None)
         pipelined = schedule.pipelined
         driver_cursor = ready0
         nic_cursor = ready0
@@ -277,7 +272,7 @@ class _JobRun:
             else:
                 record(Phase.SCHEDULING, launch_start, driver_cursor,
                        resource="driver",
-                       label=f"launch-{tid[row]}" if fine else "")
+                       label=f"launch-{tid[row]}")
             ready = driver_cursor
             if in_b[row] > 0:
                 if pipelined:
@@ -305,14 +300,11 @@ class _JobRun:
                 else:
                     record(Phase.INTRA_TRANSFER, x0, nic_cursor,
                            resource="driver-nic",
-                           label=f"scatter-{tid[row]}" if fine else "")
+                           label=f"scatter-{tid[row]}")
                 ready = nic_cursor
             self._run_one(row, ready)
-            if functional_rows:
-                # A measuring closure rewrites the source task's output size;
-                # the collect path must see the post-run value.
-                src = self.table.task_obj(row)
-                out_b[row] = src.output_bytes
+            if measured_out is not None:
+                out_b[row] = int(measured_out[row])
             if pipelined:
                 if out_b[row] > 0:
                     heapq.heappush(uncollected,
@@ -342,7 +334,7 @@ class _JobRun:
                     else:
                         record(Phase.COLLECT, c0, collect_cursor,
                                resource="driver-nic",
-                               label=f"collect-{tid[row]}" if fine else "")
+                               label=f"collect-{tid[row]}")
                     self.r_collected[row] = collect_cursor
                 else:
                     self.r_collected[row] = self.r_end[row]
@@ -350,13 +342,13 @@ class _JobRun:
         job_end = max(self.r_collected, default=ready0)
         clock.advance_to(max(job_end, clock.now))
         stats.makespan_s = job_end - t0
-        stats.results = self._ordered_results()
         return stats
 
-    def _ordered_results(self) -> LazyResults:
-        """Results ordered by split — lazily materialized, and sorted only
-        when splits are actually out of order (they almost never are: the
-        driver emits tiles in split order)."""
+    def _results(self) -> LazyResults:
+        """Results ordered by split — a lazy view over the result columns
+        (filled in place as rows complete), sorted only when splits are
+        actually out of order (they almost never are: the driver emits tiles
+        in split order)."""
         split = self.table.split
         order: np.ndarray | None = None
         if len(split) > 1 and not bool(np.all(split[1:] >= split[:-1])):
@@ -464,8 +456,7 @@ class _JobRun:
             self.r_end[row] = res.end
             self.r_attempts[row] = attempts
             self.r_worker[row] = self.pos_of[id(ex)]
-            if self.values is not None:
-                self.values[row] = value
+            self.values[row] = value
             return
         raise JobFailedError(
             f"task {self.tid[row]} failed {MAX_TASK_FAILURES} times; aborting job"
@@ -512,7 +503,7 @@ class _JobRun:
         copy = copy_ex.reserve(launch_end, duration)
         self.timeline.record(Phase.SPECULATION, watch, launch_end,
                              resource="driver",
-                             label=f"speculate-{tid}" if self.fine else "")
+                             label=f"speculate-{tid}")
         self.stats.speculated_tasks += 1
         bus = self.bus
         if bus.is_active:
@@ -566,8 +557,7 @@ class _JobRun:
         self.r_attempts[row] = attempts
         self.r_worker[row] = self.pos_of[id(copy_ex)]
         self.spec_rows.add(row)
-        if self.values is not None:
-            self.values[row] = value
+        self.values[row] = value
         return True
 
     def _collect_one(self, pending: list[tuple[float, int, int]],
@@ -577,13 +567,8 @@ class _JobRun:
         c0 = end if end > cursor else cursor
         dt = self.network.lan_transfer_time(self.out_b[row])
         cursor = c0 + dt
-        agg = self.agg
-        if agg is not None:
-            _bump(_agg_entry(agg, Phase.COLLECT, "driver-nic"), c0, cursor)
-        else:
-            self.timeline.record(Phase.COLLECT, c0, cursor,
-                                 resource="driver-nic",
-                                 label=f"collect-{tid}" if self.fine else "")
+        self.timeline.record(Phase.COLLECT, c0, cursor, resource="driver-nic",
+                             label=f"collect-{tid}")
         self.r_collected[row] = cursor
         return cursor
 
@@ -616,12 +601,9 @@ class _JobRun:
             return
         record = self.timeline.record
         resource = ex.worker_id
-        if self.fine:
-            stage = self.table.stage_of(row)
-            prefix = f"{stage}/" if stage else ""
-            label = f"{prefix}task-{self.tid[row]}{label_suffix}"
-        else:
-            label = ""
+        stage = self.table.stage
+        prefix = f"{stage}/" if stage else ""
+        label = f"{prefix}task-{self.tid[row]}{label_suffix}"
         for phase, dur in (
             (Phase.WORKER_DECOMPRESS, self.dec_s[row]),
             (Phase.JNI_CALL, self.jni_s[row]),

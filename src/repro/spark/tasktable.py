@@ -1,19 +1,12 @@
 """Columnar task state for the Spark scheduler.
 
-A 10,000-worker cluster running ~1M tiles cannot afford one :class:`Task`
-dataclass, one :class:`TaskResult` dataclass and several interned label
-strings per tile — at that scale object construction alone dominates the
-simulation.  This module keeps the schedulable task set as a
-:class:`TaskTable` of parallel numpy arrays (one row per tile) and
-materializes :class:`Task`/:class:`TaskResult` objects **lazily**, only for
-the rows that reports, journals, checkpoint commits or speculation logic
+A 10,000-worker cluster running ~1M tiles cannot afford a dataclass per tile,
+one :class:`TaskResult` per tile and several interned label strings — at that
+scale object construction alone dominates the simulation.  Every job, modeled
+or functional, is therefore one :class:`TaskTable` of parallel numpy arrays
+(one row per tile); :class:`TaskResult` objects are materialized **lazily**,
+only for the rows that reports, journals, checkpoint commits or tests
 actually touch.
-
-The dataclasses themselves stay the public API (tests and callers keep
-constructing ``Task(...)`` lists; ``TaskScheduler.run_job`` accepts both a
-``Sequence[Task]`` and a :class:`TaskTable`), and a materialized result is
-bit-identical to what the historical object-per-task scheduler produced —
-see docs/PERFORMANCE.md for the guarantee and the property test that pins it.
 """
 
 from __future__ import annotations
@@ -25,41 +18,16 @@ import numpy as np
 
 
 @dataclass
-class Task:
-    """One schedulable unit: a tile of loop iterations (after Algorithm 1).
-
-    Durations are split by phase so the timeline can reproduce Figure 5's
-    decomposition; ``closure`` is executed for real in functional mode.
-    """
+class TaskResult:
+    """Which task ran where and when, and what it produced."""
 
     task_id: int
     split: int
-    #: Stage label — the source loop this tile belongs to.  A fused region
-    #: (docs/TASKGRAPH.md) submits one map stage per member loop under a
-    #: single offload, so the label is what keeps each tile attributable to
-    #: its member region in the timeline and exported traces.
-    stage: str = ""
-    compute_s: float = 0.0
-    jni_s: float = 0.0
-    decompress_s: float = 0.0
-    compress_s: float = 0.0
-    input_bytes: int = 0
-    output_bytes: int = 0
-    closure: Callable[[], Any] | None = None
-
-    @property
-    def slot_duration_s(self) -> float:
-        return self.compute_s + self.jni_s + self.decompress_s + self.compress_s
-
-
-@dataclass
-class TaskResult:
-    """Where and when one task ran, and what it produced."""
-
-    task: Task
     worker_id: str
     start: float
     end: float
+    #: Stage label — the source loop this tile belongs to.
+    stage: str = ""
     value: Any = None
     attempts: int = 1
     collected_at: float = 0.0
@@ -68,18 +36,25 @@ class TaskResult:
 
 
 class TaskTable:
-    """A task set as parallel arrays, one row per tile.
+    """One job's task set as parallel arrays, one row per tile (after
+    Algorithm 1).
 
-    ``stage`` is a single label shared by every row (the common case — the
-    driver labels one map stage per job) or a sequence of per-row labels
-    (only when built from heterogeneous ``Task`` objects).  ``closures`` is
-    ``None`` for modeled jobs; functional jobs carry one callable (or
-    ``None``) per row.
+    Durations are split by phase so the timeline can reproduce Figure 5's
+    decomposition.  ``stage`` labels every row with the source loop the job
+    tiles: a fused region (docs/TASKGRAPH.md) submits one map stage per
+    member loop under a single offload, so the label is what keeps each tile
+    attributable to its member region in the timeline and exported traces.
+    ``closures`` is ``None`` for modeled jobs; functional jobs carry one
+    callable (or ``None``) per row, executed for real.
+
+    A column handed in as an array of its own dtype is adopted, not copied:
+    a closure that measures its result writes ``output_bytes[row]`` and the
+    scheduler reads the size back from the same array.
     """
 
     __slots__ = ("task_id", "split", "compute_s", "jni_s", "decompress_s",
                  "compress_s", "input_bytes", "output_bytes", "stage",
-                 "closures", "_tasks", "_materialized")
+                 "closures")
 
     def __init__(
         self,
@@ -92,99 +67,42 @@ class TaskTable:
         compress_s: np.ndarray | Sequence[float] | None = None,
         input_bytes: np.ndarray | Sequence[int] | None = None,
         output_bytes: np.ndarray | Sequence[int] | None = None,
-        stage: str | Sequence[str] = "",
+        stage: str = "",
         closures: Sequence[Callable[[], Any] | None] | None = None,
-        tasks: Sequence[Task] | None = None,
     ) -> None:
         self.task_id = np.asarray(task_id, dtype=np.int64)
         n = len(self.task_id)
 
-        def farr(x: Any) -> np.ndarray:
-            return (np.zeros(n) if x is None
-                    else np.asarray(x, dtype=np.float64))
+        def column(x: Any, dtype: type) -> np.ndarray:
+            return (np.zeros(n, dtype=dtype) if x is None
+                    else np.asarray(x, dtype=dtype))
 
-        def iarr(x: Any) -> np.ndarray:
-            return (np.zeros(n, dtype=np.int64) if x is None
-                    else np.asarray(x, dtype=np.int64))
-
-        self.split = iarr(split)
-        self.compute_s = farr(compute_s)
-        self.jni_s = farr(jni_s)
-        self.decompress_s = farr(decompress_s)
-        self.compress_s = farr(compress_s)
-        self.input_bytes = iarr(input_bytes)
-        self.output_bytes = iarr(output_bytes)
-        for col in (self.split, self.compute_s, self.jni_s, self.decompress_s,
-                    self.compress_s, self.input_bytes, self.output_bytes):
-            if len(col) != n:
-                raise ValueError(
-                    f"column length mismatch: {len(col)} rows vs {n} task ids")
-        if not isinstance(stage, str) and len(stage) != n:
-            raise ValueError(f"need one stage per row, got {len(stage)} for {n}")
+        self.split = column(split, np.int64)
+        self.compute_s = column(compute_s, np.float64)
+        self.jni_s = column(jni_s, np.float64)
+        self.decompress_s = column(decompress_s, np.float64)
+        self.compress_s = column(compress_s, np.float64)
+        self.input_bytes = column(input_bytes, np.int64)
+        self.output_bytes = column(output_bytes, np.int64)
         self.stage = stage
         self.closures = list(closures) if closures is not None else None
-        self._tasks = tasks
-        self._materialized: dict[int, Task] = {}
-
-    @classmethod
-    def from_tasks(cls, tasks: Sequence[Task]) -> "TaskTable":
-        """Columnar view over existing ``Task`` objects (kept for lazy reuse)."""
-        stages: str | list[str] = [t.stage for t in tasks]
-        if all(s == "" for s in stages):
-            stages = ""
-        closures: list[Callable[[], Any] | None] | None
-        closures = [t.closure for t in tasks]
-        if all(c is None for c in closures):
-            closures = None
-        return cls(
-            task_id=[t.task_id for t in tasks],
-            split=[t.split for t in tasks],
-            compute_s=[t.compute_s for t in tasks],
-            jni_s=[t.jni_s for t in tasks],
-            decompress_s=[t.decompress_s for t in tasks],
-            compress_s=[t.compress_s for t in tasks],
-            input_bytes=[t.input_bytes for t in tasks],
-            output_bytes=[t.output_bytes for t in tasks],
-            stage=stages,
-            closures=closures,
-            tasks=tasks,
-        )
+        for col in (self.split, self.compute_s, self.jni_s, self.decompress_s,
+                    self.compress_s, self.input_bytes, self.output_bytes,
+                    self.closures):
+            if col is not None and len(col) != n:
+                raise ValueError(
+                    f"column length mismatch: {len(col)} rows vs {n} task ids")
 
     def __len__(self) -> int:
         return len(self.task_id)
 
     def slot_durations(self) -> np.ndarray:
-        """Per-row intended slot seconds, added in the same order as
-        ``Task.slot_duration_s`` so the result is bit-identical."""
+        """Per-row intended slot seconds (always summed in this order: the
+        schedule is bit-reproducible)."""
         return self.compute_s + self.jni_s + self.decompress_s + self.compress_s
-
-    def stage_of(self, row: int) -> str:
-        return self.stage if isinstance(self.stage, str) else self.stage[row]
 
     def closure_of(self, row: int) -> Callable[[], Any] | None:
         return self.closures[row] if self.closures is not None else None
-
-    def task_obj(self, row: int) -> Task:
-        """The ``Task`` for one row — the original object when this table was
-        built from one, otherwise materialized (and cached) from the arrays."""
-        if self._tasks is not None:
-            return self._tasks[row]
-        t = self._materialized.get(row)
-        if t is None:
-            t = Task(
-                task_id=int(self.task_id[row]),
-                split=int(self.split[row]),
-                stage=self.stage_of(row),
-                compute_s=float(self.compute_s[row]),
-                jni_s=float(self.jni_s[row]),
-                decompress_s=float(self.decompress_s[row]),
-                compress_s=float(self.compress_s[row]),
-                input_bytes=int(self.input_bytes[row]),
-                output_bytes=int(self.output_bytes[row]),
-                closure=self.closure_of(row),
-            )
-            self._materialized[row] = t
-        return t
 
 
 class LazyResults(Sequence[TaskResult]):
@@ -192,9 +110,8 @@ class LazyResults(Sequence[TaskResult]):
     :class:`TaskResult` materialized row by row on first access.
 
     The scheduler fills plain per-row columns (start/end/worker/...) during
-    the run; consumers that index or iterate see exactly the objects the
-    historical eager list held, but a modeled 1M-task run whose results are
-    never touched allocates nothing.
+    the run; a modeled 1M-task run whose results are never touched allocates
+    no :class:`TaskResult` at all.
     """
 
     __slots__ = ("_table", "_order", "_start", "_end", "_collected",
@@ -213,7 +130,7 @@ class LazyResults(Sequence[TaskResult]):
         worker_pos: Sequence[int],
         worker_ids: Sequence[str],
         speculative_rows: set[int],
-        values: list[Any] | None,
+        values: list[Any],
     ) -> None:
         self._table = table
         self._order = order  # result position -> row; None = identity
@@ -230,15 +147,25 @@ class LazyResults(Sequence[TaskResult]):
     def __len__(self) -> int:
         return len(self._table)
 
+    def values(self) -> list[Any]:
+        """Each result's closure value (``None`` where no closure ran), in
+        result order, without materializing a single :class:`TaskResult`."""
+        if self._order is None:
+            return self._values
+        return [self._values[int(row)] for row in self._order]
+
     def _row_result(self, row: int) -> TaskResult:
         res = self._cache.get(row)
         if res is None:
+            table = self._table
             res = TaskResult(
-                task=self._table.task_obj(row),
+                task_id=int(table.task_id[row]),
+                split=int(table.split[row]),
                 worker_id=self._worker_ids[self._worker_pos[row]],
                 start=self._start[row],
                 end=self._end[row],
-                value=self._values[row] if self._values is not None else None,
+                stage=table.stage,
+                value=self._values[row],
                 attempts=self._attempts[row],
                 collected_at=self._collected[row],
                 speculative=row in self._spec_rows,

@@ -196,8 +196,9 @@ def test_chaos_recovery_bench_resume_beats_restart():
     assert ms["full_s"] > ms["full_s_healthy"]
 
 
-def test_committed_baselines_match_current_model():
-    """The checked-in CI baselines must stay reproducible on this tree."""
+def test_committed_baselines_match_current_model(tmp_path):
+    """The checked-in CI baselines must regenerate byte for byte on this
+    tree: milestones, event counts, metrics snapshots, byte totals."""
     import os
 
     root = os.path.join(os.path.dirname(__file__), "..", "..",
@@ -208,3 +209,6 @@ def test_committed_baselines_match_current_model():
         baseline = load_bench(os.path.join(root, fname))
         current = run_benchmark(baseline["benchmark"], quick=True)
         assert compare(baseline, current) == []
+        with open(write_bench(current, str(tmp_path)), "rb") as new, \
+                open(os.path.join(root, fname), "rb") as old:
+            assert new.read() == old.read(), fname

@@ -13,7 +13,7 @@ from repro.cloud.network import Link
 from repro.simtime import SimClock, Timeline
 from repro.cloud.network import NetworkModel
 from repro.spark.executor import Executor
-from repro.spark.scheduler import SchedulerCosts, Task, TaskScheduler
+from repro.spark.scheduler import SchedulerCosts, TaskScheduler, TaskTable
 
 links = st.builds(
     Link,
@@ -66,8 +66,9 @@ def test_broadcast_monotone_in_node_count(nbytes, nodes_a, nodes_b):
 
 # ------------------------------------------------------------------ scheduler
 def _run(durations, slots_per_exec, n_execs, launch_s=0.0):
-    tasks = [Task(task_id=i, split=i, compute_s=d, closure=lambda: [])
-             for i, d in enumerate(durations)]
+    n = len(durations)
+    tasks = TaskTable(task_id=range(n), split=range(n), compute_s=durations,
+                      closures=[lambda: []] * n)
     execs = [Executor(f"w{i}", vcpus=2 * slots_per_exec, task_cpus=2)
              for i in range(n_execs)]
     net = NetworkModel(wan=Link(capacity_bps=1e6, latency_s=0.0),
@@ -117,4 +118,4 @@ def test_all_tasks_complete_exactly_once(ds):
     stats = _run(ds, 2, 2)
     assert stats.tasks == len(ds)
     assert len(stats.results) == len(ds)
-    assert sorted(r.task.split for r in stats.results) == list(range(len(ds)))
+    assert sorted(r.split for r in stats.results) == list(range(len(ds)))

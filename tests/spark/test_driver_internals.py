@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.simtime import Phase
+from repro.simtime import Phase, coarse_timelines
 from repro.spark import SparkCluster, SparkContext
-from repro.spark.driver import Driver, TaskCosts
+from repro.spark.driver import Driver, TaskCostsArrays
 from repro.spark.rdd import MappedRDD, ParallelCollectionRDD
 
 
@@ -39,7 +39,7 @@ def test_input_bytes_zero_for_non_collection_roots(sc):
 def test_explicit_costs_override_measurement(sc):
     rdd = sc.parallelize([np.zeros(100_000, dtype=np.float64)], num_slices=1)
     result = sc.run_job_detailed(
-        rdd, costs_for=lambda s: TaskCosts(input_bytes=0, output_bytes=0)
+        rdd, costs=TaskCostsArrays.uniform(1, input_bytes=0, output_bytes=0)
     )
     assert result.timeline.busy(Phase.INTRA_TRANSFER) == 0.0
     assert result.timeline.busy(Phase.COLLECT) == 0.0
@@ -57,16 +57,30 @@ def test_jobs_get_distinct_task_ids(sc):
     rdd = sc.parallelize(list(range(4)), num_slices=2)
     r1 = sc.run_job_detailed(rdd)
     r2 = sc.run_job_detailed(rdd)
-    ids1 = {res.task.task_id for res in r1.stats.results}
-    ids2 = {res.task.task_id for res in r2.stats.results}
+    ids1 = {res.task_id for res in r1.stats.results}
+    ids2 = {res.task_id for res in r2.stats.results}
     assert not ids1 & ids2
+    assert min(ids1) == 100_000 and min(ids2) == 200_000
+
+    # Jobs past 100 000 tasks push the next job's ids up instead of sharing
+    # them (profiles sum tile seconds per task id).
+    n = 150_000
+    big = sc.parallelize(range(n), num_slices=n)
+    costs = TaskCostsArrays.uniform(n, input_bytes=0, output_bytes=0)
+    with coarse_timelines():
+        r3 = sc.run_job_detailed(big, costs=costs, functional=False)
+        r4 = sc.run_job_detailed(big, costs=costs, functional=False)
+    assert r3.stats.results[0].task_id == 300_000
+    assert r4.stats.results[0].task_id > r3.stats.results[-1].task_id
+    r5 = sc.run_job_detailed(rdd)
+    assert r5.stats.results[0].task_id > r4.stats.results[-1].task_id
 
 
 def test_task_costs_defaults_measure():
-    costs = TaskCosts()
-    assert costs.input_bytes == -1  # sentinel: measure from data
-    assert costs.output_bytes == -1
-    assert costs.compute_s == 0.0
+    costs = TaskCostsArrays.uniform(2)
+    assert costs.input_bytes.tolist() == [-1, -1]  # sentinel: measure from data
+    assert costs.output_bytes.tolist() == [-1, -1]
+    assert costs.compute_s.tolist() == [0.0, 0.0]
 
 
 def test_parallel_collection_slices_match_partitioner(sc):

@@ -16,8 +16,8 @@ from repro.spark.schedule import STATIC_SCHEDULE, ScheduleConfig
 from repro.spark.scheduler import (
     JobFailedError,
     SchedulerCosts,
-    Task,
     TaskScheduler,
+    TaskTable,
 )
 
 
@@ -40,12 +40,11 @@ def _run(tasks, executors, schedule=STATIC_SCHEDULE, fault_plan=FaultPlan(),
     return stats, clock, timeline
 
 
-def _tasks(n, duration=1.0, **kw):
-    return [
-        Task(task_id=i, split=i, compute_s=duration,
-             closure=(lambda i=i: [i]), **kw)
-        for i in range(n)
-    ]
+def _tasks(n, duration=1.0, **columns):
+    return TaskTable(
+        task_id=range(n), split=range(n), compute_s=[duration] * n,
+        closures=[(lambda i=i: [i]) for i in range(n)],
+        **{name: [v] * n for name, v in columns.items()})
 
 
 # ------------------------------------------------------------- ScheduleConfig
@@ -188,11 +187,7 @@ def test_speculation_never_masks_max_failures():
 
 # ------------------------------------------------------------------ pipeline
 def _io_tasks(n, nbytes=10**9, duration=0.5):
-    return [
-        Task(task_id=i, split=i, compute_s=duration, input_bytes=nbytes,
-             output_bytes=nbytes, closure=(lambda i=i: [i]))
-        for i in range(n)
-    ]
+    return _tasks(n, duration, input_bytes=nbytes, output_bytes=nbytes)
 
 
 def test_pipeline_depth_zero_matches_strict_barrier():
@@ -226,5 +221,5 @@ def test_pipelined_collect_overlaps_compute():
 def test_pipelined_results_stay_ordered_by_split():
     stats, _, _ = _run(_io_tasks(5), [Executor("w0", vcpus=4, task_cpus=2)],
                        schedule=ScheduleConfig(pipeline_depth=2))
-    assert [r.task.split for r in stats.results] == list(range(5))
+    assert [r.split for r in stats.results] == list(range(5))
     assert [r.value for r in stats.results] == [[i] for i in range(5)]

@@ -10,8 +10,8 @@ from repro.spark.faults import FaultPlan
 from repro.spark.scheduler import (
     JobFailedError,
     SchedulerCosts,
-    Task,
     TaskScheduler,
+    TaskTable,
 )
 
 
@@ -33,12 +33,26 @@ def _run(tasks, executors, broadcasts=(), fault_plan=FaultPlan(), costs=None):
     return stats, clock, timeline
 
 
+def _table(n, closure, **columns):
+    """``n`` rows sharing one value per given column and one closure."""
+    return TaskTable(task_id=range(n), split=range(n), closures=[closure] * n,
+                     **{name: [v] * n for name, v in columns.items()})
+
+
 def _tasks(n, duration=1.0, fn=None):
-    return [
-        Task(task_id=i, split=i, compute_s=duration,
-             closure=(lambda i=i: [fn(i)] if fn else [i]))
-        for i in range(n)
-    ]
+    return TaskTable(
+        task_id=range(n), split=range(n), compute_s=[duration] * n,
+        closures=[(lambda i=i: [fn(i)] if fn else [i]) for i in range(n)])
+
+
+@pytest.mark.parametrize("column", [
+    "split", "compute_s", "jni_s", "decompress_s", "compress_s",
+    "input_bytes", "output_bytes", "closures",
+])
+def test_task_table_rejects_a_short_column(column):
+    short = [None] * 2 if column == "closures" else [0] * 2
+    with pytest.raises(ValueError, match="column length mismatch"):
+        TaskTable(**{"task_id": range(3), "split": range(3), column: short})
 
 
 def test_one_wave_on_enough_slots():
@@ -56,7 +70,7 @@ def test_two_waves_when_oversubscribed():
 def test_results_ordered_by_split():
     ex = Executor("w0", vcpus=8, task_cpus=2)
     stats, _, _ = _run(_tasks(6), [ex])
-    assert [r.task.split for r in stats.results] == list(range(6))
+    assert [r.split for r in stats.results] == list(range(6))
     assert [r.value for r in stats.results] == [[i] for i in range(6)]
 
 
@@ -95,10 +109,7 @@ def test_broadcast_not_recharged_for_seeded_nodes():
 
 def test_input_bytes_flow_through_driver_nic():
     ex = Executor("w0", vcpus=8, task_cpus=2)
-    tasks = [
-        Task(task_id=i, split=i, compute_s=0.0, input_bytes=10**9, closure=lambda: [])
-        for i in range(2)
-    ]
+    tasks = _table(2, lambda: [], compute_s=0.0, input_bytes=10**9)
     _, _, timeline = _run(tasks, [ex])
     # 2 GB over a 1 GB/s NIC: the scatters serialize to ~2 s.
     assert timeline.busy(Phase.INTRA_TRANSFER) == pytest.approx(2.0, rel=0.01)
@@ -106,16 +117,15 @@ def test_input_bytes_flow_through_driver_nic():
 
 def test_collect_bytes_recorded():
     ex = Executor("w0", vcpus=8, task_cpus=2)
-    tasks = [Task(task_id=0, split=0, compute_s=0.0, output_bytes=5 * 10**8,
-                  closure=lambda: [1])]
+    tasks = _table(1, lambda: [1], compute_s=0.0, output_bytes=5 * 10**8)
     _, _, timeline = _run(tasks, [ex])
     assert timeline.busy(Phase.COLLECT) == pytest.approx(0.5, rel=0.01)
 
 
 def test_phase_spans_match_task_structure():
     ex = Executor("w0", vcpus=2, task_cpus=2)
-    tasks = [Task(task_id=0, split=0, compute_s=2.0, jni_s=0.5,
-                  decompress_s=0.25, compress_s=0.25, closure=lambda: [1])]
+    tasks = _table(1, lambda: [1], compute_s=2.0, jni_s=0.5,
+                   decompress_s=0.25, compress_s=0.25)
     _, _, timeline = _run(tasks, [ex])
     assert timeline.busy(Phase.COMPUTE) == pytest.approx(2.0)
     assert timeline.busy(Phase.JNI_CALL) == pytest.approx(0.5)
@@ -162,7 +172,7 @@ def test_clock_advances_to_job_end():
 def test_modeled_mode_skips_closures():
     ran = []
     ex = Executor("w0", vcpus=2, task_cpus=2)
-    tasks = [Task(task_id=0, split=0, compute_s=1.0, closure=lambda: ran.append(1))]
+    tasks = _table(1, lambda: ran.append(1), compute_s=1.0)
     sched = TaskScheduler(SchedulerCosts(task_launch_s=0.0))
     stats = sched.run_job(tasks, [ex], _net(), SimClock(), Timeline(), functional=False)
     assert ran == []
