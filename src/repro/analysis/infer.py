@@ -2,13 +2,15 @@
 
 The PR 2 verifier *checks* user-written ``map``/partition clauses against
 what a tile body provably does.  This pass runs the same machinery the other
-way: from the kernel body and loop structure it derives, per array,
+way: from the body summary the verifier reads
+(:func:`repro.analysis.dataflow.analyze_body`) and the loop structure it
+derives, per array,
 
 * the **direction** data must flow (``to``/``from``/``tofrom``), from the
-  dataflow pass's read/write sets taken in loop order;
-* the **per-iteration element range** each iteration touches, recovered
-  symbolically as :mod:`repro.core.exprs` trees over the loop variable
-  (``arrays["C"][lo*n:hi*n]`` under the tile contract ``[lo, hi)`` becomes
+  summary's read/write sets taken in loop order;
+* the **per-iteration element range** each iteration touches, the summary's
+  windows: :mod:`repro.core.exprs` trees over the loop variable
+  (``arrays["C"][lo*n:hi*n]`` under the tile contract ``[lo, hi)`` is
   the per-iteration window ``[i*N, (i+1)*N)``);
 
 and then synthesizes the *minimal* region map clauses plus a partition spec
@@ -26,465 +28,25 @@ inferred region is always re-verified before being returned as runnable.
 
 from __future__ import annotations
 
-import ast
-import inspect
-import textwrap
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Callable, Mapping, Optional, Union
+from typing import Mapping, Optional, Union
 
-from repro.analysis.dataflow import (
-    _PASSTHROUGH_FUNCS,
-    _PASSTHROUGH_METHODS,
-    _body_statements,
-    _constants_of,
-    _param_names,
-    analyze_body,
-)
+from repro.analysis.dataflow import BodyAccess, Window, analyze_body
 from repro.analysis.diagnostics import Severity
 from repro.analysis.partition_check import _adjacent_pairs, _sample_iterations
 from repro.core.api import ParallelLoop, RegionError, TargetRegion
-from repro.core.exprs import BinOp, Expr, ExprError, Neg, Num, Var
+from repro.core.exprs import Expr, ExprError
 from repro.core.omp_ast import MapItem, MapType
 
 Scalars = Mapping[str, Union[int, float]]
-#: A per-iteration element range [lower, upper) as symbolic bounds.
-Window = tuple[Expr, Expr]
 
 
-# --------------------------------------------------------------- expr algebra
-def _add(a: Expr, b: Expr) -> Expr:
-    """Constant-folding addition so windows print as ``i*N`` not ``(i*N+0)``."""
-    if isinstance(a, Num) and isinstance(b, Num):
-        return Num(a.value + b.value)
-    if isinstance(a, Num) and a.value == 0:
-        return b
-    if isinstance(b, Num) and b.value == 0:
-        return a
-    return BinOp("+", a, b)
-
-
-@dataclass(frozen=True)
-class _Alias:
-    """What a Python name (or subexpression) denotes in mapped-buffer terms.
-
-    ``window is None`` means the whole array.  ``exact`` says the alias's
-    element set *equals* the window (vs. merely contained in it); only exact
-    windows may back an output partition.  ``indexable`` says 1-D offset
-    arithmetic on subscripts is still valid (``reshape`` keeps the element
-    set but changes the indexing geometry, so composition must stop).
-    """
-
-    root: str
-    window: Optional[Window]
-    exact: bool
-    indexable: bool
-
-
-class _RangeFlow(ast.NodeVisitor):
-    """Symbolic range tracking over one tile body.
-
-    Mirrors the alias discipline of :class:`repro.analysis.dataflow._Flow`
-    but carries *windows*: substituting ``lo -> i`` and ``hi -> i+1`` (the
-    per-iteration view of the tile contract) turns every recovered slice
-    into the per-iteration element range the partitioning extension wants.
-    """
-
-    def __init__(
-        self,
-        arrays_param: str,
-        scalars_param: str,
-        consts: dict[str, object],
-        loop_var: str,
-        env: dict[str, Expr],
-    ) -> None:
-        self.arrays_param = arrays_param
-        self.scalars_param = scalars_param
-        self.consts = consts
-        self.loop_var = loop_var
-        self.env = env  # python local name -> symbolic bound expression
-        self.aliases: dict[str, _Alias] = {}
-        self.reads: dict[str, set[Window]] = {}
-        self.read_whole: set[str] = set()
-        self.writes: dict[str, set[Window]] = {}
-        self.write_unknown: set[str] = set()
-        self.cond_depth = 0
-        self._suppress = 0
-
-    # ------------------------------------------------------------ conversion
-    def _expr_of(self, node: ast.expr) -> Optional[Expr]:
-        """Convert a Python index expression to a bound :class:`Expr`.
-
-        Only ``+ - *`` (and unary minus / ``int()``) are accepted: Python
-        floor division disagrees with the C truncating division of the
-        bound language on negatives, so ``// %`` stay unconvertible.
-        """
-        if isinstance(node, ast.Constant):
-            if isinstance(node.value, bool) or not isinstance(node.value, int):
-                return None
-            return Num(node.value)
-        if isinstance(node, ast.Name):
-            if node.id in self.env:
-                return self.env[node.id]
-            const = self.consts.get(node.id)
-            if isinstance(const, int) and not isinstance(const, bool):
-                return Num(const)
-            return None
-        if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Sub, ast.Mult)):
-            left = self._expr_of(node.left)
-            right = self._expr_of(node.right)
-            if left is None or right is None:
-                return None
-            op = {"Add": "+", "Sub": "-", "Mult": "*"}[type(node.op).__name__]
-            return BinOp(op, left, right)
-        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
-            inner = self._expr_of(node.operand)
-            return None if inner is None else Neg(inner)
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                and node.func.id == "int" and len(node.args) == 1 and not node.keywords):
-            return self._expr_of(node.args[0])
-        if (isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name)
-                and node.value.id == self.scalars_param):
-            key = self._key_str(node.slice)
-            return None if key is None else Var(key)
-        return None
-
-    def _key_str(self, node: ast.expr) -> Optional[str]:
-        if isinstance(node, ast.Constant) and isinstance(node.value, str):
-            return node.value
-        if isinstance(node, ast.Name):
-            const = self.consts.get(node.id)
-            if isinstance(const, str):
-                return const
-        return None
-
-    # ------------------------------------------------------------ resolution
-    def _alias_of(self, node: ast.expr) -> Optional[_Alias]:
-        if isinstance(node, ast.Name):
-            return self.aliases.get(node.id)
-        if isinstance(node, ast.Subscript):
-            if isinstance(node.value, ast.Name) and node.value.id == self.arrays_param:
-                key = self._key_str(node.slice)
-                if key is None:
-                    return None
-                return _Alias(key, None, exact=True, indexable=True)
-            base = self._alias_of(node.value)
-            if base is None:
-                return None
-            return self._narrow(base, node.slice)
-        if isinstance(node, ast.Call):
-            func = node.func
-            if isinstance(func, ast.Attribute) and func.attr in _PASSTHROUGH_METHODS:
-                inner = self._alias_of(func.value)
-                if inner is None and func.attr in _PASSTHROUGH_FUNCS and node.args:
-                    # ``np.transpose(a)``: the receiver is the numpy module,
-                    # the view is of the first argument.
-                    inner = self._alias_of(node.args[0])
-                if inner is None:
-                    return None
-                # reshape/astype/view/ravel/transpose preserve the element set
-                # but not the 1-D indexing geometry: stop window composition.
-                return _Alias(inner.root, inner.window, inner.exact, indexable=False)
-            if isinstance(func, ast.Attribute) and func.attr in _PASSTHROUGH_FUNCS and node.args:
-                return self._alias_of(node.args[0])
-            if isinstance(func, ast.Name) and func.id in _PASSTHROUGH_FUNCS and node.args:
-                return self._alias_of(node.args[0])
-        return None
-
-    def _narrow(self, base: _Alias, slc: ast.expr) -> _Alias:
-        contained = _Alias(base.root, base.window, exact=False, indexable=False)
-        if not base.indexable or not base.exact:
-            return contained
-        lo_base = base.window[0] if base.window is not None else Num(0)
-        if isinstance(slc, ast.Slice):
-            if slc.step is not None:
-                return contained
-            if slc.lower is None:
-                lo: Optional[Expr] = lo_base
-            else:
-                off = self._expr_of(slc.lower)
-                lo = None if off is None else _add(lo_base, off)
-            if slc.upper is None:
-                if base.window is None:
-                    # open upper bound on the whole array: still the whole
-                    # array when the lower bound is 0, unknown otherwise.
-                    if lo is not None and lo == Num(0):
-                        return _Alias(base.root, None, exact=True, indexable=True)
-                    return contained
-                hi: Optional[Expr] = base.window[1]
-            else:
-                up = self._expr_of(slc.upper)
-                hi = None if up is None else _add(lo_base, up)
-            if lo is None or hi is None:
-                return contained
-            return _Alias(base.root, (lo, hi), exact=True, indexable=True)
-        if isinstance(slc, ast.Tuple):
-            return contained
-        idx = self._expr_of(slc)
-        if idx is None:
-            return contained
-        lo2 = _add(lo_base, idx)
-        return _Alias(base.root, (lo2, _add(lo2, Num(1))), exact=True, indexable=True)
-
-    # --------------------------------------------------------------- records
-    def _record_read(self, alias: _Alias) -> None:
-        if alias.window is None:
-            self.read_whole.add(alias.root)
-        else:
-            # Inexact aliases are still *contained* in their window, so the
-            # window is a sound over-approximation for staging.
-            self.reads.setdefault(alias.root, set()).add(alias.window)
-
-    def _record_write(self, alias: _Alias) -> None:
-        if self.cond_depth > 0 or alias.window is None or not alias.exact:
-            # Conditional stores, whole-array stores and stores through
-            # reshaped views have no provable per-iteration coverage.
-            self.write_unknown.add(alias.root)
-        else:
-            self.writes.setdefault(alias.root, set()).add(alias.window)
-
-    # ------------------------------------------------------------ statements
-    def visit_Assign(self, node: ast.Assign) -> None:
-        if len(node.targets) == 1 and isinstance(node.targets[0], ast.Name):
-            tname = node.targets[0].id
-            alias = self._alias_of(node.value)
-            if alias is not None:
-                self.aliases[tname] = alias
-                self.env.pop(tname, None)
-                self._suppress += 1
-                self.visit(node.value)
-                self._suppress -= 1
-                return
-            self.aliases.pop(tname, None)
-            expr = self._expr_of(node.value)
-            if expr is not None:
-                self.env[tname] = expr
-            else:
-                self.env.pop(tname, None)
-            self.visit(node.value)
-            return
-        if (len(node.targets) == 1 and isinstance(node.targets[0], ast.Tuple)
-                and isinstance(node.value, ast.Tuple)
-                and len(node.targets[0].elts) == len(node.value.elts)):
-            for tgt, val in zip(node.targets[0].elts, node.value.elts):
-                if isinstance(tgt, ast.Name):
-                    self.aliases.pop(tgt.id, None)
-                    expr = self._expr_of(val)
-                    if expr is not None:
-                        self.env[tgt.id] = expr
-                    else:
-                        self.env.pop(tgt.id, None)
-                else:
-                    self._store(tgt)
-            self.visit(node.value)
-            return
-        self.visit(node.value)
-        for target in node.targets:
-            self._store(target)
-
-    def _store(self, target: ast.expr) -> None:
-        if isinstance(target, ast.Subscript):
-            alias = self._alias_of(target)
-            if alias is not None:
-                self._record_write(alias)
-            self.visit(target.slice)
-        elif isinstance(target, ast.Name):
-            self.aliases.pop(target.id, None)
-            self.env.pop(target.id, None)
-        elif isinstance(target, (ast.Tuple, ast.List)):
-            for elt in target.elts:
-                self._store(elt)
-        elif isinstance(target, ast.Starred):
-            self._store(target.value)
-
-    def visit_AugAssign(self, node: ast.AugAssign) -> None:
-        self.visit(node.value)
-        target = node.target
-        if isinstance(target, ast.Subscript):
-            alias = self._alias_of(target)
-            if alias is not None:
-                self._record_read(alias)
-                self._record_write(alias)
-            self.visit(target.slice)
-        elif isinstance(target, ast.Name):
-            if target.id in self.aliases:
-                alias = self.aliases[target.id]
-                self._record_read(alias)
-                self._record_write(alias)
-            else:
-                self.env.pop(target.id, None)
-
-    def _singleton_range(self, iter_node: ast.expr) -> bool:
-        """``range(lo, hi)`` over the tile bounds: exactly one value per
-        region iteration, namely the loop variable itself."""
-        if not (isinstance(iter_node, ast.Call) and isinstance(iter_node.func, ast.Name)
-                and iter_node.func.id == "range" and len(iter_node.args) == 2
-                and not iter_node.keywords):
-            return False
-        lo = self._expr_of(iter_node.args[0])
-        hi = self._expr_of(iter_node.args[1])
-        return lo == Var(self.loop_var) and hi == _add(Var(self.loop_var), Num(1))
-
-    def visit_For(self, node: ast.For) -> None:
-        self.visit(node.iter)
-        if self._singleton_range(node.iter) and isinstance(node.target, ast.Name):
-            self.aliases.pop(node.target.id, None)
-            self.env[node.target.id] = Var(self.loop_var)
-            for stmt in node.body + node.orelse:
-                self.visit(stmt)
-            return
-        self._store(node.target)
-        self.cond_depth += 1
-        for stmt in node.body + node.orelse:
-            self.visit(stmt)
-        self.cond_depth -= 1
-
-    def _static_branch(self, test: ast.expr) -> Optional[bool]:
-        """Decide ``if <closure-const> is (not) None`` guards statically, so
-        factory-made kernels keep exact coverage."""
-        if (isinstance(test, ast.Compare) and isinstance(test.left, ast.Name)
-                and len(test.ops) == 1 and len(test.comparators) == 1
-                and isinstance(test.comparators[0], ast.Constant)
-                and test.comparators[0].value is None
-                and test.left.id in self.consts):
-            value = self.consts[test.left.id]
-            if isinstance(test.ops[0], ast.Is):
-                return value is None
-            if isinstance(test.ops[0], ast.IsNot):
-                return value is not None
-        return None
-
-    def visit_If(self, node: ast.If) -> None:
-        branch = self._static_branch(node.test)
-        if branch is not None:
-            for stmt in (node.body if branch else node.orelse):
-                self.visit(stmt)
-            return
-        self.visit(node.test)
-        self.cond_depth += 1
-        for stmt in node.body + node.orelse:
-            self.visit(stmt)
-        self.cond_depth -= 1
-
-    def visit_While(self, node: ast.While) -> None:
-        self.visit(node.test)
-        self.cond_depth += 1
-        for stmt in node.body + node.orelse:
-            self.visit(stmt)
-        self.cond_depth -= 1
-
-    def visit_Try(self, node: ast.Try) -> None:
-        self.cond_depth += 1
-        for stmt in node.body + node.orelse + node.finalbody:
-            self.visit(stmt)
-        for handler in node.handlers:
-            for stmt in handler.body:
-                self.visit(stmt)
-        self.cond_depth -= 1
-
-    # ----------------------------------------------------------- expressions
-    def visit_Name(self, node: ast.Name) -> None:
-        if isinstance(node.ctx, ast.Load) and node.id in self.aliases and not self._suppress:
-            self._record_read(self.aliases[node.id])
-
-    def visit_Subscript(self, node: ast.Subscript) -> None:
-        if not isinstance(node.ctx, ast.Load):
-            return
-        if isinstance(node.value, ast.Name) and node.value.id == self.scalars_param:
-            self.visit(node.slice)
-            return
-        alias = self._alias_of(node)
-        if alias is not None:
-            if not self._suppress:
-                self._record_read(alias)
-            self.visit(node.slice)
-            return
-        self.generic_visit(node)
-
-    def visit_Call(self, node: ast.Call) -> None:
-        # ufunc-style ``out=`` lands the result in the target buffer; the
-        # window is the alias's own (``np.clip(a, 0, 1, out=c[lo:hi])``).
-        for kw in node.keywords:
-            if kw.arg == "out":
-                alias = self._alias_of(kw.value)
-                if alias is not None:
-                    self._record_write(alias)
-        self.generic_visit(node)
-
-
-# ----------------------------------------------------------- per-loop summary
-@dataclass(frozen=True)
-class LoopRanges:
-    """Per-iteration access windows of one loop (``None`` window: the whole
-    array for reads, an unprovable coverage for writes)."""
-
-    reads: Mapping[str, Optional[Window]]
-    writes: Mapping[str, Optional[Window]]
-    complete: bool
-    limits: tuple[str, ...] = ()
-
-
-def _tile_params(fn: Callable[..., object]) -> tuple[str, str]:
-    try:
-        params = list(inspect.signature(fn).parameters)
-    except (TypeError, ValueError):
-        return "lo", "hi"
-    lo = params[0] if params else "lo"
-    hi = params[1] if len(params) > 1 else "hi"
-    return lo, hi
-
-
-@lru_cache(maxsize=256)
-def _ranges_for(body: Callable[..., object], loop_var: str) -> LoopRanges:
-    access = analyze_body(body)
-    if not access.complete:
-        limits = access.limits or ("dataflow summary is incomplete",)
-        return LoopRanges(
-            reads={name: None for name in sorted(access.reads)},
-            writes={name: None for name in sorted(access.writes)},
-            complete=False,
-            limits=limits,
-        )
-    try:
-        source = textwrap.dedent(inspect.getsource(body))
-        tree = ast.parse(source)
-    except (OSError, TypeError, SyntaxError, IndentationError):  # pragma: no cover
-        return LoopRanges({}, {}, False, ("kernel body source is unavailable",))
-    statements = _body_statements(tree)
-    if statements is None:  # pragma: no cover - analyze_body caught this
-        return LoopRanges({}, {}, False, ("kernel body is not a plain function definition",))
-    arrays_param, scalars_param = _param_names(body)
-    lo_param, hi_param = _tile_params(body)
-    env: dict[str, Expr] = {
-        lo_param: Var(loop_var),
-        hi_param: _add(Var(loop_var), Num(1)),
-    }
-    flow = _RangeFlow(arrays_param, scalars_param, _constants_of(body), loop_var, env)
-    for stmt in statements:
-        flow.visit(stmt)
-
-    reads: dict[str, Optional[Window]] = {}
-    for name in sorted(access.reads):
-        windows = flow.reads.get(name, set())
-        if name in flow.read_whole or len(windows) != 1:
-            reads[name] = None
-        else:
-            reads[name] = next(iter(windows))
-    writes: dict[str, Optional[Window]] = {}
-    for name in sorted(access.writes):
-        windows = flow.writes.get(name, set())
-        if name in flow.write_unknown or len(windows) != 1:
-            writes[name] = None
-        else:
-            writes[name] = next(iter(windows))
-    return LoopRanges(reads=reads, writes=writes, complete=True)
-
-
-def analyze_ranges(loop: ParallelLoop) -> LoopRanges:
-    """Recover the per-iteration access windows of one loop's tile body."""
+def analyze_ranges(loop: ParallelLoop) -> BodyAccess:
+    """The body summary of one loop, windows expressed over its loop variable."""
     if loop.body is None:
-        return LoopRanges({}, {}, False, ("loop has no kernel body bound",))
-    return _ranges_for(loop.body, loop.loop_var)
+        return BodyAccess(source_available=False,
+                          limits=("loop has no kernel body bound",))
+    return analyze_body(loop.body, loop.loop_var)
 
 
 # --------------------------------------------------------- numeric validation
@@ -760,7 +322,7 @@ def infer_region(
     for loop, lr in zip(region.loops, ranges):
         red = set(loop.reduction_vars)
         reduction_names |= red
-        for name in sorted(set(lr.reads) | set(lr.writes) | red):
+        for name in sorted(lr.reads | lr.writes | red):
             if name in red:
                 direction = "reduction"
             elif name in lr.reads and name in lr.writes:
@@ -769,7 +331,7 @@ def infer_region(
                 direction = "write"
             else:
                 direction = "read"
-            window = lr.writes.get(name) or lr.reads.get(name)
+            window = lr.write_windows.get(name) or lr.read_windows.get(name)
             if not lr.complete:
                 confidence = "unknown"
             elif window is not None:
@@ -797,7 +359,7 @@ def infer_region(
     # ------------------------------------------------- window fitness per loop
     fitness: dict[tuple[int, str, str], _WindowFitness] = {}
     for idx, (loop, lr) in enumerate(zip(region.loops, ranges)):
-        for kind, windows in (("read", lr.reads), ("write", lr.writes)):
+        for kind, windows in (("read", lr.read_windows), ("write", lr.write_windows)):
             for name, window in windows.items():
                 if window is None:
                     fitness[(idx, name, kind)] = _WindowFitness()
@@ -819,14 +381,14 @@ def infer_region(
     accessed: set[str] = set()
     for idx, (loop, lr) in enumerate(zip(region.loops, ranges)):
         red = set(loop.reduction_vars)
-        for name in set(lr.reads) | red:
+        for name in lr.reads | red:
             accessed.add(name)
             if name not in produced:
                 needs_in.add(name)
-        for name in set(lr.writes) | red:
+        for name in lr.writes | red:
             accessed.add(name)
             needs_out.add(name)
-        for name, window in lr.writes.items():
+        for name, window in lr.write_windows.items():
             if name not in red and window is not None \
                     and fitness[(idx, name, "write")].out_ok:
                 produced.add(name)
@@ -841,11 +403,14 @@ def infer_region(
     new_clauses: dict[MapType, list[str]] = {}
     narrowed = 0
     dropped: list[str] = []
+    #: the (possibly narrowed) region map type of every name that stays mapped
+    region_type_of: dict[str, MapType] = {}
     for name in mapped_order:
         orig_type = region.map_type_of(name)
         assert orig_type is not None
         item = _item_for(region, name)
         if name in reduction_names or orig_type == MapType.ALLOC:
+            region_type_of[name] = orig_type
             new_clauses.setdefault(orig_type, []).append(str(item))
             continue
         if name not in accessed and name not in declared_reads | declared_writes:
@@ -873,32 +438,13 @@ def infer_region(
                 "current": f"map({orig_type.value}: {item})",
                 "suggested": f"map({new_type.value}: {item})",
             })
+        region_type_of[name] = new_type
         new_clauses.setdefault(new_type, []).append(str(item))
 
     # ------------------------------------------------- partition specs per loop
     partitions_added = 0
     new_partition_pragmas: list[Optional[str]] = []
     partition_texts: dict[str, Optional[str]] = {}
-    region_type_of: dict[str, MapType] = {}
-    for name in mapped_order:
-        if name in dropped:
-            continue
-        mt = region.map_type_of(name)
-        assert mt is not None
-        # recompute the narrowed type the same way as above
-        if name in reduction_names or mt == MapType.ALLOC:
-            region_type_of[name] = mt
-            continue
-        want_in = name in needs_in or name in declared_reads
-        want_out = name in needs_out or name in declared_writes
-        if want_in and want_out:
-            cand = MapType.TOFROM
-        elif want_out:
-            cand = MapType.FROM
-        else:
-            cand = MapType.TO
-        region_type_of[name] = cand if _subset_type(cand, mt) else mt
-
     for idx, (loop, lr) in enumerate(zip(region.loops, ranges)):
         red = set(loop.reduction_vars)
         loop_changed = False
@@ -914,11 +460,11 @@ def infer_region(
             # the partition checker on the original region.
             items_by_type.setdefault(spec.map_type.value, []).append(
                 _spec_text(name, spec.lower, spec.upper))
-        for name in sorted(set(lr.reads) | set(lr.writes)):
+        for name in sorted(lr.reads | lr.writes):
             if name in red or name in loop.partitions or name in dropped:
                 continue
-            read_w = lr.reads.get(name)
-            write_w = lr.writes.get(name)
+            read_w = lr.read_windows.get(name)
+            write_w = lr.write_windows.get(name)
             window: Optional[Window] = None
             ptype: Optional[str] = None
             if name in lr.writes:

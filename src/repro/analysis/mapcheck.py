@@ -116,7 +116,7 @@ def check_dataflow(region: TargetRegion, loop: ParallelLoop) -> list[Diagnostic]
             "loop has no kernel body bound; dataflow checks skipped",
         ))
         return out
-    access = analyze_body(loop.body)
+    access = analyze_body(loop.body, loop.loop_var)
     if not access.source_available:
         out.append(Diagnostic.make(
             "OMP190", span,

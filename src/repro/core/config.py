@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import configparser
 import os
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 
 from repro.cloud.credentials import Credentials
@@ -170,6 +170,50 @@ class CloudConfig:
         )
 
 
+def _parse_bool(text: str) -> bool:
+    t = text.strip().lower()
+    if t in ("true", "yes", "1", "on"):
+        return True
+    if t in ("false", "no", "0", "off"):
+        return False
+    raise ConfigError(f"cannot parse boolean {text!r}")
+
+
+#: (INI section, option, CloudConfig field, parser).  An option the file does
+#: not set keeps the dataclass default; a later row wins over an earlier one
+#: (``bucket`` over ``name``).
+_INI_OPTIONS = (
+    ("Spark", "driver", "spark_driver", str),
+    ("Spark", "user", "spark_user", str),
+    ("Spark", "workers", "n_workers", int),
+    ("Spark", "instance", "instance_type", str),
+    ("Storage", "kind", "storage_kind", str.lower),
+    ("Storage", "name", "storage_name", str),
+    ("Storage", "bucket", "storage_name", str),
+    ("Offload", "provider", "provider", str.lower),
+    ("Offload", "compression", "compression", lambda text: text.lower() != "none"),
+    ("Offload", "min_compress_size", "min_compress_size", int),
+    ("Offload", "manage_instances", "manage_instances", _parse_bool),
+    ("Offload", "verbose", "verbose", _parse_bool),
+    ("Offload", "cache", "cache", _parse_bool),
+    ("Resilience", "retry_attempts", "retry_attempts", int),
+    ("Resilience", "retry_base_delay_s", "retry_base_delay_s", float),
+    ("Resilience", "retry_max_delay_s", "retry_max_delay_s", float),
+    ("Resilience", "retry_jitter", "retry_jitter", float),
+    ("Resilience", "max_resubmissions", "max_resubmissions", int),
+    ("Resilience", "breaker_threshold", "breaker_threshold", int),
+    ("Resilience", "breaker_reset_s", "breaker_reset_s", float),
+    ("Resilience", "recovery", "recovery", str.lower),
+    ("Analysis", "strict", "analysis_strict", _parse_bool),
+    ("Analysis", "fail_on", "analysis_fail_on", str.lower),
+    ("Analysis", "infer", "analysis_infer", _parse_bool),
+    ("Schedule", "mode", "schedule_mode", str.lower),
+    ("Schedule", "speculation", "speculation", _parse_bool),
+    ("Schedule", "speculation_multiplier", "speculation_multiplier", float),
+    ("Schedule", "pipeline_depth", "pipeline_depth", int),
+)
+
+
 def load_config(path: str | os.PathLike[str]) -> CloudConfig:
     """Parse an INI configuration file into a :class:`CloudConfig`."""
     p = Path(path)
@@ -181,61 +225,15 @@ def load_config(path: str | os.PathLike[str]) -> CloudConfig:
     except configparser.Error as e:
         raise ConfigError(f"cannot parse {p}: {e}") from e
 
-    spark = cp["Spark"] if cp.has_section("Spark") else {}
-    storage = cp["Storage"] if cp.has_section("Storage") else {}
-    offload = cp["Offload"] if cp.has_section("Offload") else {}
-    resil = cp["Resilience"] if cp.has_section("Resilience") else {}
-    analysis = cp["Analysis"] if cp.has_section("Analysis") else {}
-    sched = cp["Schedule"] if cp.has_section("Schedule") else {}
-
-    provider = offload.get("provider", "ec2").lower()
-    creds = _credentials_from(cp, provider, spark.get("user", "ubuntu"))
-
+    values = {f.name: f.default for f in fields(CloudConfig) if f.default is not MISSING}
     try:
-        n_workers = int(spark.get("workers", "16"))
-        min_sz = int(offload.get("min_compress_size", str(1 << 20)))
-        retry_attempts = int(resil.get("retry_attempts", "3"))
-        max_resubmissions = int(resil.get("max_resubmissions", "2"))
-        breaker_threshold = int(resil.get("breaker_threshold", "3"))
-        retry_base = float(resil.get("retry_base_delay_s", "0.5"))
-        retry_max = float(resil.get("retry_max_delay_s", "30.0"))
-        retry_jitter = float(resil.get("retry_jitter", "0.0"))
-        breaker_reset = float(resil.get("breaker_reset_s", "300.0"))
-        speculation_multiplier = float(sched.get("speculation_multiplier", "1.5"))
-        pipeline_depth = int(sched.get("pipeline_depth", "0"))
+        for section, option, name, parse in _INI_OPTIONS:
+            if cp.has_option(section, option):
+                values[name] = parse(cp.get(section, option))
     except ValueError as e:
         raise ConfigError(f"non-numeric value in {p}: {e}") from e
-
-    return CloudConfig(
-        provider=provider,
-        spark_driver=spark.get("driver", "spark-driver"),
-        spark_user=spark.get("user", "ubuntu"),
-        n_workers=n_workers,
-        instance_type=spark.get("instance", "c3.8xlarge"),
-        storage_kind=storage.get("kind", "s3").lower(),
-        storage_name=storage.get("bucket", storage.get("name", "ompcloud-staging")),
-        credentials=creds,
-        compression=offload.get("compression", "gzip").lower() != "none",
-        min_compress_size=min_sz,
-        manage_instances=_parse_bool(offload.get("manage_instances", "false")),
-        verbose=_parse_bool(offload.get("verbose", "false")),
-        cache=_parse_bool(offload.get("cache", "false")),
-        retry_attempts=retry_attempts,
-        retry_base_delay_s=retry_base,
-        retry_max_delay_s=retry_max,
-        retry_jitter=retry_jitter,
-        max_resubmissions=max_resubmissions,
-        breaker_threshold=breaker_threshold,
-        breaker_reset_s=breaker_reset,
-        recovery=resil.get("recovery", "none").strip().lower(),
-        analysis_strict=_parse_bool(analysis.get("strict", "false")),
-        analysis_fail_on=analysis.get("fail_on", "error").strip().lower(),
-        analysis_infer=_parse_bool(analysis.get("infer", "false")),
-        schedule_mode=sched.get("mode", "static").strip().lower(),
-        speculation=_parse_bool(sched.get("speculation", "false")),
-        speculation_multiplier=speculation_multiplier,
-        pipeline_depth=pipeline_depth,
-    )
+    creds = _credentials_from(cp, values["provider"], values["spark_user"])
+    return CloudConfig(credentials=creds, **values)
 
 
 def _credentials_from(cp: configparser.ConfigParser, provider: str, user: str) -> Credentials:
@@ -257,15 +255,6 @@ def _credentials_from(cp: configparser.ConfigParser, provider: str, user: str) -
             region=az.get("region", "eastus"),
         )
     return Credentials(provider="private", username=user)
-
-
-def _parse_bool(text: str) -> bool:
-    t = text.strip().lower()
-    if t in ("true", "yes", "1", "on"):
-        return True
-    if t in ("false", "no", "0", "off"):
-        return False
-    raise ConfigError(f"cannot parse boolean {text!r}")
 
 
 def write_example_config(path: str | os.PathLike[str], provider: str = "ec2") -> Path:

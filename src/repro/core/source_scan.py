@@ -248,7 +248,7 @@ def _infer_access(sl: ScannedLoop, body=None) -> tuple[tuple[str, ...], tuple[st
     # Imported here: repro.analysis builds on repro.core, not the reverse.
     from repro.analysis.dataflow import analyze_body
 
-    access = analyze_body(body)
+    access = analyze_body(body, sl.loop_var)
     if not access.source_available:
         return tuple(pragma_reads), tuple(pragma_writes)
     reads = sorted(access.reads)

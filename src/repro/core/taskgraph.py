@@ -291,8 +291,8 @@ def _window_extent(
         from repro.analysis.infer import analyze_ranges
 
         ranges = analyze_ranges(loop)
-        table = ranges.writes if kind == "write" else ranges.reads
-        window = table.get(name) if ranges.complete else None
+        # every window of an incomplete summary is None
+        window = (ranges.write_windows if kind == "write" else ranges.read_windows).get(name)
         if window is None:
             known = False
             continue

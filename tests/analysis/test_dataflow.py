@@ -9,7 +9,7 @@ def test_direct_subscript_accesses():
     def body(lo, hi, arrays, scalars):
         arrays["C"][lo:hi] = arrays["A"][lo:hi] + 1.0
 
-    access = analyze_body(body)
+    access = analyze_body(body, "i")
     assert access.reads == {"A"}
     assert access.writes == {"C"}
     assert access.complete
@@ -21,7 +21,7 @@ def test_alias_chain_through_numpy_views():
         row = np.asarray(c[lo:hi]).reshape(-1)
         row[:] = 0.0
 
-    access = analyze_body(body)
+    access = analyze_body(body, "i")
     assert access.writes == {"C"}
     assert "C" not in access.reads  # pure alias creation is not a read
     assert access.complete
@@ -31,7 +31,7 @@ def test_augmented_assignment_reads_and_writes():
     def body(lo, hi, arrays, scalars):
         arrays["C"][lo:hi] += arrays["A"][lo:hi]
 
-    access = analyze_body(body)
+    access = analyze_body(body, "i")
     assert access.reads == {"A", "C"}
     assert access.writes == {"C"}
 
@@ -44,7 +44,7 @@ def test_closure_resolved_dynamic_keys():
             arrays[out_name][lo:hi] = arrays[in_name][lo:hi]
         return body
 
-    access = analyze_body(make("A2"))
+    access = analyze_body(make("A2"), "i")
     assert access.reads == {"A2"}
     assert access.writes == {"C2"}
     assert access.complete
@@ -55,7 +55,7 @@ def test_scalar_reads_are_tracked_separately():
         n = int(scalars["N"])
         arrays["C"][lo * n:hi * n] = float(scalars["alpha"])
 
-    access = analyze_body(body)
+    access = analyze_body(body, "i")
     assert access.scalar_reads == {"N", "alpha"}
     assert access.reads == set()
 
@@ -68,7 +68,7 @@ def test_opaque_call_makes_summary_incomplete_but_keeps_read():
         c = arrays["C"]
         helper(c)
 
-    access = analyze_body(body)
+    access = analyze_body(body, "i")
     assert "C" in access.reads  # conservative: the callee sees the buffer
     assert not access.complete
     assert any("opaque call helper()" in reason for reason in access.limits)
@@ -81,7 +81,7 @@ def test_escaping_arrays_mapping_is_a_limit():
     def body(lo, hi, arrays, scalars):
         consume(arrays)
 
-    access = analyze_body(body)
+    access = analyze_body(body, "i")
     assert not access.complete
     assert any("opaquely" in reason for reason in access.limits)
 
@@ -91,7 +91,7 @@ def test_readonly_numpy_calls_stay_complete():
         a = arrays["A"]
         arrays["C"][lo:hi] = np.sqrt(np.abs(a[lo:hi]))
 
-    access = analyze_body(body)
+    access = analyze_body(body, "i")
     assert access.reads == {"A"}
     assert access.writes == {"C"}
     assert access.complete
@@ -102,7 +102,7 @@ def test_np_clip_is_readonly_and_complete():
         a = arrays["A"]
         arrays["C"][lo:hi] = np.clip(a[lo:hi], 0.0, 1.0)
 
-    access = analyze_body(body)
+    access = analyze_body(body, "i")
     assert access.reads == {"A"}
     assert access.writes == {"C"}
     assert access.complete
@@ -113,7 +113,7 @@ def test_np_take_is_readonly_and_complete():
         idx = arrays["I"]
         arrays["C"][lo:hi] = np.take(arrays["A"], idx[lo:hi])
 
-    access = analyze_body(body)
+    access = analyze_body(body, "i")
     assert access.reads == {"A", "I"}
     assert access.writes == {"C"}
     assert access.complete
@@ -124,7 +124,7 @@ def test_clip_and_take_methods_are_readonly():
         a = arrays["A"]
         arrays["C"][lo:hi] = a[lo:hi].clip(0.0, 1.0) + a.take(lo)
 
-    access = analyze_body(body)
+    access = analyze_body(body, "i")
     assert access.reads == {"A"}
     assert access.writes == {"C"}
     assert access.complete
@@ -135,7 +135,7 @@ def test_transpose_method_aliases_the_receiver():
         t = arrays["C"].transpose()
         t[lo:hi] = 0.0
 
-    access = analyze_body(body)
+    access = analyze_body(body, "i")
     assert access.writes == {"C"}
     assert access.complete
 
@@ -145,7 +145,7 @@ def test_np_transpose_aliases_the_first_argument():
         t = np.transpose(arrays["C"])
         t[lo:hi] = 0.0
 
-    access = analyze_body(body)
+    access = analyze_body(body, "i")
     assert access.writes == {"C"}
     assert access.complete
 
@@ -157,7 +157,7 @@ def test_slice_of_slice_aliasing_reaches_the_root():
         seg = row[:n]
         seg[:] = arrays["A"][lo * n:hi * n][:n]
 
-    access = analyze_body(body)
+    access = analyze_body(body, "i")
     assert access.reads == {"A"}
     assert access.writes == {"C"}
     assert access.complete
@@ -168,14 +168,14 @@ def test_out_keyword_records_a_write():
         a = arrays["A"]
         np.clip(a[lo:hi], 0.0, 1.0, out=arrays["C"][lo:hi])
 
-    access = analyze_body(body)
+    access = analyze_body(body, "i")
     assert "A" in access.reads
     assert "C" in access.writes
     assert access.complete
 
 
 def test_unavailable_source_degrades_gracefully():
-    access = analyze_body(len)
+    access = analyze_body(len, "i")
     assert not access.source_available
     assert not access.complete
     assert access.reads == frozenset()
@@ -185,6 +185,6 @@ def test_custom_parameter_names_are_respected():
     def body(lo, hi, bufs, env):
         bufs["C"][lo:hi] = env["N"]
 
-    access = analyze_body(body)
+    access = analyze_body(body, "i")
     assert access.writes == {"C"}
     assert access.scalar_reads == {"N"}

@@ -73,9 +73,9 @@ def test_analyze_ranges_recovers_row_windows():
     ranges = analyze_ranges(loop)
     assert ranges.complete
     env = {"i": 2, "N": 8}
-    lo, hi = ranges.reads["A"]
+    lo, hi = ranges.read_windows["A"]
     assert (lo.eval(env), hi.eval(env)) == (16, 24)
-    lo, hi = ranges.writes["C"]
+    lo, hi = ranges.write_windows["C"]
     assert (lo.eval(env), hi.eval(env)) == (16, 24)
 
 

@@ -1,5 +1,7 @@
 """Cloud-device configuration file parsing."""
 
+import dataclasses
+
 import pytest
 
 from repro.core.config import (
@@ -126,3 +128,12 @@ def test_example_config_roundtrips(tmp_path):
     assert cfg.provider == "ec2"
     assert cfg.n_workers == 16
     cfg.credentials.validated_for("ec2")
+
+
+def test_empty_sections_load_to_the_dataclass_defaults(tmp_path):
+    sections = "[Spark]\n[Storage]\n[AWS]\n[Offload]\n[Resilience]\n[Analysis]\n[Schedule]\n"
+    loaded, default = load_config(_write(tmp_path, sections)), CloudConfig()
+    for f in dataclasses.fields(CloudConfig):
+        if f.name != "credentials":
+            assert getattr(loaded, f.name) == getattr(default, f.name), f.name
+    assert load_config(_write(tmp_path, "")) == loaded
