@@ -20,8 +20,8 @@ Commands:
   chain: nodes, dependence edges, fusion groups and waves, plus any
   fusion rejections (see docs/TASKGRAPH.md);
 * ``bench`` — run paper benchmarks under instrumentation, write
-  ``BENCH_<name>.json`` and optionally fail on milestone regressions
-  (``--compare``; see docs/OBSERVABILITY.md);
+  ``BENCH_<name>.json`` and optionally fail when a payload differs from
+  its committed baseline (``--compare``; see docs/OBSERVABILITY.md);
 * ``chaos`` — seeded fault-injection sweeps with oracle and invariant
   checks (see docs/RESILIENCE.md);
 * ``config <path>`` — write an example cloud_rtl.ini.
@@ -161,7 +161,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="machine-readable plan")
 
     bench = sub.add_parser(
-        "bench", help="instrumented benchmark runs + regression check")
+        "bench", help="instrumented benchmark runs + exact baseline check")
     bench.add_argument("targets", nargs="*",
                        help="benchmark names or 'all' (default: from the "
                             "--compare baseline, else all)")
@@ -176,16 +176,14 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="input nonzero density (1.0 dense, 0.05 sparse)")
     bench.add_argument("--quick", action="store_true",
                        help="test-size runs (what the CI bench job executes)")
-    bench.add_argument("--out", metavar="DIR", default=".",
-                       help="directory for BENCH_<name>.json (default: .)")
+    bench.add_argument("--out", metavar="DIR", default=None,
+                       help="directory for BENCH_<name>.json (default: ., "
+                            "or print only with --json)")
     bench.add_argument("--json", action="store_true",
-                       help="also print each payload to stdout")
+                       help="print each payload to stdout")
     bench.add_argument("--compare", metavar="BASELINE", default=None,
-                       help="BENCH_*.json file or directory of them; exit "
-                            "non-zero when a milestone regresses past the "
-                            "threshold")
-    bench.add_argument("--threshold", type=float, default=0.10,
-                       help="relative regression threshold (default 0.10)")
+                       help="BENCH_*.json file or directory of them; exit 1 "
+                            "when any payload key differs from it")
 
     chaos = sub.add_parser(
         "chaos", help="seeded fault-injection sweeps (see docs/RESILIENCE.md)")
@@ -468,40 +466,27 @@ def _cmd_profile(args) -> int:
     from repro.simtime.timeline import Phase
 
     bus = EventBus(keep_history=True)
-    rt = OffloadRuntime()
     # Manage the instances so the billing ledger has real line items for the
     # dollar attribution (the profiler's whole point).
-    dev = CloudDevice(_dc.replace(demo_config(n_workers=args.workers),
-                                  manage_instances=True),
-                      physical_cores=args.cores)
-    rt.register(dev)
+    config = _dc.replace(demo_config(n_workers=args.workers),
+                         manage_instances=True)
 
     reports = []
     infer_target = None  # (region, scalars) for the inferred-minimal what-if
+    spec = WORKLOADS["3mm" if args.benchmark == "chained_3mm"
+                     else args.benchmark]
+    n = args.size if args.size is not None else (
+        spec.test_size if args.quick else spec.paper_size)
     if args.benchmark == "chained_3mm":
-        from repro.workloads.polybench import mm3_chain_regions
+        from repro.obs.bench import run_mm3_chain
 
-        spec = WORKLOADS["3mm"]
-        n = args.size if args.size is not None else (
-            spec.test_size if args.quick else spec.paper_size)
-        names = ("A", "B", "C", "D", "E", "F", "G")
         with use_bus(bus):
-            with rt.target_data(
-                    device="CLOUD",
-                    map_to={v: n * n for v in ("A", "B", "C", "D")},
-                    map_alloc={"E": n * n, "F": n * n},
-                    densities={v: args.density for v in names},
-                    mode=ExecutionMode.MODELED):
-                for region in mm3_chain_regions("CLOUD"):
-                    reports.append(offload(
-                        region, scalars={"N": n}, runtime=rt,
-                        mode=ExecutionMode.MODELED,
-                        lengths={v: n * n for v in names},
-                        densities={v: args.density for v in names}))
+            dev, reports, _ = run_mm3_chain(n, args.density, config=config,
+                                            physical_cores=args.cores)
     else:
-        spec = WORKLOADS[args.benchmark]
-        n = args.size if args.size is not None else (
-            spec.test_size if args.quick else spec.paper_size)
+        rt = OffloadRuntime()
+        dev = CloudDevice(config, physical_cores=args.cores)
+        rt.register(dev)
         region = spec.build_region("CLOUD")
         scalars = spec.scalars(n)
         densities = {i.name: args.density
@@ -691,14 +676,18 @@ def _cmd_bench(args) -> int:
     # Baselines: one file, or a directory of BENCH_<name>.json.
     baselines: dict[str, dict] = {}
     if args.compare:
+        paths = [args.compare]
         if os.path.isdir(args.compare):
-            for entry in sorted(os.listdir(args.compare)):
-                if entry.startswith("BENCH_") and entry.endswith(".json"):
-                    payload = load_bench(os.path.join(args.compare, entry))
-                    baselines[str(payload["benchmark"])] = payload
-        else:
-            payload = load_bench(args.compare)
-            baselines[str(payload["benchmark"])] = payload
+            paths = [os.path.join(args.compare, entry)
+                     for entry in sorted(os.listdir(args.compare))
+                     if entry.startswith("BENCH_") and entry.endswith(".json")]
+        for path in paths:
+            try:
+                payload = load_bench(path)
+                baselines[str(payload["benchmark"])] = payload
+            except (OSError, ValueError, KeyError) as exc:
+                print(f"cannot read baseline {path}: {exc}", file=sys.stderr)
+                return 2
 
     names: list[str] = []
     for target in args.targets:
@@ -711,31 +700,35 @@ def _cmd_bench(args) -> int:
                   file=sys.stderr)
             return 2
 
-    os.makedirs(args.out, exist_ok=True)
-    regressions = []
+    # --json alone only prints; files land in --out (default: the cwd).
+    out = "." if args.out is None and not args.json else args.out
+    if out is not None:
+        os.makedirs(out, exist_ok=True)
+    changed: list[str] = []
     for name in names:
         payload = run_benchmark(name, cores=args.cores, n_workers=args.workers,
                                 density=args.density, size=args.size,
                                 quick=args.quick)
-        path = write_bench(payload, args.out)
+        dest = f"   -> {write_bench(payload, out)}" if out is not None else ""
         ms = payload["milestones"]
         print(f"{name:10s} full {ms['full_s']:12.3f} s   "
               f"spark {ms['spark_job_s']:12.3f} s   "
-              f"computation {ms['computation_s']:12.3f} s   -> {path}")
+              f"computation {ms['computation_s']:12.3f} s{dest}")
         if args.json:
             print(json.dumps(payload, indent=2, sort_keys=True))
         baseline = baselines.get(name)
         if baseline is not None:
-            found = compare(baseline, payload, threshold=args.threshold)
-            for reg in found:
-                print(f"REGRESSION: {reg.describe()}", file=sys.stderr)
-            regressions.extend(found)
+            found = compare(baseline, payload)
+            for line in found:
+                print(f"CHANGED: {line}", file=sys.stderr)
+            changed.extend(found)
         elif baselines:
             print(f"note: no baseline {bench_filename(name)} to compare "
                   f"against", file=sys.stderr)
-    if regressions:
-        print(f"{len(regressions)} milestone regression(s) above "
-              f"{args.threshold:.0%}", file=sys.stderr)
+    if changed:
+        print(f"{len(changed)} key(s) differ from the baseline; if the change "
+              f"is intended, re-pin by re-running into the baseline "
+              f"directory", file=sys.stderr)
         return 1
     return 0
 

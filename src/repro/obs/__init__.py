@@ -5,9 +5,7 @@ exposition format and bench JSON schema.
 """
 
 from repro.obs.bench import (
-    REGRESSION_MILESTONES,
     SCHEMA,
-    Regression,
     bench_filename,
     compare,
     load_bench,
@@ -72,9 +70,7 @@ __all__ = [
     "MetricsSubscriber",
     "ReportBuilder",
     "SparkLogSink",
-    "REGRESSION_MILESTONES",
     "SCHEMA",
-    "Regression",
     "bench_filename",
     "compare",
     "load_bench",

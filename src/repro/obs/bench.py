@@ -1,4 +1,4 @@
-"""Benchmark harness: instrumented paper runs with a regression check.
+"""Benchmark harness: instrumented paper runs gated by exact equality.
 
 ``repro bench <name>`` runs one paper workload as a modeled offload under a
 history-keeping :class:`~repro.obs.events.EventBus` with a
@@ -16,15 +16,22 @@ history-keeping :class:`~repro.obs.events.EventBus` with a
 
 Modeled offloads are bit-deterministic (simulated clock, no wall-clock
 entropy), so a baseline file can be committed and CI can fail hard on any
-milestone that grows more than ``threshold`` (default 10 %) — see
-:func:`compare`.
+key that differs from it — see :func:`compare`.
+
+Each scenario runner keeps only what is its own: its A/B arms, calibration
+dry run, invariants and informational milestones.  The instrumented bus
+(:func:`_instrumented`), the payload envelope (:func:`_payload`), the
+milestone fold (:func:`_gated` / :func:`_wire`) and the chained-3MM
+``target data`` program (:func:`run_mm3_chain`) are shared.  Imports of
+``repro.core`` / ``repro.metrics`` stay inside the functions: ``repro.obs``
+imports this module eagerly, and the runtime imports ``repro.obs``.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
-from dataclasses import dataclass
 
 from repro.obs.events import EventBus, use_bus
 from repro.obs.metrics_registry import MetricsRegistry
@@ -32,18 +39,149 @@ from repro.obs.subscribers import MetricsSubscriber
 
 SCHEMA = "repro-bench/1"
 
-#: Milestones checked by :func:`compare` — all "lower is better" times.
-REGRESSION_MILESTONES = (
-    "full_s",
-    "spark_job_s",
-    "computation_s",
-    "host_comm_s",
-    "spark_overhead_s",
-)
+#: The keyed sections of a payload, each compared key by key.
+_SECTIONS = ("params", "milestones", "events", "metrics")
 
-#: Absolute slack (simulated seconds) below which a milestone never counts as
-#: regressed — keeps near-zero components from tripping on rounding.
-ABS_SLACK_S = 1e-6
+#: The time milestones every runner reports for its instrumented run.
+_GATED = ("full_s", "spark_job_s", "computation_s", "host_comm_s",
+          "spark_overhead_s", "backoff_s")
+
+
+@contextlib.contextmanager
+def _instrumented(keep_history: bool = True):
+    """Install a fresh bus feeding a fresh registry for the block; yields
+    ``(bus, registry)``."""
+    bus = EventBus(keep_history=keep_history)
+    registry = MetricsRegistry()
+    MetricsSubscriber(registry).attach(bus)
+    with use_bus(bus):
+        yield bus, registry
+
+
+def _payload(name: str, milestones: dict[str, object], bus: EventBus,
+             registry: MetricsRegistry, **params) -> dict[str, object]:
+    """The ``repro-bench/1`` envelope around one runner's results."""
+    return {
+        "schema": SCHEMA,
+        "benchmark": name,
+        "params": {**params, "mode": "modeled"},
+        "milestones": milestones,
+        "events": bus.counts(),
+        "metrics": registry.snapshot(),
+    }
+
+
+def _distinct(reports) -> list:
+    """Members of one fused job share a single report object: keep it once."""
+    return list({id(r): r for r in reports}.values())
+
+
+def _sum(reports, attr: str):
+    """``attr`` summed over the distinct reports."""
+    return sum(getattr(r, attr) for r in _distinct(reports))
+
+
+def _gated(reports, env=None) -> dict[str, object]:
+    """The time milestones of one run: its reports' sums, plus the enter /
+    exit / update time and backoff of its ``DataEnvReport`` if it has one."""
+    ms = {k: _sum(reports, k) for k in _GATED}
+    if env is not None:
+        ms["full_s"] = ms["full_s"] + env.enter_s + env.exit_s + env.update_s
+        ms["host_comm_s"] = ms["host_comm_s"] + env.enter_s + env.exit_s
+        ms["backoff_s"] = ms["backoff_s"] + env.backoff_s
+    return ms
+
+
+def _wire(reports, env=None) -> dict[str, object]:
+    """Host<->storage wire bytes of one run, its environment's included."""
+    return {k: _sum(reports, k) + (getattr(env, k) if env is not None else 0)
+            for k in ("bytes_up_wire", "bytes_down_wire")}
+
+
+def _size(workload: str, size: int | None, quick: bool) -> int:
+    """An explicit ``size`` wins; else the workload's test or paper size."""
+    from repro.workloads.specs import WORKLOADS
+
+    spec = WORKLOADS[workload]
+    if size is not None:
+        return size
+    return spec.test_size if quick else spec.paper_size
+
+
+def _config(n_workers: int, **fields):
+    """The offline demo configuration with ``fields`` replaced."""
+    import dataclasses
+
+    from repro.metrics.figures import demo_config
+
+    return dataclasses.replace(demo_config(n_workers), **fields)
+
+
+def _runtime(config, **device_kw):
+    """A fresh runtime holding one ``CloudDevice(config, **device_kw)``."""
+    from repro.core.plugin_cloud import CloudDevice
+    from repro.core.runtime import OffloadRuntime
+
+    rt = OffloadRuntime()
+    rt.register(CloudDevice(config, **device_kw))
+    return rt
+
+
+def _offload(region, scalars, config, density: float | None = None, *,
+             infer_maps: bool = False, **device_kw):
+    """One modeled offload of ``region`` on a fresh :func:`_runtime`;
+    ``density`` (when given) applies to every mapped array.  Returns
+    ``(device, report)``."""
+    from repro.core.api import offload
+    from repro.core.buffers import ExecutionMode
+
+    rt = _runtime(config, **device_kw)
+    densities = None if density is None else {
+        i.name: density for c in region.maps for i in c.items}
+    report = offload(region, scalars=scalars, runtime=rt,
+                     mode=ExecutionMode.MODELED, densities=densities,
+                     infer_maps=infer_maps)
+    return rt.device("CLOUD"), report
+
+
+def run_mm3_chain(n: int, density: float, *, managed: bool = True,
+                  nowait: bool = False, config=None, **device_kw):
+    """3MM as three chained modeled offloads on a fresh cloud device.
+
+    ``managed`` wraps the chain in one persistent ``target data``
+    environment that maps A..D ``to`` and the intermediates E, F ``alloc``,
+    so later products re-read them in place; ``nowait`` defers the three
+    regions and flushes them with one ``taskwait``, where the planner fuses
+    them (members of a fused job share one report).  ``config`` defaults to
+    the offline demo configuration; ``device_kw`` goes to ``CloudDevice``.
+
+    Returns ``(device, reports, env_report)`` — ``env_report`` is the
+    environment's ``DataEnvReport``, or None when unmanaged.
+    """
+    from repro.core.api import offload
+    from repro.core.buffers import ExecutionMode
+    from repro.workloads.polybench import mm3_chain_regions
+
+    rt = _runtime(config if config is not None else _config(16), **device_kw)
+    names = ("A", "B", "C", "D", "E", "F", "G")
+    lengths = {v: n * n for v in names}
+    densities = {v: density for v in names}
+    env = rt.target_data(
+        device="CLOUD",
+        map_to={v: n * n for v in ("A", "B", "C", "D")},
+        map_alloc={"E": n * n, "F": n * n},
+        densities=densities,
+        mode=ExecutionMode.MODELED) if managed else contextlib.nullcontext()
+    with env as scope:
+        reports = [offload(region, scalars={"N": n}, runtime=rt,
+                           mode=ExecutionMode.MODELED, nowait=nowait,
+                           lengths=lengths, densities=densities)
+                   for region in mm3_chain_regions("CLOUD")]
+        if nowait:
+            # The handles are placeholders; the taskwait flush executes the
+            # fused job and fills every member's (shared) report.
+            reports = rt.taskwait()
+    return rt.device("CLOUD"), reports, scope.report if managed else None
 
 
 def run_benchmark(
@@ -65,52 +203,25 @@ def run_benchmark(
     anything else must be a paper workload.
     """
     from repro.metrics.figures import run_point
-    from repro.workloads.specs import WORKLOADS
 
     extra = EXTRA_BENCHMARKS.get(name)
     if extra is not None:
         return extra(cores=cores, n_workers=n_workers, density=density,
                      size=size, quick=quick)
-    spec = WORKLOADS[name]
-    actual_size = size if size is not None else (
-        spec.test_size if quick else spec.paper_size)
-
-    bus = EventBus(keep_history=True)
-    registry = MetricsRegistry()
-    MetricsSubscriber(registry).attach(bus)
-    with use_bus(bus):
-        point = run_point(name, cores, density=density, size=actual_size,
+    n = _size(name, size, quick)
+    with _instrumented() as (bus, registry):
+        point = run_point(name, cores, density=density, size=n,
                           n_workers=n_workers)
-    rep = point.report
     milestones = {
-        "full_s": rep.full_s,
-        "spark_job_s": rep.spark_job_s,
-        "computation_s": rep.computation_s,
-        "host_comm_s": rep.host_comm_s,
-        "spark_overhead_s": rep.spark_overhead_s,
-        "backoff_s": rep.backoff_s,
+        **_gated([point.report]),
         "sequential_s": point.sequential_s,
         "speedup_full": point.speedup_full,
         "speedup_spark": point.speedup_spark,
         "speedup_computation": point.speedup_computation,
-        "bytes_up_wire": rep.bytes_up_wire,
-        "bytes_down_wire": rep.bytes_down_wire,
+        **_wire([point.report]),
     }
-    return {
-        "schema": SCHEMA,
-        "benchmark": name,
-        "params": {
-            "cores": cores,
-            "workers": n_workers,
-            "density": density,
-            "size": actual_size,
-            "mode": "modeled",
-            "quick": quick,
-        },
-        "milestones": milestones,
-        "events": bus.counts(),
-        "metrics": registry.snapshot(),
-    }
+    return _payload(name, milestones, bus, registry, cores=cores,
+                    workers=n_workers, density=density, size=n, quick=quick)
 
 
 def run_chained_3mm(
@@ -129,87 +240,23 @@ def run_chained_3mm(
     lands in the ``bytes_up_wire_unmanaged`` milestone, making the saving
     visible — and regressable — in one file.
     """
-    from repro.core.api import offload
-    from repro.core.buffers import ExecutionMode
-    from repro.core.plugin_cloud import CloudDevice
-    from repro.core.runtime import OffloadRuntime
-    from repro.metrics.figures import demo_config
-    from repro.workloads.polybench import mm3_chain_regions
-    from repro.workloads.specs import WORKLOADS
-
-    spec = WORKLOADS["3mm"]
-    n = size if size is not None else (spec.test_size if quick else spec.paper_size)
-    names = ("A", "B", "C", "D", "E", "F", "G")
-    lengths = {v: n * n for v in names}
-    densities = {v: density for v in names}
-
-    def chain(managed: bool):
-        rt = OffloadRuntime()
-        rt.register(CloudDevice(demo_config(n_workers), physical_cores=cores))
-        regions = mm3_chain_regions("CLOUD")
-        reports = []
-
-        def run_all():
-            for region in regions:
-                reports.append(offload(
-                    region, scalars={"N": n}, runtime=rt,
-                    mode=ExecutionMode.MODELED,
-                    lengths=lengths, densities=densities))
-
-        if not managed:
-            run_all()
-            return reports, None
-        with rt.target_data(
-                device="CLOUD",
-                map_to={v: n * n for v in ("A", "B", "C", "D")},
-                map_alloc={"E": n * n, "F": n * n},
-                densities=densities,
-                mode=ExecutionMode.MODELED) as env:
-            run_all()
-        return reports, env.report
-
-    bus = EventBus(keep_history=True)
-    registry = MetricsRegistry()
-    MetricsSubscriber(registry).attach(bus)
-    with use_bus(bus):
-        reports, env_report = chain(managed=True)
-    bare_reports, _ = chain(managed=False)
-
+    n = _size("3mm", size, quick)
+    with _instrumented() as (bus, registry):
+        _, reports, env = run_mm3_chain(n, density, config=_config(n_workers),
+                                        physical_cores=cores)
+    _, bare, _ = run_mm3_chain(n, density, managed=False,
+                               config=_config(n_workers), physical_cores=cores)
     milestones = {
-        "full_s": sum(r.full_s for r in reports)
-        + env_report.enter_s + env_report.exit_s + env_report.update_s,
-        "spark_job_s": sum(r.spark_job_s for r in reports),
-        "computation_s": sum(r.computation_s for r in reports),
-        "host_comm_s": sum(r.host_comm_s for r in reports)
-        + env_report.enter_s + env_report.exit_s,
-        "spark_overhead_s": sum(r.spark_overhead_s for r in reports),
-        "backoff_s": sum(r.backoff_s for r in reports) + env_report.backoff_s,
-        "env_enter_s": env_report.enter_s,
-        "env_exit_s": env_report.exit_s,
-        "resident_hits": sum(r.resident_hits for r in reports),
-        "bytes_not_retransferred": sum(r.bytes_not_retransferred
-                                       for r in reports),
-        "bytes_up_wire": sum(r.bytes_up_wire for r in reports)
-        + env_report.bytes_up_wire,
-        "bytes_down_wire": sum(r.bytes_down_wire for r in reports)
-        + env_report.bytes_down_wire,
-        "bytes_up_wire_unmanaged": sum(r.bytes_up_wire for r in bare_reports),
+        **_gated(reports, env),
+        "env_enter_s": env.enter_s,
+        "env_exit_s": env.exit_s,
+        "resident_hits": _sum(reports, "resident_hits"),
+        "bytes_not_retransferred": _sum(reports, "bytes_not_retransferred"),
+        **_wire(reports, env),
+        "bytes_up_wire_unmanaged": _sum(bare, "bytes_up_wire"),
     }
-    return {
-        "schema": SCHEMA,
-        "benchmark": "chained_3mm",
-        "params": {
-            "cores": cores,
-            "workers": n_workers,
-            "density": density,
-            "size": n,
-            "mode": "modeled",
-            "quick": quick,
-        },
-        "milestones": milestones,
-        "events": bus.counts(),
-        "metrics": registry.snapshot(),
-    }
+    return _payload("chained_3mm", milestones, bus, registry, cores=cores,
+                    workers=n_workers, density=density, size=n, quick=quick)
 
 
 def run_ablation_speculation(
@@ -239,32 +286,20 @@ def run_ablation_speculation(
     ``full_s_static_het > full_s_weighted_het`` are stable invariants the
     ablation tests assert.
     """
-    from repro.core.api import offload
-    from repro.core.buffers import ExecutionMode
-    from repro.core.plugin_cloud import CloudDevice
-    from repro.core.runtime import OffloadRuntime
-    from repro.metrics.figures import demo_config
     from repro.simtime.timeline import Phase
-    from repro.spark.faults import NO_FAULTS, FaultPlan
+    from repro.spark.faults import FaultPlan
     from repro.spark.schedule import ScheduleConfig
     from repro.workloads.specs import WORKLOADS
 
     spec = WORKLOADS["matmul"]
     n = size if size is not None else (800 if quick else 2000)
 
-    def run(schedule: ScheduleConfig, fault_plan: FaultPlan | None = None,
-            worker_speeds: tuple[float, ...] = ()):
-        rt = OffloadRuntime()
-        rt.register(CloudDevice(
-            demo_config(n_workers), physical_cores=cores,
-            schedule=schedule,
-            fault_plan=fault_plan if fault_plan is not None else NO_FAULTS,
-            worker_speeds=worker_speeds or None))
-        return offload(spec.build_region("CLOUD"), scalars=spec.scalars(n),
-                       runtime=rt, mode=ExecutionMode.MODELED)
+    def run(schedule: ScheduleConfig, **device_kw):
+        return _offload(spec.build_region("CLOUD"), spec.scalars(n),
+                        _config(n_workers), physical_cores=cores,
+                        schedule=schedule, **device_kw)[1]
 
     static = ScheduleConfig()
-    speculative = ScheduleConfig(speculation=True)
 
     # Calibrate the preemption from a fault-free dry run: kill the worker
     # running the latest-starting compute span, 90% of the way through it.
@@ -275,12 +310,8 @@ def run_ablation_speculation(
     plan = FaultPlan(preempt_at={victim.resource: preempt_t})
 
     nospec = run(static, fault_plan=plan)
-
-    bus = EventBus(keep_history=True)
-    registry = MetricsRegistry()
-    MetricsSubscriber(registry).attach(bus)
-    with use_bus(bus):
-        rescued = run(speculative, fault_plan=plan)
+    with _instrumented() as (bus, registry):
+        rescued = run(ScheduleConfig(speculation=True), fault_plan=plan)
 
     # Heterogeneous cluster: the second executor runs at half speed.
     speeds = (1.0, 0.5)
@@ -289,12 +320,7 @@ def run_ablation_speculation(
 
     milestones = {
         # Gated: the speculative run under preemption is the product here.
-        "full_s": rescued.full_s,
-        "spark_job_s": rescued.spark_job_s,
-        "computation_s": rescued.computation_s,
-        "host_comm_s": rescued.host_comm_s,
-        "spark_overhead_s": rescued.spark_overhead_s,
-        "backoff_s": rescued.backoff_s,
+        **_gated([rescued]),
         # Informational A/B milestones for the ablation assertions.
         "full_s_nospec": nospec.full_s,
         "speculation_saved_s": rescued.speculation_saved_s,
@@ -304,21 +330,9 @@ def run_ablation_speculation(
         "full_s_weighted_het": weighted_het.full_s,
         "preempt_at_s": preempt_t,
     }
-    return {
-        "schema": SCHEMA,
-        "benchmark": "ablation_speculation",
-        "params": {
-            "cores": cores,
-            "workers": n_workers,
-            "density": density,
-            "size": n,
-            "mode": "modeled",
-            "quick": quick,
-        },
-        "milestones": milestones,
-        "events": bus.counts(),
-        "metrics": registry.snapshot(),
-    }
+    return _payload("ablation_speculation", milestones, bus, registry,
+                    cores=cores, workers=n_workers, density=density, size=n,
+                    quick=quick)
 
 
 def run_chaos_recovery(
@@ -351,107 +365,44 @@ def run_chaos_recovery(
     ``cluster_bytes_wire_resume < cluster_bytes_wire_restart`` are stable
     invariants the recovery tests assert.
     """
-    import dataclasses as _dc
-
-    from repro.core.api import offload
-    from repro.core.buffers import ExecutionMode
-    from repro.core.plugin_cloud import CloudDevice
-    from repro.core.runtime import OffloadRuntime
-    from repro.metrics.figures import demo_config
     from repro.spark.faults import NO_FAULTS, FaultPlan
-    from repro.workloads.polybench import mm3_chain_regions
-    from repro.workloads.specs import WORKLOADS
 
-    spec = WORKLOADS["3mm"]
-    n = size if size is not None else (spec.test_size if quick else spec.paper_size)
-    names = ("A", "B", "C", "D", "E", "F", "G")
-    lengths = {v: n * n for v in names}
-    densities = {v: density for v in names}
+    n = _size("3mm", size, quick)
 
-    def chain(recovery: str, fault_plan: FaultPlan):
-        rt = OffloadRuntime()
-        rt.register(CloudDevice(
-            _dc.replace(demo_config(n_workers), recovery=recovery),
-            physical_cores=cores, fault_plan=fault_plan))
-        reports = []
-        with rt.target_data(
-                device="CLOUD",
-                map_to={v: n * n for v in ("A", "B", "C", "D")},
-                map_alloc={"E": n * n, "F": n * n},
-                densities=densities,
-                mode=ExecutionMode.MODELED) as env:
-            for region in mm3_chain_regions("CLOUD"):
-                reports.append(offload(
-                    region, scalars={"N": n}, runtime=rt,
-                    mode=ExecutionMode.MODELED,
-                    lengths=lengths, densities=densities))
-        return rt.device("CLOUD"), reports, env.report
+    def chain(recovery: str, fault_plan: FaultPlan = NO_FAULTS):
+        return run_mm3_chain(n, density,
+                             config=_config(n_workers, recovery=recovery),
+                             physical_cores=cores, fault_plan=fault_plan)
 
     # Calibrate: a fault-free dry run journals every tile commit; kill the
     # driver at the median, i.e. at ~50 % tile completion across the chain.
-    dry_dev, _, _ = chain("resume", NO_FAULTS)
+    dry_dev, _, _ = chain("resume")
     ends = sorted(r.payload["end"] for r in dry_dev.journal.records("tile_done"))
     death_at = ends[len(ends) // 2]
     plan = FaultPlan(driver_dies_at=death_at)
 
-    _, healthy, healthy_env = chain("none", NO_FAULTS)
+    _, healthy, healthy_env = chain("none")
     _, restarted, restart_env = chain("restart", plan)
-
-    bus = EventBus(keep_history=True)
-    registry = MetricsRegistry()
-    MetricsSubscriber(registry).attach(bus)
-    with use_bus(bus):
+    with _instrumented() as (bus, registry):
         _, resumed, resume_env = chain("resume", plan)
-
-    def total(reports, env_report, attr):
-        return sum(getattr(r, attr) for r in reports) + getattr(
-            env_report, attr, 0)
-
-    def full(reports, env_report):
-        return (sum(r.full_s for r in reports) + env_report.enter_s
-                + env_report.exit_s + env_report.update_s)
 
     milestones = {
         # Gated: the resumed chain under a driver death is the product here.
-        "full_s": full(resumed, resume_env),
-        "spark_job_s": sum(r.spark_job_s for r in resumed),
-        "computation_s": sum(r.computation_s for r in resumed),
-        "host_comm_s": sum(r.host_comm_s for r in resumed)
-        + resume_env.enter_s + resume_env.exit_s,
-        "spark_overhead_s": sum(r.spark_overhead_s for r in resumed),
-        "backoff_s": sum(r.backoff_s for r in resumed) + resume_env.backoff_s,
+        **_gated(resumed, resume_env),
         # Informational A/B milestones for the recovery assertions.
         "death_at_s": death_at,
-        "full_s_healthy": full(healthy, healthy_env),
-        "full_s_restart": full(restarted, restart_env),
-        "tiles_checkpointed": sum(r.tiles_checkpointed for r in resumed),
-        "tiles_skipped": sum(r.tiles_skipped for r in resumed),
-        "tasks_run_restart": sum(r.tasks_run for r in restarted),
-        "tasks_run_resume": sum(r.tasks_run for r in resumed),
-        "cluster_bytes_wire_restart": total(restarted, restart_env,
-                                            "cluster_bytes_wire"),
-        "cluster_bytes_wire_resume": total(resumed, resume_env,
-                                           "cluster_bytes_wire"),
-        "bytes_up_wire": sum(r.bytes_up_wire for r in resumed)
-        + resume_env.bytes_up_wire,
-        "bytes_down_wire": sum(r.bytes_down_wire for r in resumed)
-        + resume_env.bytes_down_wire,
+        "full_s_healthy": _gated(healthy, healthy_env)["full_s"],
+        "full_s_restart": _gated(restarted, restart_env)["full_s"],
+        "tiles_checkpointed": _sum(resumed, "tiles_checkpointed"),
+        "tiles_skipped": _sum(resumed, "tiles_skipped"),
+        "tasks_run_restart": _sum(restarted, "tasks_run"),
+        "tasks_run_resume": _sum(resumed, "tasks_run"),
+        "cluster_bytes_wire_restart": _sum(restarted, "cluster_bytes_wire"),
+        "cluster_bytes_wire_resume": _sum(resumed, "cluster_bytes_wire"),
+        **_wire(resumed, resume_env),
     }
-    return {
-        "schema": SCHEMA,
-        "benchmark": "chaos_recovery",
-        "params": {
-            "cores": cores,
-            "workers": n_workers,
-            "density": density,
-            "size": n,
-            "mode": "modeled",
-            "quick": quick,
-        },
-        "milestones": milestones,
-        "events": bus.counts(),
-        "metrics": registry.snapshot(),
-    }
+    return _payload("chaos_recovery", milestones, bus, registry, cores=cores,
+                    workers=n_workers, density=density, size=n, quick=quick)
 
 
 def run_inference_wire_bytes(
@@ -477,76 +428,34 @@ def run_inference_wire_bytes(
     payload too.
     """
     from repro.analysis.infer import infer_region, naive_tofrom_region
-    from repro.core.api import offload
-    from repro.core.buffers import ExecutionMode
-    from repro.core.plugin_cloud import CloudDevice
-    from repro.core.runtime import OffloadRuntime
-    from repro.metrics.figures import demo_config
     from repro.workloads.specs import WORKLOADS
 
-    names = ("gemm", "covar", "3mm")
-
     def run(region, scalars, infer_maps: bool = False):
-        rt = OffloadRuntime()
-        rt.register(CloudDevice(demo_config(n_workers), physical_cores=cores))
-        mapped = {i.name for c in region.maps for i in c.items}
-        return offload(region, scalars=scalars, runtime=rt,
-                       densities={v: density for v in mapped},
-                       mode=ExecutionMode.MODELED, infer_maps=infer_maps)
+        return _offload(region, scalars, _config(n_workers), density,
+                        infer_maps=infer_maps, physical_cores=cores)[1]
 
     milestones: dict[str, object] = {}
-    gemm_naive = None
-    gemm_scalars: dict[str, float] = {}
-    for w in names:
+    for w in ("gemm", "covar", "3mm"):
         spec = WORKLOADS[w]
-        n = size if size is not None else (
-            spec.test_size if quick else spec.paper_size)
-        scalars = spec.scalars(n)
+        scalars = spec.scalars(_size(w, size, quick))
         naive = naive_tofrom_region(spec.build_region("CLOUD"))
         rep = infer_region(naive, scalars)
         if rep.degraded:
             raise RuntimeError(
                 f"{w}: inference degraded ({'; '.join(rep.reasons)})")
-        naive_report = run(naive, scalars)
-        inferred_report = run(rep.region, scalars)
-        milestones[f"wire_naive_{w}"] = (
-            naive_report.bytes_up_wire + naive_report.bytes_down_wire)
-        milestones[f"wire_inferred_{w}"] = (
-            inferred_report.bytes_up_wire + inferred_report.bytes_down_wire)
+        for arm, region in (("naive", naive), ("inferred", rep.region)):
+            report = run(region, scalars)
+            milestones[f"wire_{arm}_{w}"] = (
+                report.bytes_up_wire + report.bytes_down_wire)
         if w == "gemm":
             gemm_naive, gemm_scalars = naive, scalars
 
-    bus = EventBus(keep_history=True)
-    registry = MetricsRegistry()
-    MetricsSubscriber(registry).attach(bus)
-    with use_bus(bus):
+    with _instrumented() as (bus, registry):
         gated = run(gemm_naive, gemm_scalars, infer_maps=True)
-
-    milestones.update({
-        "full_s": gated.full_s,
-        "spark_job_s": gated.spark_job_s,
-        "computation_s": gated.computation_s,
-        "host_comm_s": gated.host_comm_s,
-        "spark_overhead_s": gated.spark_overhead_s,
-        "backoff_s": gated.backoff_s,
-        "bytes_up_wire": gated.bytes_up_wire,
-        "bytes_down_wire": gated.bytes_down_wire,
-    })
-    return {
-        "schema": SCHEMA,
-        "benchmark": "inference_wire_bytes",
-        "params": {
-            "cores": cores,
-            "workers": n_workers,
-            "density": density,
-            "size": size,
-            "mode": "modeled",
-            "quick": quick,
-        },
-        "milestones": milestones,
-        "events": bus.counts(),
-        "metrics": registry.snapshot(),
-    }
+    milestones.update(_gated([gated]), **_wire([gated]))
+    return _payload("inference_wire_bytes", milestones, bus, registry,
+                    cores=cores, workers=n_workers, density=density,
+                    size=size, quick=quick)
 
 
 def run_profile_attribution(
@@ -577,15 +486,7 @@ def run_profile_attribution(
     * at least 95 % of billed dollars and of the report's wire bytes land
       on named phases.
     """
-    import dataclasses as _dc
-
-    from repro.core.api import offload
-    from repro.core.buffers import ExecutionMode
-    from repro.core.plugin_cloud import CloudDevice
-    from repro.core.runtime import OffloadRuntime
-    from repro.metrics.figures import demo_config
     from repro.obs.profile import profile_offloads
-    from repro.workloads.polybench import mm3_chain_regions
     from repro.workloads.specs import WORKLOADS
 
     def check(cond: bool, msg: str) -> None:
@@ -604,20 +505,11 @@ def run_profile_attribution(
 
     # ------------------------------------------------ gemm with real billing
     spec = WORKLOADS["gemm"]
-    n = size if size is not None else (
-        spec.test_size if quick else spec.paper_size)
-    bus = EventBus(keep_history=True)
-    registry = MetricsRegistry()
-    MetricsSubscriber(registry).attach(bus)
-    rt = OffloadRuntime()
-    dev = CloudDevice(_dc.replace(demo_config(n_workers),
-                                  manage_instances=True),
-                      physical_cores=cores)
-    rt.register(dev)
-    with use_bus(bus):
-        gemm = offload(spec.build_region("CLOUD"), scalars=spec.scalars(n),
-                       runtime=rt, mode=ExecutionMode.MODELED,
-                       densities={v: density for v in ("A", "B", "C")})
+    n = _size("gemm", size, quick)
+    with _instrumented() as (bus, registry):
+        dev, gemm = _offload(spec.build_region("CLOUD"), spec.scalars(n),
+                             _config(n_workers, manage_instances=True),
+                             density, physical_cores=cores)
     prof = profile_offloads(bus, [gemm], ledger=dev.billing_ledger)[0]
 
     check_exact(prof)
@@ -643,27 +535,10 @@ def run_profile_attribution(
           f"only {attributed} of {wire} wire bytes attributed")
 
     # ------------------------------------------------------- chained 3MM env
-    spec3 = WORKLOADS["3mm"]
-    n3 = size if size is not None else (
-        spec3.test_size if quick else spec3.paper_size)
-    names = ("A", "B", "C", "D", "E", "F", "G")
-    bus3 = EventBus(keep_history=True)
-    rt3 = OffloadRuntime()
-    rt3.register(CloudDevice(demo_config(n_workers), physical_cores=cores))
-    reports: list = []
-    with use_bus(bus3):
-        with rt3.target_data(
-                device="CLOUD",
-                map_to={v: n3 * n3 for v in ("A", "B", "C", "D")},
-                map_alloc={"E": n3 * n3, "F": n3 * n3},
-                densities={v: density for v in names},
-                mode=ExecutionMode.MODELED):
-            for region in mm3_chain_regions("CLOUD"):
-                reports.append(offload(
-                    region, scalars={"N": n3}, runtime=rt3,
-                    mode=ExecutionMode.MODELED,
-                    lengths={v: n3 * n3 for v in names},
-                    densities={v: density for v in names}))
+    with _instrumented() as (bus3, _):
+        _, reports, _ = run_mm3_chain(_size("3mm", size, quick), density,
+                                      config=_config(n_workers),
+                                      physical_cores=cores)
     chain_profiles = profile_offloads(bus3, reports)
     check(len(chain_profiles) == 3, "expected three chained profiles")
     for cp in chain_profiles:
@@ -673,12 +548,7 @@ def run_profile_attribution(
 
     milestones = {
         # Gated: the instrumented managed gemm offload.
-        "full_s": gemm.full_s,
-        "spark_job_s": gemm.spark_job_s,
-        "computation_s": gemm.computation_s,
-        "host_comm_s": gemm.host_comm_s,
-        "spark_overhead_s": gemm.spark_overhead_s,
-        "backoff_s": gemm.backoff_s,
+        **_gated([gemm]),
         # Informational: the profiler's own outputs, visible in the diff
         # whenever attribution shifts.
         "critical_path_s": prof.critical_s,
@@ -692,21 +562,9 @@ def run_profile_attribution(
         **{f"what_if_{w.name}_saved_s": w.saved_s
            for w in prof.what_if_scenarios()},
     }
-    return {
-        "schema": SCHEMA,
-        "benchmark": "profile_attribution",
-        "params": {
-            "cores": cores,
-            "workers": n_workers,
-            "density": density,
-            "size": n,
-            "mode": "modeled",
-            "quick": quick,
-        },
-        "milestones": milestones,
-        "events": bus.counts(),
-        "metrics": registry.snapshot(),
-    }
+    return _payload("profile_attribution", milestones, bus, registry,
+                    cores=cores, workers=n_workers, density=density, size=n,
+                    quick=quick)
 
 
 def run_fusion_wire_bytes(
@@ -742,131 +600,60 @@ def run_fusion_wire_bytes(
     * all three regions actually fused into one job with both
       intermediates elided.
     """
-    from repro.core.api import offload
-    from repro.core.buffers import ExecutionMode
-    from repro.core.plugin_cloud import CloudDevice
-    from repro.core.runtime import OffloadRuntime
-    from repro.metrics.figures import demo_config
-    from repro.workloads.polybench import mm3_chain_regions
-    from repro.workloads.specs import WORKLOADS
-
     def check(cond: bool, msg: str) -> None:
         if not cond:
             raise RuntimeError(f"fusion_wire_bytes: {msg}")
 
-    spec = WORKLOADS["3mm"]
-    n = size if size is not None else (spec.test_size if quick else spec.paper_size)
-    names = ("A", "B", "C", "D", "E", "F", "G")
-    lengths = {v: n * n for v in names}
-    densities = {v: density for v in names}
+    n = _size("3mm", size, quick)
 
-    def chain(managed: bool, fused: bool):
-        rt = OffloadRuntime()
-        rt.register(CloudDevice(demo_config(n_workers), physical_cores=cores))
-        regions = mm3_chain_regions("CLOUD")
-        reports: list = []
-
-        def run_all():
-            for region in regions:
-                reports.append(offload(
-                    region, scalars={"N": n}, runtime=rt,
-                    mode=ExecutionMode.MODELED, nowait=fused,
-                    lengths=lengths, densities=densities))
-            if fused:
-                # The handles are placeholders; the taskwait flush executes
-                # the fused job and fills every member's (shared) report.
-                reports[:] = rt.taskwait()
-
-        if not managed:
-            run_all()
-            return reports, None
-        with rt.target_data(
-                device="CLOUD",
-                map_to={v: n * n for v in ("A", "B", "C", "D")},
-                map_alloc={"E": n * n, "F": n * n},
-                densities=densities,
-                mode=ExecutionMode.MODELED) as env:
-            run_all()
-        return reports, env.report
-
-    unmanaged_reports, _ = chain(managed=False, fused=False)
-    managed_reports, managed_env = chain(managed=True, fused=False)
-
-    bus = EventBus(keep_history=True)
-    registry = MetricsRegistry()
-    MetricsSubscriber(registry).attach(bus)
-    with use_bus(bus):
-        fused_reports, fused_env = chain(managed=True, fused=True)
-
-    def unique(reports):
-        # Members of one fused job share a single report object.
-        return list({id(r): r for r in reports}.values())
-
-    def full(reports, env_report):
-        out = sum(r.full_s for r in unique(reports))
-        if env_report is not None:
-            out += env_report.enter_s + env_report.exit_s + env_report.update_s
-        return out
+    def chain(**kw):
+        _, reports, env = run_mm3_chain(n, density, config=_config(n_workers),
+                                        physical_cores=cores, **kw)
+        return reports, env
 
     def cluster_wire(reports):
-        return sum(r.cluster_bytes_wire + r.storage_bytes_wire
-                   for r in unique(reports))
+        return (_sum(reports, "cluster_bytes_wire")
+                + _sum(reports, "storage_bytes_wire"))
 
-    fused_unique = unique(fused_reports)
-    check(len(fused_unique) == 1, f"expected one fused job report, got "
-                                  f"{len(fused_unique)}")
+    unmanaged, _ = chain(managed=False)
+    managed, managed_env = chain()
+    with _instrumented() as (bus, registry):
+        fused, fused_env = chain(nowait=True)
+
+    fused_unique = _distinct(fused)
+    check(len(fused_unique) == 1,
+          f"expected one fused job report, got {len(fused_unique)}")
     fused_rep = fused_unique[0]
     check(fused_rep.fused_regions == 3,
           f"expected all 3 regions fused, got {fused_rep.fused_regions} "
           f"(rejected: {fused_rep.fusion_rejected})")
-    wire_fused = cluster_wire(fused_reports)
-    wire_managed = cluster_wire(managed_reports)
-    wire_unmanaged = cluster_wire(unmanaged_reports)
+    wire_fused = cluster_wire(fused)
+    wire_managed = cluster_wire(managed)
     check(wire_fused < wire_managed,
           f"fused chain moved {wire_fused} cluster wire bytes, managed "
           f"moved {wire_managed}")
-    full_fused = full(fused_reports, fused_env)
-    full_managed = full(managed_reports, managed_env)
-    check(full_fused < full_managed,
-          f"fused chain took {full_fused}s, managed took {full_managed}s")
+    gated = _gated(fused, fused_env)
+    full_managed = _gated(managed, managed_env)["full_s"]
+    check(gated["full_s"] < full_managed,
+          f"fused chain took {gated['full_s']}s, managed took "
+          f"{full_managed}s")
 
     milestones = {
         # Gated: the fused chain is the product here.
-        "full_s": full_fused,
-        "spark_job_s": fused_rep.spark_job_s,
-        "computation_s": fused_rep.computation_s,
-        "host_comm_s": fused_rep.host_comm_s
-        + fused_env.enter_s + fused_env.exit_s,
-        "spark_overhead_s": fused_rep.spark_overhead_s,
-        "backoff_s": fused_rep.backoff_s + fused_env.backoff_s,
+        **gated,
         # Informational A/B/C milestones for the fusion assertions.
         "full_s_managed": full_managed,
-        "full_s_unmanaged": full(unmanaged_reports, None),
+        "full_s_unmanaged": _gated(unmanaged)["full_s"],
         "cluster_storage_wire_fused": wire_fused,
         "cluster_storage_wire_managed": wire_managed,
-        "cluster_storage_wire_unmanaged": wire_unmanaged,
+        "cluster_storage_wire_unmanaged": cluster_wire(unmanaged),
         "fused_regions": fused_rep.fused_regions,
         "fusion_wire_bytes_saved": fused_rep.fusion_wire_bytes_saved,
-        "bytes_up_wire": sum(r.bytes_up_wire for r in fused_unique)
-        + fused_env.bytes_up_wire,
-        "bytes_down_wire": sum(r.bytes_down_wire for r in fused_unique)
-        + fused_env.bytes_down_wire,
+        **_wire(fused, fused_env),
     }
-    return {
-        "schema": SCHEMA,
-        "benchmark": "fusion_wire_bytes",
-        "params": {
-            "cores": cores,
-            "workers": n_workers,
-            "density": density,
-            "size": n,
-            "mode": "modeled",
-            "quick": quick,
-        },
-        "milestones": milestones,
-        "events": bus.counts(),
-        "metrics": registry.snapshot(),
-    }
+    return _payload("fusion_wire_bytes", milestones, bus, registry,
+                    cores=cores, workers=n_workers, density=density, size=n,
+                    quick=quick)
 
 
 #: Scaling-grid points: (workers, tasks, wall_budget_s).  The budget is a
@@ -921,9 +708,6 @@ def run_scaling(
 
     from repro.core.api import ParallelLoop, TargetRegion, offload
     from repro.core.buffers import ExecutionMode
-    from repro.core.plugin_cloud import CloudDevice
-    from repro.core.runtime import OffloadRuntime
-    from repro.metrics.figures import demo_config
     from repro.perfmodel.calibration import DEFAULT_CALIBRATION
     from repro.simtime import coarse_timelines
 
@@ -950,69 +734,43 @@ def run_scaling(
         )
 
     cal = dataclasses.replace(DEFAULT_CALIBRATION, straggler_sigma=0.0)
-    bus = EventBus(keep_history=False)
-    registry = MetricsRegistry()
-    MetricsSubscriber(registry).attach(bus)
-
     points = []
-    for workers, tasks, budget in grid:
-        rt = OffloadRuntime()
-        rt.register(CloudDevice(demo_config(workers),
-                                physical_cores=workers * 8,
-                                calibration=cal))
-        # Every point runs with the bus attached, inside its wall budget:
-        # the metrics of all points accumulate in the payload's registry
-        # snapshot.  (The payload's "events" stay empty — this bus keeps no
-        # history, so there is nothing for ``bus.counts()`` to count.)
-        t0 = perf_counter()
-        with use_bus(bus), coarse_timelines():
-            rep = offload(region_for(), scalars={"N": tasks, "R": 4},
-                          runtime=rt, mode=ExecutionMode.MODELED,
-                          densities={"A": density, "C": density})
-        wall = perf_counter() - t0
-        if rep.tasks_run != tasks:
-            raise RuntimeError(
-                f"scaling: {workers}x{tasks}: expected {tasks} tasks, "
-                f"scheduler ran {rep.tasks_run}")
-        if wall > budget * wall_scale:
-            raise RuntimeError(
-                f"scaling: {workers} workers x {tasks} tasks took "
-                f"{wall:.1f} s of wall time, budget {budget * wall_scale:.1f} s "
-                f"— the simulation core has a complexity regression")
-        points.append((workers, tasks, rep))
+    # Every point runs with the bus attached, inside its wall budget: the
+    # metrics of all points accumulate in the payload's registry snapshot.
+    # (The payload's "events" stay empty — this bus keeps no history, so
+    # there is nothing for ``bus.counts()`` to count.)
+    with _instrumented(keep_history=False) as (bus, registry):
+        for workers, tasks, budget in grid:
+            rt = _runtime(_config(workers), physical_cores=workers * 8,
+                          calibration=cal)
+            t0 = perf_counter()
+            with coarse_timelines():
+                rep = offload(region_for(), scalars={"N": tasks, "R": 4},
+                              runtime=rt, mode=ExecutionMode.MODELED,
+                              densities={"A": density, "C": density})
+            wall = perf_counter() - t0
+            if rep.tasks_run != tasks:
+                raise RuntimeError(
+                    f"scaling: {workers}x{tasks}: expected {tasks} tasks, "
+                    f"scheduler ran {rep.tasks_run}")
+            if wall > budget * wall_scale:
+                raise RuntimeError(
+                    f"scaling: {workers} workers x {tasks} tasks took "
+                    f"{wall:.1f} s of wall time, budget "
+                    f"{budget * wall_scale:.1f} s — the simulation core has "
+                    f"a complexity regression")
+            points.append((workers, tasks, rep))
 
     # The largest grid point provides the gated simulated milestones.
     workers, tasks, rep = points[-1]
-    milestones: dict[str, object] = {
-        "full_s": rep.full_s,
-        "spark_job_s": rep.spark_job_s,
-        "computation_s": rep.computation_s,
-        "host_comm_s": rep.host_comm_s,
-        "spark_overhead_s": rep.spark_overhead_s,
-        "backoff_s": rep.backoff_s,
-        "bytes_up_wire": rep.bytes_up_wire,
-        "bytes_down_wire": rep.bytes_down_wire,
-    }
+    milestones = {**_gated([rep]), **_wire([rep])}
     for w, t, r in points:
         milestones[f"full_s_{w}w_{t}t"] = r.full_s
         milestones[f"overhead_per_task_us_{w}w_{t}t"] = (
             r.spark_overhead_s / t * 1e6)
-    return {
-        "schema": SCHEMA,
-        "benchmark": "scaling",
-        "params": {
-            "cores": workers * 8,
-            "workers": workers,
-            "density": density,
-            "size": tasks,
-            "grid": [[w, t] for w, t, _ in grid],
-            "mode": "modeled",
-            "quick": quick,
-        },
-        "milestones": milestones,
-        "events": bus.counts(),
-        "metrics": registry.snapshot(),
-    }
+    return _payload("scaling", milestones, bus, registry, cores=workers * 8,
+                    workers=workers, density=density, size=tasks,
+                    grid=[[w, t] for w, t, _ in grid], quick=quick)
 
 
 #: Multi-offload bench scenarios outside the single-region WORKLOADS registry.
@@ -1043,57 +801,42 @@ def write_bench(payload: dict[str, object], out_dir: str = ".") -> str:
 def load_bench(path: str) -> dict[str, object]:
     with open(path) as fh:
         payload = json.load(fh)
-    if payload.get("schema") != SCHEMA:
-        raise ValueError(
-            f"{path}: schema {payload.get('schema')!r}, expected {SCHEMA!r}")
+    schema = payload.get("schema") if isinstance(payload, dict) else None
+    if schema != SCHEMA:
+        raise ValueError(f"{path}: schema {schema!r}, expected {SCHEMA!r}")
+    bad = [s for s in _SECTIONS if not isinstance(payload.get(s, {}), dict)]
+    if bad:
+        raise ValueError(f"{path}: {', '.join(bad)} must be JSON objects")
     return payload
 
 
-@dataclass(frozen=True)
-class Regression:
-    """One milestone that grew past the threshold vs the baseline."""
+def compare(baseline: dict[str, object],
+            current: dict[str, object]) -> list[str]:
+    """Every key on which ``current`` differs from ``baseline``.
 
-    benchmark: str
-    milestone: str
-    baseline: float
-    current: float
-
-    @property
-    def ratio(self) -> float:
-        return self.current / self.baseline if self.baseline else float("inf")
-
-    def describe(self) -> str:
-        return (f"{self.benchmark}: {self.milestone} regressed "
-                f"{self.baseline:.6g} -> {self.current:.6g} "
-                f"({(self.ratio - 1.0) * 100.0:+.1f}%)")
-
-
-def compare(
-    baseline: dict[str, object],
-    current: dict[str, object],
-    threshold: float = 0.10,
-) -> list[Regression]:
-    """Milestones in ``current`` more than ``threshold`` above ``baseline``.
-
-    Only the time milestones in :data:`REGRESSION_MILESTONES` gate —
-    speedups and byte counts are informational.  An empty list means no
-    regression.  Comparing different benchmarks is a usage error.
+    Modeled runs are bit-deterministic, so nothing is tolerated: each
+    ``params`` / ``milestones`` / ``events`` key whose value differs (or is
+    present on one side only) yields one line naming it, and so does each
+    metric family whose snapshot differs.  Values compare by their JSON
+    serialization, i.e. exactly what ``cmp`` on two written files sees.  An
+    empty list means identical.  Comparing different benchmarks is a usage
+    error.
     """
-    b_name = baseline.get("benchmark")
-    c_name = current.get("benchmark")
-    if b_name != c_name:
-        raise ValueError(f"benchmark mismatch: baseline {b_name!r} vs "
-                         f"current {c_name!r}")
-    base_ms = baseline.get("milestones", {})
-    cur_ms = current.get("milestones", {})
-    assert isinstance(base_ms, dict) and isinstance(cur_ms, dict)
-    out: list[Regression] = []
-    for key in REGRESSION_MILESTONES:
-        if key not in base_ms or key not in cur_ms:
-            continue
-        b = float(base_ms[key])
-        c = float(cur_ms[key])
-        if c > b * (1.0 + threshold) and c - b > ABS_SLACK_S:
-            out.append(Regression(benchmark=str(c_name), milestone=key,
-                                  baseline=b, current=c))
+    name = current.get("benchmark")
+    if baseline.get("benchmark") != name:
+        raise ValueError(f"benchmark mismatch: baseline "
+                         f"{baseline.get('benchmark')!r} vs current {name!r}")
+
+    def canon(value) -> str:
+        return json.dumps(value, sort_keys=True)
+
+    out: list[str] = []
+    for section in _SECTIONS:
+        old, new = baseline.get(section, {}), current.get(section, {})
+        for key in sorted(old.keys() | new.keys()):
+            was = canon(old[key]) if key in old else "absent"
+            now = canon(new[key]) if key in new else "absent"
+            if was != now:
+                out.append(f"{name}: {section}.{key} " + (
+                    "differs" if section == "metrics" else f"{was} -> {now}"))
     return out
