@@ -31,7 +31,7 @@ import numpy as np
 from repro.core.api import ParallelLoop, TargetRegion
 from repro.core.buffers import Buffer, ExecutionMode, OffsetArray
 from repro.core.omp_ast import REDUCTION_OPS, MapType
-from repro.core.partition import partition_for_tile, partition_windows
+from repro.core.partition import partition_windows
 from repro.core.tiling import (Tile, drop_empty_tiles, tile_by_chunk,
                                tile_iterations, tile_weighted, untiled)
 from repro.core.transfer import StagingCodec
@@ -421,7 +421,7 @@ class SparkJobGenerator:
         if live:
             elements = self._elements_for(live, tiling)
             rdd = self.sc.parallelize(elements, num_slices=len(live))
-            map_fn = self._make_map_fn(loop, partitioned_reads, handles)
+            map_fn = self._make_map_fn(loop, handles)
             mapped = rdd.map(map_fn)
 
             self.sc.cluster.reset_pools()
@@ -589,51 +589,52 @@ class SparkJobGenerator:
 
     # ------------------------------------------------------------- elements
     def _elements_for(self, tiles: list[Tile], tiling: _LoopTiling) -> Sequence[Any]:
-        """RDD elements for every live tile: ``(index, lo, hi, {name:
-        (window offset, window data)})``, the data copied out of the driver
-        arrays.  Modeled jobs never read an element (no closure runs, no
-        size is measured), so theirs collapse to ``range(n)``."""
+        """RDD elements for every live tile: ``(index, lo, hi, {name: (read
+        offset, read window copied from the driver)}, {name: (write lo,
+        write hi)})``, windows from ``tiling``.  Modeled jobs never read an
+        element (no closure runs), so theirs collapse to ``range(n)``."""
         if self.mode != ExecutionMode.FUNCTIONAL:
             return range(len(tiles))
-        bounds = [
+        reads = [
             (nm, self._driver_arrays[nm], *(w.tolist() for w in tiling.windows[nm]))
             for nm in tiling.partitioned_reads]
+        writes = [(nm, *(w.tolist() for w in tiling.windows[nm]))
+                  for nm in tiling.partitioned_writes]
         return [
             (t.index, t.lo, t.hi,
              {nm: (wlo[j], arr[wlo[j]:whi[j]].copy())
-              for nm, arr, wlo, whi in bounds})
+              for nm, arr, wlo, whi in reads},
+             {nm: (wlo[j], whi[j]) for nm, wlo, whi in writes})
             for j, t in enumerate(tiles)
         ]
 
-    def _make_map_fn(self, loop: ParallelLoop, partitioned_reads: list[str], handles):
+    def _make_map_fn(self, loop: ParallelLoop, handles):
         """The worker-side mapping function (Eq. 5): run the tile body over
         windows + broadcasts, return the partial outputs (Eq. 6)."""
         region = self.region
         scalars = self.scalars
         reductions = loop.reduction_vars
         buffer_info = self._buffer_info
-        partitioned_set = set(partitioned_reads)
 
         def map_fn(elem):
-            idx, lo, hi, windows = elem
+            idx, lo, hi, read_windows, write_windows = elem
             arrays: dict[str, Any] = {}
             outs: dict[str, tuple] = {}
             for nm in loop.reads:
-                if nm in partitioned_set:
-                    off, data = windows[nm]
+                if nm in read_windows:
+                    off, data = read_windows[nm]
                     arrays[nm] = OffsetArray(data, off)
                 else:
                     arrays[nm] = handles[nm].value
             for nm in loop.writes:
-                spec = loop.partitions.get(nm)
                 if nm in reductions:
                     identity, _ = REDUCTION_OPS[reductions[nm]]
                     buf = np.full(buffer_info[nm].length, identity,
                                   dtype=buffer_info[nm].dtype)
                     arrays[nm] = buf
                     outs[nm] = ("red", 0, buf)
-                elif spec is not None and spec.is_partitioned:
-                    p_lo, p_hi = partition_for_tile(spec, Tile(idx, lo, hi), scalars)
+                elif nm in write_windows:
+                    p_lo, p_hi = write_windows[nm]
                     if nm in arrays:  # tofrom window doubles as the output
                         view = arrays[nm]
                         outs[nm] = ("part", p_lo, view.local)

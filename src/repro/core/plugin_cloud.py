@@ -126,7 +126,6 @@ class CloudDevice(Device):
         self.sc = SparkContext(
             cluster=self.cluster,
             scheduler_costs=SchedulerCosts(task_launch_s=calibration.task_launch_s),
-            fault_plan=fault_plan,
         )
         self.storage = storage if storage is not None else self._storage_from_config()
         # Storage events carry this device's simulated time.

@@ -165,7 +165,7 @@ class Timeline:
     exporters draw as per-worker segments); ``wall`` unions those merged
     segments with the spans, an upper bound on the exact per-span union.
     ``coarse`` only decides where ``record`` puts a new activity, so a mixed
-    chain — coarse job timeline -> long-lived fine accumulator -> coarse
+    chain — coarse job timeline -> long-lived fine device timeline -> coarse
     report — loses nothing: the final table is identical to an all-coarse
     chain.
     """

@@ -1,18 +1,19 @@
 """An in-process Apache Spark substrate.
 
 The paper executes offloaded loops on Spark 2.1 clusters.  This package
-re-implements the parts of Spark that OmpCloud's execution model touches,
-faithfully enough that the generated jobs run unmodified:
+re-implements what OmpCloud's one job shape touches (``parallelize`` the
+tiles, ``map`` the loop body, collect on the driver), faithfully enough that
+the generated jobs run unmodified:
 
-* lazy :class:`~repro.spark.rdd.RDD` s with lineage and narrow transformations
-  (``map``, ``mapPartitions``, ``filter``, ``zipWithIndex``), actions
-  (``collect``, ``reduce``, ``count``) and lineage-based **fault recovery**;
+* lazy :class:`~repro.spark.rdd.RDD` s with lineage and lineage-based
+  **fault recovery**;
 * :class:`~repro.spark.broadcast.Broadcast` variables with the BitTorrent
   distribution cost model;
 * a :class:`~repro.spark.scheduler.TaskScheduler` that serializes task
   launches through the driver and list-schedules onto executor core slots
   (honouring ``spark.task.cpus``, ``spark.cores.max``); every job is one
-  columnar :class:`~repro.spark.tasktable.TaskTable`, a row per task;
+  columnar :class:`~repro.spark.tasktable.TaskTable`, a row per task, priced
+  up front and submitted through ``Driver.run_job``;
 * :class:`~repro.spark.executor.Executor` / :class:`~repro.spark.driver.Driver`
   / :class:`~repro.spark.cluster.SparkCluster` wiring, including the JVM's
   2 GiB array-length ceiling the paper runs into.
@@ -21,7 +22,6 @@ Everything advances simulated time (:mod:`repro.simtime`); in functional mode
 the task closures really execute in-process, so results are bit-exact.
 """
 
-from repro.spark.accumulators import Accumulator
 from repro.spark.conf import SparkConf
 from repro.spark.rdd import RDD, Partition
 from repro.spark.broadcast import Broadcast
@@ -39,7 +39,6 @@ from repro.spark.serialization import (
 )
 
 __all__ = [
-    "Accumulator",
     "SparkConf",
     "RDD",
     "Partition",

@@ -18,8 +18,8 @@ T = TypeVar("T")
 class Broadcast(Generic[T]):
     """A read-only variable shipped once per node.
 
-    ``nbytes`` drives the cost model; in functional mode it is measured from
-    the value, in modeled mode the caller supplies it for a virtual payload.
+    ``nbytes`` drives the cost model: the caller prices the wire payload
+    (the codegen passes the compressed size; a modeled job has no value).
     """
 
     _ids = itertools.count()
@@ -28,27 +28,10 @@ class Broadcast(Generic[T]):
         if nbytes < 0:
             raise ValueError(f"negative broadcast size {nbytes!r}")
         self.id = next(Broadcast._ids)
-        self._value: T | None = value
+        self.value = value
         self.nbytes = nbytes
-        self._destroyed = False
         #: Nodes that already hold the blocks (filled in by the scheduler).
         self.nodes_seeded: set[str] = set()
 
-    @property
-    def value(self) -> T:
-        if self._destroyed:
-            raise RuntimeError(f"broadcast {self.id} was destroyed")
-        return self._value  # type: ignore[return-value]
-
-    def destroy(self) -> None:
-        """Release the blocks everywhere (irreversible, like Spark)."""
-        self._destroyed = True
-        self._value = None
-        self.nodes_seeded.clear()
-
-    @property
-    def is_destroyed(self) -> bool:
-        return self._destroyed
-
     def __repr__(self) -> str:  # pragma: no cover
-        return f"Broadcast(id={self.id}, nbytes={self.nbytes}, destroyed={self._destroyed})"
+        return f"Broadcast(id={self.id}, nbytes={self.nbytes})"

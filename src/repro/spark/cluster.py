@@ -109,20 +109,12 @@ class SparkCluster:
                 for _ in range(ex.task_slots)]
 
     @property
-    def total_vcpus(self) -> int:
-        return sum(ex.vcpus for ex in self.executors)
-
-    @property
     def total_physical_cores(self) -> int:
         return sum(ex.physical_cores for ex in self.executors)
 
     @property
     def active_worker_nodes(self) -> int:
         return len(self.executors)
-
-    def default_parallelism(self) -> int:
-        conf_val = self.conf.default_parallelism
-        return conf_val if conf_val > 0 else self.total_task_slots
 
     def reset_pools(self) -> None:
         """Free all executor slots at the current clock (between jobs)."""
@@ -169,6 +161,5 @@ class SparkCluster:
         conf = (conf if conf is not None else SparkConf()).copy()
         conf.set("spark.task.cpus", 2)
         conf.set("spark.cores.max", physical_cores * 2)
-        conf.set("spark.default.parallelism", physical_cores)
         return cls(n_workers=n_workers, shape=shape, conf=conf, network=network,
                    clock=clock, worker_speeds=worker_speeds)

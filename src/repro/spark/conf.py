@@ -1,8 +1,8 @@
 """Spark configuration.
 
 Only the keys the paper tunes are interpreted (``spark.task.cpus``,
-``spark.cores.max``, ``spark.default.parallelism``, ``spark.executor.memory``)
-but arbitrary keys round-trip, like real ``SparkConf``.
+``spark.cores.max``, ``spark.executor.memory``) but arbitrary keys
+round-trip, like real ``SparkConf``.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ class SparkConf:
 
     _DEFAULTS = {
         "spark.task.cpus": "1",
-        "spark.default.parallelism": "0",  # 0 = derive from cluster
         "spark.cores.max": "0",  # 0 = unlimited
         "spark.executor.memory": "40g",
         "spark.io.compression.codec": "lz4",
@@ -79,13 +78,6 @@ class SparkConf:
         v = self.get_int("spark.cores.max", 0)
         if v < 0:
             raise ValueError(f"spark.cores.max must be >= 0, got {v}")
-        return v
-
-    @property
-    def default_parallelism(self) -> int:
-        v = self.get_int("spark.default.parallelism", 0)
-        if v < 0:
-            raise ValueError(f"spark.default.parallelism must be >= 0, got {v}")
         return v
 
     @property

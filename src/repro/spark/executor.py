@@ -12,7 +12,6 @@ from typing import Any, Callable
 
 from repro.obs.events import ExecutorLost, get_bus
 from repro.simtime.resources import Reservation, SlotPool
-from repro.spark.accumulators import TaskAccumulatorScope
 
 
 class ExecutorLostError(Exception):
@@ -89,22 +88,13 @@ class Executor:
         """Really execute a task closure (functional mode).
 
         Increments the task counter first so fault plans can target "the Nth
-        task executed on this worker".  Accumulator contributions are
-        buffered for the duration of the closure and committed only on
-        success — Spark's exactly-once-for-successful-tasks guarantee.
+        task executed on this worker".  A lost or crashed attempt never gets
+        here, so a task's closure runs exactly once.
         """
         if self._dead:
             raise ExecutorLostError(f"{self.worker_id} is dead")
         self.tasks_executed += 1
-        scope = TaskAccumulatorScope()
-        with scope:
-            try:
-                result = fn()
-            except BaseException:
-                scope.discard()
-                raise
-        scope.commit()
-        return result
+        return fn()
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

@@ -33,16 +33,3 @@ def range_partition(n: int, parts: int) -> list[tuple[int, int]]:
         out.append((lo, hi))
         lo = hi
     return out
-
-
-def owner_of(index: int, n: int, parts: int) -> int:
-    """Partition number that holds element ``index`` under :func:`range_partition`."""
-    if not 0 <= index < n:
-        raise IndexError(f"index {index} outside range({n})")
-    base, extra = divmod(n, parts)
-    boundary = extra * (base + 1)
-    if index < boundary:
-        return index // (base + 1)
-    if base == 0:
-        raise IndexError(f"index {index} beyond the populated partitions")
-    return extra + (index - boundary) // base

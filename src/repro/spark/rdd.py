@@ -12,8 +12,8 @@ properties OmpCloud relies on:
   materializes one partition by recursively computing its parents, which is
   also exactly the **fault recovery** story: a lost task is re-run from
   lineage, nothing else;
-* **actions** — ``collect``/``reduce``/``count`` hand the DAG to the driver,
-  which schedules one task per partition.
+* **one job per action** — :meth:`repro.spark.driver.Driver.run_job` runs
+  one task per partition and hands the results back in partition order.
 """
 
 from __future__ import annotations
@@ -86,122 +86,6 @@ class RDD:
     def map(self, fn: Callable[[Any], Any]) -> "RDD":
         return MappedRDD(self, lambda it: [fn(x) for x in it])
 
-    def filter(self, fn: Callable[[Any], bool]) -> "RDD":
-        return MappedRDD(self, lambda it: [x for x in it if fn(x)])
-
-    def flat_map(self, fn: Callable[[Any], Iterable[Any]]) -> "RDD":
-        return MappedRDD(self, lambda it: [y for x in it for y in fn(x)])
-
-    def map_partitions(self, fn: Callable[[list[Any]], Iterable[Any]]) -> "RDD":
-        return MappedRDD(self, lambda it: list(fn(it)))
-
-    def map_partitions_with_index(
-        self, fn: Callable[[int, list[Any]], Iterable[Any]]
-    ) -> "RDD":
-        return MappedRDD(self, fn, with_index=True)
-
-    def zip_with_index(self) -> "RDD":
-        """Pair each element with its global index (requires a size pass,
-        like Spark's ``zipWithIndex``)."""
-        counts = [len(self.iterator(i)) for i in range(self.num_partitions)]
-        offsets = [0]
-        for c in counts[:-1]:
-            offsets.append(offsets[-1] + c)
-
-        def fn(idx: int, it: list[Any]) -> list[Any]:
-            return [(x, offsets[idx] + j) for j, x in enumerate(it)]
-
-        return MappedRDD(self, fn, with_index=True)
-
-    def glom(self) -> "RDD":
-        """Each partition becomes a single list element."""
-        return MappedRDD(self, lambda it: [list(it)])
-
-    def union(self, other: "RDD") -> "RDD":
-        """Concatenate two RDDs partition-wise (narrow, no shuffle)."""
-        return UnionRDD(self, other)
-
-    def zip(self, other: "RDD") -> "RDD":
-        """Pair elements position-wise; requires identical partitioning,
-        like Spark's ``zip``."""
-        if other.num_partitions != self.num_partitions:
-            raise ValueError(
-                f"can only zip RDDs with the same number of partitions "
-                f"({self.num_partitions} != {other.num_partitions})"
-            )
-        return ZippedRDD(self, other)
-
-    def key_by(self, fn: Callable[[Any], Any]) -> "RDD":
-        return self.map(lambda x: (fn(x), x))
-
-    def map_values(self, fn: Callable[[Any], Any]) -> "RDD":
-        return self.map(lambda kv: (kv[0], fn(kv[1])))
-
-    def reduce_by_key(self, fn: Callable[[Any, Any], Any],
-                      num_partitions: int | None = None) -> "RDD":
-        """Combine values per key.
-
-        Map-side combining happens per partition on the substrate; the merge
-        across partitions runs on the driver (a simplification of Spark's
-        shuffle that preserves its semantics — OmpCloud's generated jobs never
-        need a distributed shuffle).  Keys keep first-seen order.
-        """
-
-        def combine(it: list[Any]) -> list[Any]:
-            acc: dict[Any, Any] = {}
-            for k, v in it:
-                acc[k] = fn(acc[k], v) if k in acc else v
-            return list(acc.items())
-
-        partials = [x for p in self.context.run_job(self, combine) for x in p]
-        merged: dict[Any, Any] = {}
-        for k, v in partials:
-            merged[k] = fn(merged[k], v) if k in merged else v
-        n = num_partitions if num_partitions is not None else self.num_partitions
-        return ParallelCollectionRDD(self.context, list(merged.items()),
-                                     max(1, min(n, max(len(merged), 1))))
-
-    def collect_as_map(self) -> dict:
-        """collectAsMap(): the pairs of this RDD as a driver-side dict."""
-        return dict(self.collect())
-
-    # --------------------------------------------------------------- actions
-    def collect(self) -> list[Any]:
-        """Run the job and concatenate all partitions, in order."""
-        parts = self.context.run_job(self)
-        return [x for p in parts for x in p]
-
-    def count(self) -> int:
-        parts = self.context.run_job(self, lambda it: [len(it)])
-        return sum(x for p in parts for x in p)
-
-    def reduce(self, fn: Callable[[Any, Any], Any]) -> Any:
-        """Tree-free two-level reduce: within partitions, then on the driver."""
-
-        def reduce_partition(it: list[Any]) -> list[Any]:
-            if not it:
-                return []
-            acc = it[0]
-            for x in it[1:]:
-                acc = fn(acc, x)
-            return [acc]
-
-        partials = [x for p in self.context.run_job(self, reduce_partition) for x in p]
-        if not partials:
-            raise ValueError("reduce of an empty RDD")
-        acc = partials[0]
-        for x in partials[1:]:
-            acc = fn(acc, x)
-        return acc
-
-    def take(self, n: int) -> list[Any]:
-        out: list[Any] = []
-        for i in range(self.num_partitions):
-            if len(out) >= n:
-                break
-            out.extend(self.iterator(i))
-        return out[:n]
-
 
 class ParallelCollectionRDD(RDD):
     """An RDD born from a driver-side sequence (``sc.parallelize``)."""
@@ -223,29 +107,21 @@ class ParallelCollectionRDD(RDD):
 
 
 class MappedRDD(RDD):
-    """A narrow one-parent transformation."""
+    """A narrow one-parent transformation: ``fn`` maps a whole parent
+    partition to this RDD's partition."""
 
-    def __init__(
-        self,
-        parent: RDD,
-        fn: Callable[..., Iterable[Any]],
-        with_index: bool = False,
-    ) -> None:
+    def __init__(self, parent: RDD, fn: Callable[[list[Any]], Iterable[Any]]) -> None:
         super().__init__(parent.context, parent.num_partitions)
         self.parent = parent
         self.fn = fn
-        self.with_index = with_index
 
     def compute(self, split: int) -> list[Any]:
         self._check_split(split)
-        parent_data = self.parent.iterator(split)
-        if self.with_index:
-            return list(self.fn(split, parent_data))
-        return list(self.fn(parent_data))
+        return list(self.fn(self.parent.iterator(split)))
 
 
 class UnionRDD(RDD):
-    """Partition-wise concatenation of two parents (Spark's UnionRDD)."""
+    """Partition-wise concatenation of two parents (narrow, no shuffle)."""
 
     def __init__(self, left: RDD, right: RDD) -> None:
         super().__init__(left.context, left.num_partitions + right.num_partitions)
@@ -260,9 +136,15 @@ class UnionRDD(RDD):
 
 
 class ZippedRDD(RDD):
-    """Position-wise pairing of two identically-partitioned parents."""
+    """Position-wise pairing of two identically-partitioned parents, like
+    Spark's ``zip``."""
 
     def __init__(self, left: RDD, right: RDD) -> None:
+        if right.num_partitions != left.num_partitions:
+            raise ValueError(
+                f"can only zip RDDs with the same number of partitions "
+                f"({left.num_partitions} != {right.num_partitions})"
+            )
         super().__init__(left.context, left.num_partitions)
         self.left = left
         self.right = right

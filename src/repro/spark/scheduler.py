@@ -248,11 +248,6 @@ class _JobRun:
         record = timeline.record
         lan_time = network.lan_transfer_time
         tid, in_b, out_b = self.tid, self.in_b, self.out_b
-        # A closure that measures its result writes the table's column;
-        # the collect path must see the post-run value.
-        measured_out = (self.table.output_bytes
-                        if self.functional and self.table.closures is not None
-                        else None)
         pipelined = schedule.pipelined
         driver_cursor = ready0
         nic_cursor = ready0
@@ -303,8 +298,6 @@ class _JobRun:
                            label=f"scatter-{tid[row]}")
                 ready = nic_cursor
             self._run_one(row, ready)
-            if measured_out is not None:
-                out_b[row] = int(measured_out[row])
             if pipelined:
                 if out_b[row] > 0:
                     heapq.heappush(uncollected,
@@ -521,8 +514,8 @@ class _JobRun:
                               reason="speculative copy lost")
             return False
         # Functional work runs on the copy only when the original never
-        # finished; a straggling original already produced `value`, and
-        # accumulators must commit exactly once per task.
+        # finished; a straggling original already produced `value`, and a
+        # task's closure runs exactly once.
         if self.functional and closure is not None and original_end is None:
             if fault_plan.should_raise(copy_ex.worker_id,
                                        copy_ex.tasks_executed + 1):

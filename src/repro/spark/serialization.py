@@ -1,4 +1,4 @@
-"""Serialization helpers and the JVM array ceiling.
+"""The JVM array ceiling.
 
 Spark ships data between driver and executors as byte arrays; OmpCloud loads
 each mapped buffer "as ByteArray objects".  Java arrays are indexed by
@@ -9,11 +9,6 @@ that failure mode explicit in the reproduction.
 """
 
 from __future__ import annotations
-
-import pickle
-from typing import Any
-
-import numpy as np
 
 #: Largest byte[] a HotSpot JVM will allocate (Integer.MAX_VALUE - 8 header words).
 JVM_MAX_ARRAY_BYTES = 2**31 - 16
@@ -30,44 +25,3 @@ def check_jvm_array_limit(nbytes: int, what: str = "buffer") -> None:
             f"{what} is {nbytes} bytes; the JVM cannot allocate arrays over "
             f"{JVM_MAX_ARRAY_BYTES} bytes (the paper's experiments hit the same limit)"
         )
-
-
-def serialize(obj: Any) -> bytes:
-    """Driver<->executor closure/element serialization (pickle stands in for
-    Java serialization; the cost model charges for the byte volume, not the
-    codec)."""
-    return pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-
-
-def deserialize(data: bytes) -> Any:
-    return pickle.loads(data)
-
-
-def array_to_bytes(arr: np.ndarray) -> bytes:
-    """Flatten an ndarray into the binary-file format OmpCloud stages."""
-    return np.ascontiguousarray(arr).tobytes()
-
-
-def bytes_to_array(data: bytes, dtype: np.dtype | str, shape: tuple[int, ...] | None = None) -> np.ndarray:
-    """Inverse of :func:`array_to_bytes`."""
-    arr = np.frombuffer(data, dtype=dtype).copy()
-    if shape is not None:
-        arr = arr.reshape(shape)
-    return arr
-
-
-def sizeof_element(obj: Any) -> int:
-    """Approximate wire size of one RDD element for the cost model.
-
-    ndarrays dominate in this workload; other objects fall back to pickle
-    length (exact but slower, fine for small elements).
-    """
-    if isinstance(obj, np.ndarray):
-        return obj.nbytes
-    if isinstance(obj, (bytes, bytearray, memoryview)):
-        return len(obj)
-    if isinstance(obj, tuple):
-        return sum(sizeof_element(x) for x in obj)
-    if isinstance(obj, (int, float, bool)) or obj is None:
-        return 8
-    return len(serialize(obj))

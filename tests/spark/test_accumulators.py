@@ -1,115 +1,60 @@
-"""Accumulators: buffered per task, committed only on success."""
+"""Exactly-once task side effects, counted without accumulators.
 
-import operator
-
-import pytest
+The scheduler runs a task's closure once per task: an attempt lost to a
+dead worker or an injected crash never reaches the closure, so what a
+closure records is seen exactly once per element.
+"""
 
 from repro.spark import FaultPlan, SparkCluster, SparkContext
-from repro.spark.accumulators import Accumulator, TaskAccumulatorScope
-from repro.spark.executor import Executor, ExecutorLostError
+from repro.spark.executor import Executor
+from repro.spark.rdd import MappedRDD
+
+from tests.spark.support import run
 
 
-# ------------------------------------------------------------------ unit level
-def test_driver_side_add_is_immediate():
-    acc = Accumulator(0)
-    acc.add(5)
-    acc.add(2)
-    assert acc.value == 7
-
-
-def test_custom_op():
-    acc = Accumulator(1, op=operator.mul)
-    acc.add(3)
-    acc.add(4)
-    assert acc.value == 12
-
-
-def test_scope_buffers_until_commit():
-    acc = Accumulator(0)
-    with TaskAccumulatorScope() as scope:
-        acc.add(10)
-        assert acc.value == 0  # buffered
-    scope.commit()
-    assert acc.value == 10
-
-
-def test_scope_discard_drops_contributions():
-    acc = Accumulator(0)
-    with TaskAccumulatorScope() as scope:
-        acc.add(10)
-    scope.discard()
-    assert acc.value == 0
-
-
-def test_nested_scopes_go_to_innermost():
-    acc = Accumulator(0)
-    with TaskAccumulatorScope() as outer:
-        acc.add(1)
-        with TaskAccumulatorScope() as inner:
-            acc.add(100)
-        inner.commit()
-    outer.commit()
-    assert acc.value == 101
-
-
-# ------------------------------------------------------------------- executor
 def test_executor_commits_on_success():
-    acc = Accumulator(0)
+    hits = []
     ex = Executor("w", vcpus=2)
-    ex.run_closure(lambda: acc.add(4))
-    assert acc.value == 4
+    assert ex.run_closure(lambda: hits.append(4) or "done") == "done"
+    assert hits == [4]
+    assert ex.tasks_executed == 1
 
 
-def test_executor_discards_on_closure_exception():
-    acc = Accumulator(0)
-    ex = Executor("w", vcpus=2)
-
-    def boom():
-        acc.add(99)
-        raise RuntimeError("kernel crashed")
-
-    with pytest.raises(RuntimeError):
-        ex.run_closure(boom)
-    assert acc.value == 0
-
-
-# ------------------------------------------------------------------- pipeline
 def test_accumulator_counts_records_across_job():
     sc = SparkContext(cluster=SparkCluster(n_workers=2))
-    seen = sc.accumulator(0, name="records")
+    seen = []
 
     def tag(x):
-        seen.add(1)
+        seen.append(x)
         return x
 
-    out = sc.parallelize(list(range(40)), num_slices=8).map(tag).collect()
-    assert out == list(range(40))
-    assert seen.value == 40
+    result = run(sc.parallelize(list(range(40)), num_slices=8).map(tag))
+    assert [x for p in result.partitions for x in p] == list(range(40))
+    assert seen == list(range(40))
 
 
 def test_failed_task_contributes_exactly_once():
-    """Spark's guarantee: the killed attempt's adds are discarded, the
-    successful re-execution's adds count once."""
-    sc = SparkContext(
-        cluster=SparkCluster.for_physical_cores(32, n_workers=2),
-        fault_plan=FaultPlan(fail_task_number={"worker-0": 1}),
-    )
-    counted = sc.accumulator(0)
+    """The crashed attempt never ran its closure; the successful
+    re-execution ran it once."""
+    sc = SparkContext(cluster=SparkCluster.for_physical_cores(32, n_workers=2))
+    counted = []
 
     def tag(x):
-        counted.add(1)
+        counted.append(x)
         return x
 
-    out = sc.parallelize(list(range(30)), num_slices=6).map(tag).collect()
-    assert out == list(range(30))
-    assert counted.value == 30  # not 30 + the lost attempt
+    result = run(sc.parallelize(list(range(30)), num_slices=6).map(tag),
+                 fault_plan=FaultPlan(fail_task_number={"worker-0": 1}))
+    assert [x for p in result.partitions for x in p] == list(range(30))
+    assert result.stats.recomputed_tasks == 1
+    assert sorted(counted) == list(range(30))  # not 30 + the lost attempt
 
 
 def test_accumulator_through_reduce():
     sc = SparkContext(cluster=SparkCluster(n_workers=2))
-    calls = sc.accumulator(0)
-    total = sc.parallelize(list(range(10)), num_slices=3).map(
-        lambda x: (calls.add(1), x)[1]
-    ).reduce(lambda a, b: a + b)
-    assert total == 45
-    assert calls.value == 10
+    calls = []
+    rdd = sc.parallelize(list(range(10)), num_slices=3).map(
+        lambda x: (calls.append(x), x)[1])
+    partials = run(MappedRDD(rdd, lambda part: [sum(part)])).partitions
+    assert sum(x for p in partials for x in p) == 45
+    assert len(calls) == 10

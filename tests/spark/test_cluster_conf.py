@@ -11,7 +11,7 @@ def test_defaults():
     conf = SparkConf()
     assert conf.task_cpus == 1
     assert conf.cores_max == 0
-    assert conf.default_parallelism == 0
+    assert conf.executor_memory_bytes == 40 * 1024**3
 
 
 def test_set_and_get_roundtrip():
@@ -86,17 +86,19 @@ def test_cores_fill_workers_greedily():
 def test_unlimited_cores_uses_all_workers():
     cluster = SparkCluster(n_workers=4)
     assert cluster.active_worker_nodes == 4
-    assert cluster.total_vcpus == 4 * 32
+    assert [ex.vcpus for ex in cluster.executors] == [32] * 4
 
 
+# A generated job's parallelism is Algorithm 1's C: one tile per task slot.
 def test_default_parallelism_follows_conf():
     cluster = SparkCluster.for_physical_cores(64, n_workers=16)
-    assert cluster.default_parallelism() == 64
+    assert cluster.total_task_slots == 64
 
 
 def test_default_parallelism_falls_back_to_slots():
+    # No spark.cores.max: every vCPU of every worker is a slot (task.cpus=1).
     cluster = SparkCluster(n_workers=2)
-    assert cluster.default_parallelism() == cluster.total_task_slots
+    assert cluster.total_task_slots == 2 * 32
 
 
 def test_custom_worker_shape():

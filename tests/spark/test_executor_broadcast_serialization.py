@@ -1,20 +1,22 @@
-"""Executors, broadcast variables, serialization helpers, JVM limits."""
+"""Executors, broadcast variables, the staged byte format, JVM limits."""
+
+import gc
+import weakref
 
 import numpy as np
 import pytest
 
+from repro.core.buffers import Buffer
+from repro.spark import SparkCluster, SparkContext
 from repro.spark.broadcast import Broadcast
 from repro.spark.executor import Executor, ExecutorLostError
 from repro.spark.serialization import (
     JVM_MAX_ARRAY_BYTES,
     JavaArrayLimitError,
-    array_to_bytes,
-    bytes_to_array,
     check_jvm_array_limit,
-    deserialize,
-    serialize,
-    sizeof_element,
 )
+
+from tests.spark.support import sizeof_element
 
 
 # ------------------------------------------------------------------ Executor
@@ -61,13 +63,14 @@ def test_broadcast_value_access():
 
 
 def test_broadcast_destroy_releases():
-    bc = Broadcast("x", nbytes=1)
-    bc.nodes_seeded.add("w0")
-    bc.destroy()
-    assert bc.is_destroyed
-    assert not bc.nodes_seeded
-    with pytest.raises(RuntimeError):
-        _ = bc.value
+    """Dropping the last handle releases a broadcast: the context that made
+    it keeps no reference."""
+    sc = SparkContext(cluster=SparkCluster(n_workers=1))
+    bc = sc.broadcast(np.zeros(4), nbytes=32)
+    released = weakref.ref(bc)
+    del bc
+    gc.collect()
+    assert released() is None
 
 
 def test_broadcast_ids_unique():
@@ -79,24 +82,24 @@ def test_broadcast_negative_size_rejected():
         Broadcast("x", nbytes=-1)
 
 
-# ------------------------------------------------------------- serialization
-def test_serialize_roundtrip():
-    obj = {"a": [1, 2, 3], "b": (4.5, None)}
-    assert deserialize(serialize(obj)) == obj
-
-
+# ------------------------------------------------------- staged byte format
 def test_array_bytes_roundtrip():
+    """A mapped array travels as the raw bytes of its buffer view."""
     arr = np.arange(12, dtype=np.float32)
-    back = bytes_to_array(array_to_bytes(arr), np.float32)
+    back = np.frombuffer(Buffer("A", arr).payload_view(), dtype=np.float32)
     assert np.array_equal(arr, back)
 
 
 def test_array_bytes_with_shape():
-    arr = np.arange(6, dtype=np.int32)
-    back = bytes_to_array(array_to_bytes(arr), np.int32, shape=(2, 3))
-    assert back.shape == (2, 3)
+    """A shaped array is mapped linearized; its staged bytes reshape back."""
+    arr = np.arange(6, dtype=np.int32).reshape(2, 3)
+    with pytest.raises(ValueError, match="linearized"):
+        Buffer("A", arr)
+    flat = np.frombuffer(Buffer("A", arr.ravel()).payload_view(), dtype=np.int32)
+    assert np.array_equal(flat.reshape(2, 3), arr)
 
 
+# ------------------------------------------------- the old measurement rule
 def test_sizeof_ndarray_is_nbytes():
     arr = np.zeros(100, dtype=np.float64)
     assert sizeof_element(arr) == 800

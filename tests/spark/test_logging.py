@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.core.api import ParallelLoop, TargetRegion, offload
-from repro.spark import SparkCluster, SparkContext
 from repro.spark.logging import SparkLog
 
 from tests.conftest import make_cloud_runtime
@@ -37,23 +36,14 @@ def test_log_sinks_stream_live():
     assert captured and "streamed" in captured[0]
 
 
-def test_context_logs_job_lifecycle():
-    sc = SparkContext(cluster=SparkCluster(n_workers=2))
-    sc.parallelize([1, 2, 3]).collect()
-    messages = [r.message for r in sc.log.records]
-    assert any("Submitting job" in m for m in messages)
-    assert any("finished" in m for m in messages)
-
-
-def test_offload_populates_job_log(cloud_config):
-    rt = make_cloud_runtime(cloud_config)
-    dev = rt.device("CLOUD")
+def _offload_copy(rt, name: str, n: int) -> None:
+    """Offload ``C[i] = A[i]`` over ``n`` elements as region ``name``."""
 
     def body(lo, hi, arrays, scalars):
         arrays["C"][lo:hi] = np.asarray(arrays["A"][lo:hi])
 
     region = TargetRegion(
-        name="logcopy",
+        name=name,
         pragmas=["omp target device(CLOUD)", "omp map(to: A[:N]) map(from: C[:N])"],
         loops=[ParallelLoop(
             pragma="omp parallel for", loop_var="i", trip_count="N",
@@ -62,43 +52,40 @@ def test_offload_populates_job_log(cloud_config):
             body=body,
         )],
     )
-    a = np.arange(16, dtype=np.float32)
-    c = np.zeros(16, dtype=np.float32)
-    offload(region, arrays={"A": a, "C": c}, scalars={"N": 16}, runtime=rt)
-    messages = [r.message for r in dev.sc.log.records]
+    a = np.arange(n, dtype=np.float32)
+    c = np.zeros(n, dtype=np.float32)
+    offload(region, arrays={"A": a, "C": c}, scalars={"N": n}, runtime=rt)
+
+
+def test_context_logs_job_lifecycle(cloud_config):
+    rt = make_cloud_runtime(cloud_config)
+    _offload_copy(rt, "lifecycle", 16)
+    messages = [r.message for r in rt.device("CLOUD").sc.log.records]
+    assert any("Submitting map stage" in m for m in messages)
+    assert any("finished" in m for m in messages)
+
+
+def test_offload_populates_job_log(cloud_config):
+    rt = make_cloud_runtime(cloud_config)
+    _offload_copy(rt, "logcopy", 16)
+    messages = [r.message for r in rt.device("CLOUD").sc.log.records]
     assert any("OmpCloud job for region 'logcopy'" in m for m in messages)
     assert any("split=['A']" in m for m in messages)
 
 
 def test_verbose_config_prints_log(cloud_config, capsys):
     rt = make_cloud_runtime(replace(cloud_config, verbose=True))
-
-    def body(lo, hi, arrays, scalars):
-        arrays["C"][lo:hi] = np.asarray(arrays["A"][lo:hi])
-
-    region = TargetRegion(
-        name="verbosecopy",
-        pragmas=["omp target device(CLOUD)", "omp map(to: A[:N]) map(from: C[:N])"],
-        loops=[ParallelLoop(
-            pragma="omp parallel for", loop_var="i", trip_count="N",
-            reads=("A",), writes=("C",),
-            partition_pragma="omp target data map(to: A[i:i+1]) map(from: C[i:i+1])",
-            body=body,
-        )],
-    )
-    a = np.arange(8, dtype=np.float32)
-    c = np.zeros(8, dtype=np.float32)
-    offload(region, arrays={"A": a, "C": c}, scalars={"N": 8}, runtime=rt)
+    _offload_copy(rt, "verbosecopy", 8)
     out = capsys.readouterr().out
     assert "Submitting map stage" in out
     assert "verbosecopy" in out
 
 
-def test_log_timestamps_are_simulated():
-    sc = SparkContext(cluster=SparkCluster(n_workers=2))
-    sc.parallelize([1]).collect()
-    sc.parallelize([1]).collect()
-    times = [r.time for r in sc.log.records]
+def test_log_timestamps_are_simulated(cloud_config):
+    rt = make_cloud_runtime(cloud_config)
+    _offload_copy(rt, "first", 8)
+    _offload_copy(rt, "second", 8)
+    times = [r.time for r in rt.device("CLOUD").sc.log.records]
     assert times == sorted(times)
     assert times[-1] > 0.0  # simulated seconds, not wall-clock epoch
 

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.spark.partitioner import owner_of, range_partition
+from repro.spark.partitioner import range_partition
+
+from tests.spark.support import owner_of
 
 
 def test_even_split():

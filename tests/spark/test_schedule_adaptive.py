@@ -108,7 +108,7 @@ def test_straggler_copy_wins_first_result():
     winner = stats.results[1]
     assert winner.speculative and winner.worker_id == "w0"
     assert winner.end == pytest.approx(2.5)
-    # Accumulator exactly-once: the straggling original produced the value.
+    # Exactly once: the straggling original produced the value.
     assert [r.value for r in stats.results] == [[0], [1]]
     assert stats.makespan_s == pytest.approx(2.5)
     assert timeline.busy(Phase.SPECULATION) == 0.0  # launch cost is 0 here
@@ -173,6 +173,38 @@ def test_copy_racing_genuine_loss_falls_back_to_retry():
     assert res.worker_id == "w2" and not res.speculative
     assert res.value == [0]
     assert exs[0].is_dead and exs[1].is_dead
+
+
+# ---------------------------------------------- exactly-once closure effects
+def _counted_tasks(n, duration=1.0):
+    """``_tasks(n, duration)`` whose closures log each invocation."""
+    calls = []
+    table = TaskTable(
+        task_id=range(n), split=range(n), compute_s=[duration] * n,
+        closures=[(lambda i=i: calls.append(i) or [i]) for i in range(n)])
+    return table, calls
+
+
+def test_rescued_straggler_runs_its_closure_once_in_the_original():
+    exs = _hetero()
+    tasks, calls = _counted_tasks(2)
+    stats, _, _ = _run(tasks, exs, schedule=ScheduleConfig(speculation=True))
+    assert stats.speculation_wins == 1 and stats.results[1].speculative
+    assert sorted(calls) == [0, 1]
+    # The winning copy on w0 reused the value w1's straggler computed.
+    assert [ex.tasks_executed for ex in exs] == [1, 1]
+
+
+def test_preempted_task_runs_its_closure_once_in_the_copy():
+    exs = [Executor("w0", vcpus=2, task_cpus=2),
+           Executor("w1", vcpus=2, task_cpus=2)]
+    tasks, calls = _counted_tasks(1, duration=1.2)
+    stats, _, _ = _run(tasks, exs, fault_plan=FaultPlan(preempt_at={"w0": 0.5}),
+                       schedule=ScheduleConfig(speculation=True))
+    assert stats.results[0].speculative
+    assert calls == [0]
+    # The preempted original never reached its closure; the copy ran it.
+    assert [ex.tasks_executed for ex in exs] == [0, 1]
 
 
 def test_speculation_never_masks_max_failures():
