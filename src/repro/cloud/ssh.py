@@ -63,6 +63,10 @@ class SSHEndpoint:
                 return
         self._handlers.append((prefix, handler))
 
+    def unregister_handler(self, prefix: str) -> None:
+        """Stop serving ``prefix`` (a no-op when nothing serves it)."""
+        self._handlers = [(p, h) for p, h in self._handlers if p != prefix]
+
     def dispatch(self, command: str) -> CommandResult:
         for prefix, handler in self._handlers:
             if command.startswith(prefix):

@@ -35,7 +35,7 @@ from repro.core.partition import partition_windows
 from repro.core.tiling import (Tile, drop_empty_tiles, tile_by_chunk,
                                tile_iterations, tile_weighted, untiled)
 from repro.core.transfer import StagingCodec
-from repro.perfmodel.calibration import Calibration, DEFAULT_CALIBRATION
+from repro.perfmodel.calibration import Calibration
 from repro.perfmodel.compression import CompressionModel, gzip_compress, gzip_decompress, model_for_density
 from repro.perfmodel.compute import ComputeModel
 from repro.obs.events import CheckpointCommit, get_bus
@@ -43,8 +43,8 @@ from repro.resilience import OffloadJournal, RetryPolicy, TileCheckpoint, retry_
 from repro.simtime.timeline import Phase
 from repro.spark.context import SparkContext
 from repro.spark.driver import TaskCostsArrays
-from repro.spark.faults import NO_FAULTS, FaultPlan
-from repro.spark.schedule import STATIC_SCHEDULE, ScheduleConfig
+from repro.spark.faults import FaultPlan
+from repro.spark.schedule import ScheduleConfig
 from repro.cloud.storage import TransientStorageError
 from repro.spark.serialization import check_jvm_array_limit
 
@@ -179,19 +179,18 @@ class SparkJobGenerator:
         region: TargetRegion,
         scalars: Mapping[str, Union[int, float]],
         context: SparkContext,
-        calibration: Calibration = DEFAULT_CALIBRATION,
-        mode: ExecutionMode = ExecutionMode.FUNCTIONAL,
-        tiling: bool = True,
-        intra_compression: bool = True,
-        fault_plan: FaultPlan = NO_FAULTS,
-        host_compression: bool = True,
-        min_compress_size: int | None = None,
-        retry_policy: RetryPolicy | None = None,
-        schedule: ScheduleConfig = STATIC_SCHEDULE,
-        journal: OffloadJournal | None = None,
-        checkpoint: bool = False,
-        resume: Mapping[int, Mapping[int, TileCheckpoint]] | None = None,
-        death_at: float | None = None,
+        *,
+        calibration: Calibration,
+        mode: ExecutionMode,
+        tiling: bool,
+        fault_plan: FaultPlan,
+        staging: StagingCodec,
+        retry_policy: RetryPolicy,
+        schedule: ScheduleConfig,
+        journal: OffloadJournal,
+        checkpoint: bool,
+        resume: Mapping[int, Mapping[int, TileCheckpoint]] | None,
+        death_at: float | None,
     ) -> None:
         self.region = region
         self.scalars = dict(scalars)
@@ -199,15 +198,11 @@ class SparkJobGenerator:
         self.cal = calibration
         self.mode = mode
         self.tiling = tiling
-        self.intra_compression = intra_compression
         self.fault_plan = fault_plan
-        #: How the plugin encoded what it staged, and how outputs must be
-        #: encoded for it: the same rule decides both sides of the hop.
-        self.staging = StagingCodec(
-            host_compression,
-            min_compress_size if min_compress_size is not None
-            else calibration.min_compress_size)
-        self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
+        #: The plugin's codec: how it encoded what it staged, and how outputs
+        #: must be encoded for it — one object decides both sides of the hop.
+        self.staging = staging
+        self.retry_policy = retry_policy
         self.schedule = schedule
         #: Recovery wiring: when ``checkpoint`` is on, completed tile outputs
         #: are committed to storage and journaled; ``resume`` carries the
@@ -472,7 +467,7 @@ class SparkJobGenerator:
         driver death were flushed; later ones died with the driver.  Commits
         happen worker-side in parallel with the tail of the stage, so the
         charged wall time is the per-node share, not the serial sum."""
-        if not self.checkpoint or job is None or self._storage is None:
+        if not self.checkpoint or job is None:
             return 0
         clock, timeline = self.sc.clock, self.sc.timeline
         storage = self._storage
@@ -492,14 +487,13 @@ class SparkJobGenerator:
                                           size=int(costs.output_bytes[split]))
             write_s += storage.cluster_write_time(obj.size)
             self._storage_bytes_written += obj.size
-            if self.journal is not None:
-                self.journal.record(
-                    "tile_done", get_bus().current_correlation(), clock.now,
-                    region=self.region.name, loop=ordinal,
-                    loop_var=loop.loop_var,
-                    tile=tile.index, lo=tile.lo, hi=tile.hi, key=key,
-                    checksum=obj.checksum, nbytes=obj.size, end=tres.end,
-                )
+            self.journal.record(
+                "tile_done", get_bus().current_correlation(), clock.now,
+                region=self.region.name, loop=ordinal,
+                loop_var=loop.loop_var,
+                tile=tile.index, lo=tile.lo, hi=tile.hi, key=key,
+                checksum=obj.checksum, nbytes=obj.size, end=tres.end,
+            )
             get_bus().emit(CheckpointCommit(
                 time=clock.now, resource="cluster", region=self.region.name,
                 loop_var=loop.loop_var, tile=tile.index, key=key,
@@ -519,7 +513,7 @@ class SparkJobGenerator:
 
         Returns (partitions to merge into reconstruction, bytes restored).
         Every read is checksum-verified by the store itself."""
-        if not completed or self._storage is None:
+        if not completed:
             return [], 0
         clock, timeline = self.sc.clock, self.sc.timeline
         restored: list[list[Any]] = []
@@ -731,8 +725,6 @@ class SparkJobGenerator:
         ``int(round(x))`` and ``np.rint`` both round half to even, so each
         element matches ``CompressionModel.compressed_size(raw_j, 0)``.
         """
-        if not self.intra_compression:
-            return raw
         ratio = self._codec_for(buf).ratio
         return np.rint(raw * ratio).astype(np.int64)
 
@@ -803,8 +795,6 @@ class SparkJobGenerator:
         return model_for_density(buf.density)
 
     def _wire_bytes(self, buf: Buffer, raw: int) -> int:
-        if not self.intra_compression:
-            return raw
         return self._codec_for(buf).compressed_size(raw, 0)
 
     def _check_executor_memory(self, loop: ParallelLoop, tiling: _LoopTiling) -> None:

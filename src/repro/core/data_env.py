@@ -47,14 +47,6 @@ class MapEntry:
     dirty: bool = False  # device copy diverged from host (needs copy-back)
     persistent: bool = False  # created by target data / enter data
 
-    @property
-    def needs_upload(self) -> bool:
-        return self.map_type.is_input
-
-    @property
-    def needs_download(self) -> bool:
-        return self.map_type.is_output
-
 
 def _same_host_variable(a: Buffer, b: Buffer) -> bool:
     """Do two buffer wrappers denote the same host variable?

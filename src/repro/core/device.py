@@ -5,6 +5,14 @@ the devices ... and provide services such as the initialization and
 transmission of input and output data, and the execution of offloaded
 computation."  Every device implements this interface; the runtime's wrapper
 (:mod:`repro.core.runtime`) is the only caller.
+
+An offload is one call, :meth:`Device.offload`: it maps the region's data,
+runs its loops, copies the outputs back and releases what it mapped, and
+returns the region's report.  Everything one offload needs lives in that
+call, so a finished offload leaves nothing behind on the device object.  A
+failed attempt raises :class:`DeviceError` with the partial report attached
+(:attr:`DeviceError.report`); the runtime folds its recovery counters into
+the host rerun's report.
 """
 
 from __future__ import annotations
@@ -16,14 +24,28 @@ from repro.core.api import TargetRegion
 from repro.core.buffers import Buffer, ExecutionMode
 from repro.core.data_env import DataEnvironment, DataEnvReport
 from repro.core.omp_ast import MapType
+from repro.core.report import OffloadReport
 
 
 class DeviceError(Exception):
     """Device initialization or execution failure."""
 
+    #: The failed attempt's partial report, attached by
+    #: :meth:`Device.offload` as the error leaves it: what the attempt cost
+    #: and recorded (retries, backoff, resubmissions...) before it gave up.
+    #: None for failures outside an offload.
+    report: OffloadReport | None = None
+
 
 class Device(abc.ABC):
-    """One offloading target."""
+    """One offloading target.
+
+    Protocol: :meth:`initialize` once, :meth:`is_available` before each
+    offload, then :meth:`offload` per ``target`` construct.  The
+    ``target data`` methods (:meth:`enter_data`, :meth:`exit_data`,
+    :meth:`update_data`, :meth:`invalidate_data_env`) manage the mappings
+    that outlive one offload (:attr:`env`); an offload's own state never
+    outlives its :meth:`offload` call."""
 
     def __init__(self, name: str) -> None:
         self.name = name
@@ -48,22 +70,22 @@ class Device(abc.ABC):
         to the host when the answer is no ("if the cloud is not available the
         computation is performed locally")."""
 
-    # ----------------------------------------------------------- data moves
+    # --------------------------------------------------------------- offload
     @abc.abstractmethod
-    def data_begin(self, buffers: Mapping[str, Buffer], region: TargetRegion,
-                   mode: ExecutionMode) -> None:
-        """Create the region's data environment and ship inputs to the device."""
+    def offload(
+        self,
+        region: TargetRegion,
+        buffers: Mapping[str, Buffer],
+        scalars: Mapping[str, Union[int, float]],
+        mode: ExecutionMode,
+    ) -> OffloadReport:
+        """Run one ``target`` construct: create the region's data
+        environment and ship its inputs, run its loops, copy the outputs back
+        and tear the environment down.  Returns the region's report.
 
-    @abc.abstractmethod
-    def data_end(self, buffers: Mapping[str, Buffer], region: TargetRegion,
-                 mode: ExecutionMode) -> None:
-        """Copy outputs back to the host and tear down the environment."""
-
-    def abort(self, region: TargetRegion):
-        """Tear down after a failed offload attempt (called by the runtime
-        before it degrades to host execution).  Returns the partial report
-        of the failed attempt when the device kept one, else None."""
-        return None
+        On failure raises :class:`DeviceError` with :attr:`DeviceError.report`
+        set to the partial report, after releasing every mapping this offload
+        took (mappings of an enclosing ``target data`` environment survive)."""
 
     # ------------------------------------------- persistent data environments
     def enter_data(self, buffers: Mapping[str, Buffer],
@@ -103,17 +125,6 @@ class Device(abc.ABC):
         back best-effort and drop their handles so residents re-stage on the
         next use; reference counts stay intact, so a later ``exit data``
         remains balanced."""
-
-    # ------------------------------------------------------------- execution
-    @abc.abstractmethod
-    def execute(
-        self,
-        region: TargetRegion,
-        buffers: Mapping[str, Buffer],
-        scalars: Mapping[str, Union[int, float]],
-        mode: ExecutionMode,
-    ):
-        """Run the region's loops on the device.  Returns a report object."""
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"{type(self).__name__}(name={self.name!r}, id={self.device_id})"

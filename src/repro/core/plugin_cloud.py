@@ -33,7 +33,8 @@ from repro.cloud.provider import CloudProvider
 from repro.cloud.credentials import Credentials
 from repro.cloud.provision import ClusterSpec, ProvisionedCluster, provision_cluster
 from repro.cloud.s3 import S3Store
-from repro.cloud.ssh import SSHClient, SSHEndpoint, SSHError, CommandResult
+from repro.cloud.ssh import (CommandHandler, CommandResult, SSHClient,
+                             SSHEndpoint, SSHError)
 from repro.cloud.storage import (
     ObjectStore,
     StorageError,
@@ -48,7 +49,6 @@ from repro.core.device import Device, DeviceError
 from repro.core.omp_ast import MapType
 from repro.core.report import OffloadReport
 from repro.obs.events import (
-    BreakerOpen,
     CacheHit,
     CorruptionDetected,
     Preemption,
@@ -86,13 +86,10 @@ class CloudDevice(Device):
         *,
         physical_cores: int | None = None,
         calibration: Calibration = DEFAULT_CALIBRATION,
-        clock: SimClock | None = None,
-        storage: ObjectStore | None = None,
         provider: CloudProvider | None = None,
         reachable: bool = True,
         tiling: bool = True,
         parallel_streams: bool = True,
-        intra_compression: bool = True,
         fault_plan: FaultPlan = NO_FAULTS,
         colocated: bool = False,
         schedule: ScheduleConfig | None = None,
@@ -105,7 +102,7 @@ class CloudDevice(Device):
         super().__init__(name="CLOUD")
         self.config = config
         self.cal = calibration
-        self.clock = clock if clock is not None else SimClock()
+        self.clock = SimClock()
         self.network = NetworkModel(calibration.wan_link(), calibration.lan_link())
         self.physical_cores = (
             physical_cores
@@ -127,11 +124,10 @@ class CloudDevice(Device):
             cluster=self.cluster,
             scheduler_costs=SchedulerCosts(task_launch_s=calibration.task_launch_s),
         )
-        self.storage = storage if storage is not None else self._storage_from_config()
+        self.storage = self._storage_from_config()
         # Storage events carry this device's simulated time.
         self.storage.clock = self.clock
         self.tiling = tiling
-        self.intra_compression = intra_compression
         self.fault_plan = fault_plan
         self._reachable = reachable
         self._offload_seq = itertools.count(1)
@@ -141,12 +137,8 @@ class CloudDevice(Device):
             hostname=config.spark_driver,
             authorized_users={config.spark_user},
         )
-        self._pending: dict[str, object] = {}
         #: Host-target data cache (paper future work; enabled via config).
         self.stage_cache = StagingCache(enabled=config.cache)
-        #: One uniform policy for every retryable operation (storage PUT/GET/
-        #: HEAD, SSH connects, provisioning); backoff is simulated time.
-        self.retry_policy: RetryPolicy = config.retry_policy()
         #: Trips open after K consecutive offload failures; while open,
         #: :meth:`is_available` is False and the runtime degrades to the host.
         self.breaker = CircuitBreaker(
@@ -180,16 +172,24 @@ class CloudDevice(Device):
                                compress=config.compression,
                                parallel_streams=parallel_streams),
             clock=self.clock, device_name=self.name, colocated=colocated,
-            retry_policy=lambda: self.retry_policy,
-            on_failure=self._record_breaker_failure,
-            warn=lambda msg: self.sc.log.warn(self.clock.now, "CloudPlugin", msg),
-            spill=self._fusion_spill,
+            retry_policy=config.retry_policy(), breaker=self.breaker,
+            log=self.sc.log, spill=self._fusion_spill,
         )
         #: Corrupt reads already attributed to a finished offload's report
         #: (the storage's detector counts globally; reports take deltas).
         self._corruptions_attributed = 0
         for substring, count in fault_plan.corrupt_keys.items():
             self.storage.arm_corruption(substring, count)
+
+    @property
+    def retry_policy(self) -> RetryPolicy:
+        """One uniform policy for every retryable operation (storage PUT/GET/
+        HEAD, SSH connects, provisioning); backoff is simulated time."""
+        return self.transfer.retry_policy
+
+    @retry_policy.setter
+    def retry_policy(self, policy: RetryPolicy) -> None:
+        self.transfer.retry_policy = policy
 
     # --------------------------------------------------------------- set-up
     def _storage_from_config(self) -> ObjectStore:
@@ -261,16 +261,56 @@ class CloudDevice(Device):
             return False
         return True
 
-    # ------------------------------------------------------------ data moves
-    def data_begin(self, buffers: Mapping[str, Buffer], region: TargetRegion,
-                   mode: ExecutionMode) -> None:
-        seq = next(self._offload_seq)
+    # --------------------------------------------------------------- offload
+    def offload(
+        self,
+        region: TargetRegion,
+        buffers: Mapping[str, Buffer],
+        scalars: Mapping[str, Union[int, float]],
+        mode: ExecutionMode,
+    ) -> OffloadReport:
+        """Stage the inputs (:meth:`data_begin`), submit the job
+        (:meth:`execute`), download the outputs (:meth:`data_end`); the
+        phases hand their state on as arguments and return values."""
         report = OffloadReport(region_name=region.name, device_name=self.name,
                                mode=mode.value)
-        # Registered up front so a failed data_begin can still be aborted
-        # (and its retry accounting preserved) by the runtime.
-        self._pending = {"report": report}
+        # The references this target took; data_end consumes the list, so a
+        # failure after it cannot release the same references twice.
+        begun: list[str] = []
+        try:
+            input_keys, key_prefix = self.data_begin(buffers, region, mode,
+                                                     report, begun)
+            out_keys: Mapping[str, str] = {}
+            try:
+                out_keys = self.execute(region, buffers, scalars, mode, report,
+                                        input_keys, key_prefix)
+            finally:
+                self.data_end(buffers, region, mode, report, out_keys, begun)
+        except DeviceError as exc:
+            # Tear the failed attempt down.  Entries held by an enclosing
+            # `target data` environment survive (the runtime follows up with
+            # invalidate_data_env, which clears their device handles).
+            for name in begun:
+                if self.env.is_mapped(name):
+                    self.env.end(name)
+            self.transfer.charge_backoff(report)
+            self._flush_corruptions(report)
+            if self.config.manage_instances and self._provisioned is not None:
+                self._provisioned.stop_all(self.clock.now)
+            now = self.clock.now
+            report.timeline.record(Phase.FALLBACK, now, now, resource="host",
+                                   label=f"fallback-{region.name}")
+            exc.report = report
+            raise
+        return report
 
+    # ------------------------------------------------------------ data moves
+    def data_begin(self, buffers: Mapping[str, Buffer], region: TargetRegion,
+                   mode: ExecutionMode, report: OffloadReport,
+                   begun: list[str]) -> tuple[dict[str, str], str]:
+        """Create the region's data environment and ship its inputs; returns
+        the storage key of every input and the offload's key prefix."""
+        seq = next(self._offload_seq)
         mgmt_start = self.clock.now
         if self.config.manage_instances:
             self._start_instances()
@@ -287,8 +327,6 @@ class CloudDevice(Device):
         input_keys: dict[str, str] = {}
         to_stage: list[tuple[Buffer, str]] = []
         cache_keys: list[tuple[CacheKey, str]] = []
-        begun: list[str] = []
-        self._pending["begun"] = begun
         if self.recovery != "none":
             # Crash-consistent data environments: live mappings that lost
             # their device handle re-adopt it from the journal when the
@@ -365,25 +403,9 @@ class CloudDevice(Device):
             if name not in input_keys:
                 self.env.begin(buffers[name], region.map_type_of(name) or MapType.FROM)
                 begun.append(name)
+        return input_keys, key_prefix
 
-        self._pending = {
-            "report": report,
-            "input_keys": input_keys,
-            "key_prefix": key_prefix,
-            "buffers": dict(buffers),
-            "begun": begun,
-        }
-
-    def _record_breaker_failure(self) -> None:
-        """Count one offload-level failure; announce a fresh breaker trip."""
-        was_open = self.breaker.is_open(self.clock.now)
-        self.breaker.record_failure(self.clock.now)
-        if not was_open and self.breaker.is_open(self.clock.now):
-            get_bus().emit(BreakerOpen(
-                time=self.clock.now, resource=self.name, device=self.name,
-                consecutive_failures=self.breaker.consecutive_failures))
-
-    def _flush_corruptions(self, report: OffloadReport | None) -> None:
+    def _flush_corruptions(self, report: OffloadReport) -> None:
         """Attribute corrupt reads the storage detected since the last flush
         to ``report`` and journal them.  The storage layer counts every
         failed verification (host GETs and worker-side reads alike); the
@@ -394,13 +416,13 @@ class CloudDevice(Device):
         self._corruptions_attributed = self.storage.corruption_count
         self.journal.record("corruption", get_bus().current_correlation(),
                             time=self.clock.now, count=detected)
-        if report is not None:
-            report.corruption_detected += detected
+        report.corruption_detected += detected
 
     def data_end(self, buffers: Mapping[str, Buffer], region: TargetRegion,
-                 mode: ExecutionMode) -> None:
-        report: OffloadReport = self._pending["report"]  # type: ignore[assignment]
-        out_keys: dict[str, str] = self._pending.get("output_keys", {})  # type: ignore[assignment]
+                 mode: ExecutionMode, report: OffloadReport,
+                 out_keys: Mapping[str, str], begun: list[str]) -> None:
+        """Copy the committed outputs back to the host and release the
+        references this target took (``begun``, emptied here)."""
         downloads: list[tuple[Buffer, str]] = []
         for name in region.output_names:
             key = out_keys.get(name)
@@ -432,12 +454,10 @@ class CloudDevice(Device):
             landed=landed)
         report.host_comm_down_s += down.seconds
 
-        # Consume the list: if execute() failed, data_end runs in the
-        # runtime's finally and abort() follows — popping here keeps the two
-        # from releasing the same references twice.
-        for name in self._pending.pop("begun", ()):  # type: ignore[union-attr]
+        for name in begun:
             if self.env.is_mapped(name):
                 self.env.end(name)
+        begun.clear()
 
         mgmt_start = self.clock.now
         if self.config.manage_instances and self._provisioned is not None:
@@ -449,7 +469,6 @@ class CloudDevice(Device):
                 report.billed_usd += self._provider.ledger.total_usd() - billed_before
         report.instance_mgmt_s += self.clock.now - mgmt_start
         self._flush_corruptions(report)
-        self._pending["done"] = True
 
     def _start_instances(self) -> None:
         if self._provisioned is None:
@@ -685,10 +704,12 @@ class CloudDevice(Device):
         buffers: Mapping[str, Buffer],
         scalars: Mapping[str, Union[int, float]],
         mode: ExecutionMode,
-    ) -> OffloadReport:
-        report: OffloadReport = self._pending["report"]  # type: ignore[assignment]
-        input_keys: dict[str, str] = self._pending["input_keys"]  # type: ignore[assignment]
-        key_prefix: str = self._pending["key_prefix"]  # type: ignore[assignment]
+        report: OffloadReport,
+        input_keys: Mapping[str, str],
+        key_prefix: str,
+    ) -> dict[str, str]:
+        """Submit the region's Spark job over SSH, resubmitting under the
+        recovery policy; returns the storage key of every output."""
         timeline = report.timeline
 
         ssh_creds = Credentials(
@@ -701,6 +722,7 @@ class CloudDevice(Device):
         # (their integrity is verified before each reuse, below).
         max_submissions = 1 + self.config.max_resubmissions
         job_report: SparkJobReport | None = None
+        spill: dict[str, np.ndarray] = {}
         last_error = ""
         bus = get_bus()
         corr = bus.current_correlation()
@@ -757,8 +779,11 @@ class CloudDevice(Device):
             # Replace any spot instance reclaimed while the previous
             # submission was running, so the retried job has a full cluster.
             self._recover_preempted(report)
-            self._install_job_handler(region, buffers, scalars, mode,
-                                      input_keys, key_prefix, resume_tiles)
+            # What this submission's job produced, filled in by its handler.
+            finished: list[tuple[SparkJobReport, dict[str, np.ndarray]]] = []
+            self.endpoint.register_handler("spark-submit", self._job_handler(
+                region, buffers, scalars, mode, input_keys, key_prefix,
+                resume_tiles, finished))
             try:
                 result = self._submit_once(region, ssh_creds, report)
             except SSHError as e:
@@ -767,6 +792,8 @@ class CloudDevice(Device):
                                      region=region.name, submission=submission,
                                      ok=False, error=last_error))
                 continue
+            finally:
+                self.endpoint.unregister_handler("spark-submit")
             bus.emit(SparkSubmit(
                 time=self.clock.now, resource="host", region=region.name,
                 submission=submission, ok=result.ok,
@@ -774,12 +801,12 @@ class CloudDevice(Device):
                                             or f"exit status {result.exit_status}"),
             ))
             if result.ok:
-                job_report = self._pending.pop("job_report")  # type: ignore[assignment]
+                job_report, spill = finished[0]
                 break
             last_error = result.stderr or f"exit status {result.exit_status}"
 
         if job_report is None:
-            self._record_breaker_failure()
+            self.transfer.record_failure()
             raise DeviceError(
                 f"spark-submit failed on {self.config.spark_driver} after "
                 f"{max_submissions} submission(s): {last_error}"
@@ -792,7 +819,6 @@ class CloudDevice(Device):
             for line in self.sc.log.lines():
                 print(line)
 
-        self._pending["output_keys"] = job_report.output_keys
         report.spark_job_s = job_report.job_s
         report.computation_s = job_report.computation_s
         report.tasks_run = job_report.tasks_run
@@ -809,8 +835,6 @@ class CloudDevice(Device):
             # glance which stretch of the run was a fused multi-region job.
             timeline.record(Phase.FUSED, fused_t0, self.clock.now,
                             resource="fusion", label=region.name)
-            spill = self._pending.pop("fusion_spill", {})
-            assert isinstance(spill, dict)
             self._fusion_spill.update(spill)
         # Anything this job durably wrote supersedes a previous spill.
         for name in job_report.output_keys:
@@ -827,15 +851,16 @@ class CloudDevice(Device):
                 bytes_restored=job_report.bytes_restored))
         self._flush_corruptions(report)
         report.timeline.extend(self.sc.timeline)
-        return report
+        return job_report.output_keys
 
-    def _install_job_handler(self, region, buffers, scalars, mode,
-                             input_keys, key_prefix,
-                             resume_tiles=None) -> None:
-        """Register the driver-side ``spark-submit`` handler.  Each call
-        installs a *fresh* job (generator state is per-submission); the
+    def _job_handler(self, region, buffers, scalars, mode, input_keys,
+                     key_prefix, resume_tiles, finished) -> CommandHandler:
+        """The driver-side ``spark-submit`` handler of one submission.  Each
+        call builds a *fresh* job (generator state is per-submission); the
         handler reports infrastructure failures as non-zero exits while
-        deterministic user errors (codegen, OOM) propagate unchanged.
+        deterministic user errors (codegen, OOM) propagate unchanged.  A job
+        that ran to completion appends its report and the final values of
+        its elided intermediates to ``finished``.
 
         Once a standby driver has taken over (``_driver_replaced``) the
         original driver's death no longer fails submissions, and the
@@ -856,10 +881,8 @@ class CloudDevice(Device):
             gen = SparkJobGenerator(
                 region, scalars, self.sc,
                 calibration=self.cal, mode=mode, tiling=self.tiling,
-                intra_compression=self.intra_compression,
                 fault_plan=self.fault_plan,
-                host_compression=self.config.compression,
-                min_compress_size=self.config.min_compress_size,
+                staging=self.transfer.codec,
                 retry_policy=self.retry_policy,
                 schedule=self.schedule,
                 journal=self.journal,
@@ -881,21 +904,20 @@ class CloudDevice(Device):
                 return CommandResult(command=command, exit_status=255,
                                      stderr=f"Connection to "
                                             f"{self.config.spark_driver} lost")
+            spill: dict[str, np.ndarray] = {}
             elided = getattr(region, "fused_elided", ())
             if elided and mode == ExecutionMode.FUNCTIONAL:
                 # Elided intermediates exist only in the fused driver's
                 # memory; capture their final values so a later offload can
                 # stage them (the host arrays stay pristine — alloc maps
                 # never copy back).
-                self._pending["fusion_spill"] = {
-                    name: arr.copy() for name in elided
-                    if (arr := gen.driver_array(name)) is not None
-                }
-            self._pending["job_report"] = job_report
+                spill = {name: arr.copy() for name in elided
+                         if (arr := gen.driver_array(name)) is not None}
+            finished.append((job_report, spill))
             return CommandResult(command=command, exit_status=0,
                                  stdout=f"job finished in {job_report.job_s:.1f}s")
 
-        self.endpoint.register_handler("spark-submit", handler)
+        return handler
 
     def _submit_once(self, region: TargetRegion, ssh_creds: Credentials,
                      report: OffloadReport) -> CommandResult:
@@ -999,26 +1021,3 @@ class CloudDevice(Device):
                                     duration_s=self.clock.now - t0))
             self.cluster.replace_executor(ex.worker_id, now=self.clock.now)
             report.preemptions += 1
-
-    def abort(self, region: TargetRegion) -> OffloadReport | None:
-        """Tear down a failed offload: close the data environment, flush any
-        accumulated backoff, park managed instances, and hand the partial
-        report (with its recovery counters) back to the runtime."""
-        report = self._pending.get("report")
-        report = report if isinstance(report, OffloadReport) else None
-        # Drop only the references *this* target took; entries held by an
-        # enclosing `target data` environment survive (the runtime follows up
-        # with invalidate_data_env, which clears their device handles).
-        for name in self._pending.get("begun", ()):  # type: ignore[union-attr]
-            if self.env.is_mapped(name):
-                self.env.end(name)
-        self.transfer.charge_backoff(report)
-        self._flush_corruptions(report)
-        if self.config.manage_instances and self._provisioned is not None:
-            self._provisioned.stop_all(self.clock.now)
-        if report is not None:
-            now = self.clock.now
-            report.timeline.record(Phase.FALLBACK, now, now, resource="host",
-                                   label=f"fallback-{region.name}")
-        self._pending = {}
-        return report

@@ -29,7 +29,6 @@ class HostDevice(Device):
     def __init__(self, calibration: Calibration = DEFAULT_CALIBRATION) -> None:
         super().__init__(name="HOST")
         self.compute_model = ComputeModel(calibration)
-        self._pending_resident_hits = 0
 
     def _do_initialize(self) -> None:
         pass
@@ -37,23 +36,7 @@ class HostDevice(Device):
     def is_available(self) -> bool:
         return True
 
-    def data_begin(self, buffers, region, mode) -> None:
-        bus = get_bus()
-        for name in {i.name for c in region.maps for i in c.items}:
-            resident = self.env.is_mapped(name)
-            self.env.begin(buffers[name], region.map_type_of(name) or MapType.TOFROM)
-            if resident:
-                # Presence semantics hold on the host too, but its "device
-                # copy" IS the host array, so nothing was ever retransferred.
-                self._pending_resident_hits += 1
-                bus.emit(ResidentHit(resource=self.name, device=self.name,
-                                     buffer=name, bytes_saved=0))
-
-    def data_end(self, buffers, region, mode) -> None:
-        for name in {i.name for c in region.maps for i in c.items}:
-            self.env.end(name)
-
-    def execute(
+    def offload(
         self,
         region: TargetRegion,
         buffers: Mapping[str, Buffer],
@@ -62,24 +45,36 @@ class HostDevice(Device):
     ) -> OffloadReport:
         report = OffloadReport(region_name=region.name, device_name=self.name,
                                mode=mode.value)
-        report.resident_hits = self._pending_resident_hits
-        self._pending_resident_hits = 0
-        total_flops = 0.0
-        local_arrays: dict[str, np.ndarray] = {}
-        for loop in region.loops:
-            n = loop.trip_count_value(scalars)
-            total_flops += loop.tile_flops(0, n, scalars)
-            if mode == ExecutionMode.FUNCTIONAL:
-                self._run_loop(loop, n, region, buffers, scalars, local_arrays)
-        # Sequential native time: the Figure-4 speedup baseline.
-        seq = self.compute_model.sequential_time(total_flops)
-        report.computation_s = seq
-        report.spark_job_s = seq  # no cluster: the "job" is the computation
-        # The host runs the whole region as one sequential "task".
         bus = get_bus()
-        bus.emit(TaskStart(time=0.0, resource="host", task_id=0, worker="host"))
-        bus.emit(TaskEnd(time=seq, resource="host", task_id=0, worker="host",
-                         duration_s=seq))
+        mapped = {i.name for c in region.maps for i in c.items}
+        for name in mapped:
+            resident = self.env.is_mapped(name)
+            self.env.begin(buffers[name], region.map_type_of(name) or MapType.TOFROM)
+            if resident:
+                # Presence semantics hold on the host too, but its "device
+                # copy" IS the host array, so nothing was ever retransferred.
+                report.resident_hits += 1
+                bus.emit(ResidentHit(resource=self.name, device=self.name,
+                                     buffer=name, bytes_saved=0))
+        try:
+            total_flops = 0.0
+            local_arrays: dict[str, np.ndarray] = {}
+            for loop in region.loops:
+                n = loop.trip_count_value(scalars)
+                total_flops += loop.tile_flops(0, n, scalars)
+                if mode == ExecutionMode.FUNCTIONAL:
+                    self._run_loop(loop, n, region, buffers, scalars, local_arrays)
+            # Sequential native time: the Figure-4 speedup baseline.
+            seq = self.compute_model.sequential_time(total_flops)
+            report.computation_s = seq
+            report.spark_job_s = seq  # no cluster: the "job" is the computation
+            # The host runs the whole region as one sequential "task".
+            bus.emit(TaskStart(time=0.0, resource="host", task_id=0, worker="host"))
+            bus.emit(TaskEnd(time=seq, resource="host", task_id=0, worker="host",
+                             duration_s=seq))
+        finally:
+            for name in mapped:
+                self.env.end(name)
         return report
 
     # -------------------------------------------------------------- internals

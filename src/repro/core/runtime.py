@@ -603,14 +603,14 @@ class OffloadRuntime:
                              region=region.name, device=dev.name,
                              mode=mode.value))
         if dev is self.host:
-            report = self._run_on(dev, region, buffers, scalars, mode)
+            report = dev.offload(region, buffers, scalars, mode)
             if degraded:
                 report.fell_back_to_host = True
             return report
         try:
-            return self._run_on(dev, region, buffers, scalars, mode)
+            return dev.offload(region, buffers, scalars, mode)
         except DeviceError as exc:
-            failed = dev.abort(region)
+            failed = exc.report
             # Device copies held by enclosing `target data` environments are
             # no longer trustworthy; sync dirty outputs home (so the host
             # rerun computes on current data) and force a later re-stage.
@@ -627,7 +627,7 @@ class OffloadRuntime:
                               reason=str(exc)))
             host = self.host
             host.initialize()
-            report = self._run_on(host, region, buffers, scalars, mode)
+            report = host.offload(region, buffers, scalars, mode)
             report.fell_back_to_host = True
             if failed is not None:
                 # Preserve what the failed attempt cost and recorded.
@@ -679,15 +679,6 @@ class OffloadRuntime:
 
         enforce_strict(region, scalars,
                        fail_on=getattr(config, "analysis_fail_on", "error"))
-
-    @staticmethod
-    def _run_on(dev: Device, region: TargetRegion, buffers, scalars, mode):
-        dev.data_begin(buffers, region, mode)
-        try:
-            report = dev.execute(region, buffers, scalars, mode)
-        finally:
-            dev.data_end(buffers, region, mode)
-        return report
 
     def _select_device(self, region: TargetRegion,
                        override: Union[int, str, None] = None) -> Device:

@@ -29,7 +29,8 @@ from repro.core.buffers import Buffer, ExecutionMode
 from repro.core.data_env import DataEnvReport
 from repro.core.device import DeviceError
 from repro.core.report import OffloadReport
-from repro.obs.events import MapDownload, MapUpload, TargetUpdate, get_bus
+from repro.obs.events import (BreakerOpen, MapDownload, MapUpload,
+                              TargetUpdate, get_bus)
 from repro.perfmodel.comm import HostCommModel, TransferPlan
 from repro.perfmodel.compression import (
     CompressionModel,
@@ -37,9 +38,10 @@ from repro.perfmodel.compression import (
     gzip_decompress,
     model_for_density,
 )
-from repro.resilience import RetryPolicy, retry_call
+from repro.resilience import CircuitBreaker, RetryPolicy, retry_call
 from repro.simtime.clock import SimClock
 from repro.simtime.timeline import Phase
+from repro.spark.logging import SparkLog
 
 Report = Union[OffloadReport, DataEnvReport]
 Items = Sequence[tuple[Buffer, str]]
@@ -89,11 +91,13 @@ class TransferEngine:
     device_name: str
     #: A colocated host moves data over the cluster fabric, not the WAN.
     colocated: bool
-    #: Reads the device's current policy.
-    retry_policy: Callable[[], RetryPolicy]
-    #: Counts an exhausted retry budget against the device's circuit breaker.
-    on_failure: Callable[[], None]
-    warn: Callable[[str], None]
+    #: The device's one policy for every retryable operation.
+    retry_policy: RetryPolicy
+    #: The device's circuit breaker; an exhausted retry budget counts
+    #: against it (:meth:`record_failure`).
+    breaker: CircuitBreaker
+    #: Where retry warnings go (the device's Spark log).
+    log: SparkLog
     #: Values that supersede a host array (intermediates a fused job never
     #: materialized), by buffer name.
     spill: Mapping[str, np.ndarray]
@@ -121,38 +125,48 @@ class TransferEngine:
             with self._backoff_lock:
                 self._pending_backoff_s += delay
                 self._pending_retries += 1
-            self.warn(f"{op_name} failed transiently ({exc}); "
-                      f"retrying in {delay:.1f}s")
+            self.log.warn(self.clock.now, "CloudPlugin",
+                          f"{op_name} failed transiently ({exc}); "
+                          f"retrying in {delay:.1f}s")
 
-        return retry_call(self.retry_policy(), fn, *args,
+        return retry_call(self.retry_policy, fn, *args,
                           retry_on=(TransientStorageError,),
                           op_name=op_name, on_retry=on_retry,
                           now=lambda: self.clock.now, **kwargs)
 
-    def charge_backoff(self, report: Report | None = None) -> None:
-        """Flush accumulated backoff to the simulated clock and, when a
-        report is given, into its observability counters + timeline."""
+    def charge_backoff(self, report: Report) -> None:
+        """Flush accumulated backoff to the simulated clock and into the
+        report's observability counters + timeline."""
         with self._backoff_lock:
             delay, self._pending_backoff_s = self._pending_backoff_s, 0.0
             n_retries, self._pending_retries = self._pending_retries, 0
         if delay > 0.0:
             t0 = self.clock.now
             self.clock.advance(delay)
-            if report is not None:
-                report.timeline.record(Phase.RETRY_BACKOFF, t0, self.clock.now,
-                                       resource="host", label="storage-backoff")
-        if report is not None:
-            report.retries += n_retries
-            report.backoff_s += delay
+            report.timeline.record(Phase.RETRY_BACKOFF, t0, self.clock.now,
+                                   resource="host", label="storage-backoff")
+        report.retries += n_retries
+        report.backoff_s += delay
 
     def _failure(self, report: Report, what: str,
                  exc: TransientStorageError) -> DeviceError:
         """Account an exhausted retry budget; the error to raise for it."""
         self.charge_backoff(report)
-        self.on_failure()
+        self.record_failure()
         return DeviceError(
             f"{what} {self.storage.name} failed after "
-            f"{self.retry_policy().max_attempts} attempt(s): {exc}")
+            f"{self.retry_policy.max_attempts} attempt(s): {exc}")
+
+    def record_failure(self) -> None:
+        """Count one offload-level failure against the device's breaker;
+        announce a fresh trip."""
+        was_open = self.breaker.is_open(self.clock.now)
+        self.breaker.record_failure(self.clock.now)
+        if not was_open and self.breaker.is_open(self.clock.now):
+            get_bus().emit(BreakerOpen(
+                time=self.clock.now, resource=self.device_name,
+                device=self.device_name,
+                consecutive_failures=self.breaker.consecutive_failures))
 
     # ------------------------------------------------------- metadata rounds
     def exists(self, key: str) -> tuple[bool, int]:

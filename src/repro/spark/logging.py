@@ -71,10 +71,6 @@ class SparkLog:
     def error(self, time: float, component: str, message: str) -> None:
         self.log(time, component, message, "ERROR")
 
-    def attach_stdout(self) -> None:
-        """Stream future records to stdout (the verbose=true behaviour)."""
-        self.sinks.append(print)
-
     def lines(self, component: str | None = None,
               level: str | None = None) -> Iterable[str]:
         """Formatted records, optionally filtered by component and by

@@ -12,15 +12,13 @@ matrices scaled to ~1 GB.  Each workload here provides:
   size, flop model and memory intensity used by the figure benches.
 """
 
-from repro.workloads.specs import WorkloadSpec, WORKLOADS, paper_scale_n, test_scale_n
+from repro.workloads.specs import WorkloadSpec, WORKLOADS
 from repro.workloads import polybench, mgbench
 from repro.workloads.datagen import random_matrix, sparse_matrix, random_points
 
 __all__ = [
     "WorkloadSpec",
     "WORKLOADS",
-    "paper_scale_n",
-    "test_scale_n",
     "polybench",
     "mgbench",
     "random_matrix",

@@ -154,11 +154,3 @@ WORKLOADS: dict[str, WorkloadSpec] = {
         ),
     )
 }
-
-
-def paper_scale_n(name: str) -> int:
-    return WORKLOADS[name].paper_size
-
-
-def test_scale_n(name: str) -> int:
-    return WORKLOADS[name].test_size

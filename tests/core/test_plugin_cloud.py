@@ -101,12 +101,14 @@ def test_report_milestones_consistent(cloud_config):
 def test_spark_submit_goes_over_ssh(cloud_config):
     rt = make_cloud_runtime(cloud_config)
     dev = rt.device("CLOUD")
+    commands = []
+    dispatch = dev.endpoint.dispatch
+    dev.endpoint.dispatch = lambda cmd: commands.append(cmd) or dispatch(cmd)
     _run(rt)
-    prefixes = [p for p, _ in dev.endpoint._handlers]
-    assert prefixes.count("spark-submit") == 1
-    _run(rt)  # re-registration replaces, never stacks stale jobs
-    prefixes = [p for p, _ in dev.endpoint._handlers]
-    assert prefixes.count("spark-submit") == 1
+    _run(rt)
+    assert [c.split()[0] for c in commands] == ["spark-submit"] * 2
+    # Each job is served for its own submission only: none stays installed.
+    assert dev.endpoint._handlers == []
 
 
 def test_offload_report_traffic_counts(cloud_config):
