@@ -58,8 +58,15 @@ from repro.core.partition import PartitionSpec, spec_from_map_item
 
 #: body(lo, hi, arrays, scalars) -> None, writing into the output arrays.
 TileBody = Callable[[int, int, Mapping[str, object], Mapping[str, Union[int, float]]], None]
-#: flops consumed by iteration i given the scalar environment.
+#: flops consumed by iteration i given the scalar environment.  It may also be
+#: called with an int64 index array ``i`` and then returns one value per
+#: iteration, or one scalar for all of them; anything else (a raise, another
+#: shape, values that scalar calls do not confirm) is evaluated one iteration
+#: at a time.
 FlopsPerIter = Callable[[int, Mapping[str, Union[int, float]]], float]
+
+#: Below this bound a sum of integer-valued float64s is exact in any order.
+_EXACT_SUM_BOUND = 2.0 ** 53
 
 
 class RegionError(Exception):
@@ -130,19 +137,83 @@ class ParallelLoop:
             raise RegionError(f"negative trip count {n} for loop over {self.loop_var!r}")
         return n
 
-    def flops_for(self, iteration: int, env: Mapping[str, Union[int, float]]) -> float:
-        if self.flops_per_iter is None:
-            return 0.0
-        if callable(self.flops_per_iter):
-            return float(self.flops_per_iter(iteration, env))
-        return float(self.flops_per_iter)
+    def tile_flops(
+        self,
+        lo: Union[int, np.ndarray],
+        hi: Union[int, np.ndarray],
+        env: Mapping[str, Union[int, float]],
+    ) -> Union[float, np.ndarray]:
+        """Flops of the tile ``[lo, hi)``, or of every tile when ``lo`` and
+        ``hi`` are int64 arrays of tile bounds (then a float64 array).
 
-    def tile_flops(self, lo: int, hi: int, env: Mapping[str, Union[int, float]]) -> float:
-        if self.flops_per_iter is None:
-            return 0.0
-        if not callable(self.flops_per_iter):
-            return float(self.flops_per_iter) * (hi - lo)
-        return sum(self.flops_for(i, env) for i in range(lo, hi))
+        A callable ``flops_per_iter`` is evaluated once on the index array
+        spanning all tiles; when that result cannot be shown to equal the
+        per-iteration sum bit for bit, it is summed one iteration at a time.
+        """
+        fpi = self.flops_per_iter
+        los = np.atleast_1d(np.asarray(lo, dtype=np.int64))
+        his = np.atleast_1d(np.asarray(hi, dtype=np.int64))
+        if fpi is None:
+            out = np.zeros(len(los))
+        elif not callable(fpi):
+            out = float(fpi) * (his - los)
+        else:
+            out = _vector_flops(fpi, los, his, env)
+            if out is None:
+                out = _scalar_flops(fpi, los, his, env)
+        return out if np.ndim(lo) else float(out[0])
+
+
+def _scalar_flops(fpi: FlopsPerIter, lo: np.ndarray, hi: np.ndarray,
+                  env: Mapping[str, Union[int, float]]) -> np.ndarray:
+    """Per-tile flops, one call and one left-to-right add per iteration."""
+    return np.fromiter(
+        (sum(float(fpi(i, env)) for i in range(a, b))
+         for a, b in zip(lo.tolist(), hi.tolist())),
+        dtype=np.float64, count=len(lo))
+
+
+def _vector_flops(fpi: FlopsPerIter, lo: np.ndarray, hi: np.ndarray,
+                  env: Mapping[str, Union[int, float]]) -> Optional[np.ndarray]:
+    """Per-tile flops from one call of ``fpi`` on ``arange(min lo, max hi)``,
+    or None unless they provably equal :func:`_scalar_flops`: the values are
+    finite integers whose sums stay below 2**53 (so any summation order is
+    exact), and scalar calls at every tile's first iteration and at the last
+    iteration agree with them."""
+    if not len(lo) or hi.max() <= lo.min():
+        return np.zeros(len(lo))
+    base = int(lo.min())
+    span = int(hi.max()) - base
+    try:
+        # A user callable may fail on an array in any way; the scalar path
+        # then evaluates it exactly as before, raising what it raises.
+        values = np.asarray(fpi(np.arange(base, base + span), env), dtype=np.float64)
+    except Exception:
+        return None
+    if values.ndim and values.shape != (span,):
+        return None
+    if not (np.isfinite(values).all() and (values == np.floor(values)).all()):
+        return None
+    if float(np.abs(values).max()) * span >= _EXACT_SUM_BOUND:
+        return None
+    # The last iteration has the largest ``i``: a polynomial in ``i`` that
+    # wraps in int64 (Python ints do not) overflows there first.
+    samples = np.unique(np.append(lo[lo < hi], base + span - 1))
+    try:
+        expected = np.array([float(fpi(i, env)) for i in samples.tolist()])
+    except Exception:
+        return None
+    got = values if values.ndim == 0 else values[samples - base]
+    if not (got == expected).all():
+        return None
+    if values.ndim == 0:
+        flops = float(values) * (hi - lo)
+    else:
+        prefix = np.concatenate(([0.0], np.cumsum(values)))
+        flops = prefix[hi - base] - prefix[lo - base]
+    # A sum starting from 0 is never -0.0; ``+ 0.0`` maps the -0.0 of a
+    # negative value times an empty tile, or of a run of -0.0s, to 0.0.
+    return flops + 0.0
 
 
 class TargetRegion:

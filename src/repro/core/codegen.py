@@ -666,16 +666,7 @@ class SparkJobGenerator:
         bcast_raw = sum(self._buffer_info[nm].nbytes for nm in tiling.broadcast_reads)
         bcast_share = bcast_raw / k if k else 0.0
 
-        fpi = loop.flops_per_iter
-        if fpi is None:
-            flops = np.zeros(n, dtype=np.float64)
-        elif callable(fpi):
-            flops = np.fromiter(
-                (loop.tile_flops(a, b, self.scalars)
-                 for a, b in zip(lo.tolist(), hi.tolist())),
-                dtype=np.float64, count=n)
-        else:
-            flops = float(fpi) * (hi - lo)
+        flops = loop.tile_flops(lo, hi, self.scalars)
         compute_s, jni_s = self.compute_model.task_timing_vec(
             flops, tasks_on_node=k, slots_per_node=slots_per_node,
             intensity=intensity, task_indices=np.arange(n), jni_calls=1)

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Mapping
 
 from repro.cloud.credentials import Credentials
-from repro.core.api import offload
+from repro.core.api import TargetRegion, offload
 from repro.core.buffers import ExecutionMode
 from repro.core.config import CloudConfig
 from repro.core.plugin_cloud import CloudDevice
@@ -21,7 +22,7 @@ from repro.core.report import OffloadReport
 from repro.core.runtime import OffloadRuntime
 from repro.perfmodel.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.perfmodel.compute import ComputeModel
-from repro.workloads.specs import WORKLOADS, WorkloadSpec
+from repro.workloads.specs import WORKLOADS
 
 #: The paper's x-axis: 8 to 256 dedicated CPU cores on a 16-worker cluster.
 CORE_SWEEP = (8, 16, 32, 64, 128, 256)
@@ -71,9 +72,7 @@ class ExperimentPoint:
         return 1.0 - self.speedup_spark / self.speedup_computation
 
 
-def _total_flops(spec: WorkloadSpec, size: int) -> float:
-    region = spec.build_region()
-    scalars = spec.scalars(size)
+def _total_flops(region: TargetRegion, scalars: Mapping[str, float]) -> float:
     return sum(
         loop.tile_flops(0, loop.trip_count_value(scalars), scalars)
         for loop in region.loops
@@ -90,9 +89,8 @@ def run_point(
 ) -> ExperimentPoint:
     """Run one modeled offload and wrap it with its speedup baselines."""
     spec = WORKLOADS[workload]
-    actual_size = size if size is not None else spec.paper_size
     region = spec.build_region("CLOUD")
-    scalars = spec.scalars(actual_size)
+    scalars = spec.scalars(size)
     runtime = OffloadRuntime()
     device = CloudDevice(
         demo_config(n_workers=n_workers),
@@ -109,7 +107,7 @@ def run_point(
         densities=densities,
         mode=ExecutionMode.MODELED,
     )
-    seq = ComputeModel(calibration).sequential_time(_total_flops(spec, actual_size))
+    seq = ComputeModel(calibration).sequential_time(_total_flops(region, scalars))
     return ExperimentPoint(
         workload=workload, cores=cores, density=density, report=report, sequential_s=seq
     )
@@ -214,10 +212,9 @@ def headline_numbers(size: int | None = None) -> dict[str, float]:
     comp_ovh, spark_ovh, full_ovh = [], [], []
     for name, spec in WORKLOADS.items():
         region = spec.build_region()
-        intensity = region.memory_intensity
         pt = _cached_point(name, 16, DENSE, size)
-        flops = _total_flops(spec, size if size is not None else spec.paper_size)
-        t_thread = cm.omp_thread_time(flops, 16, intensity)
+        flops = _total_flops(region, spec.scalars(size))
+        t_thread = cm.omp_thread_time(flops, 16, region.memory_intensity)
         comp_ovh.append(1.0 - t_thread / pt.report.computation_s)
         spark_ovh.append(1.0 - t_thread / pt.report.spark_job_s)
         full_ovh.append(1.0 - t_thread / pt.report.full_s)
