@@ -16,8 +16,7 @@ or point the linter at this file directly (exit code 2 = errors found):
 
     python -m repro lint examples/lint_demo.py
 
-Strict mode (``[Analysis] strict = true``, or ``offload(..., strict=True)``)
-raises before a single byte is uploaded, so the mistake costs nothing.
+Strict mode (``offload(..., strict=True)``) raises before a single byte is uploaded, so the mistake costs nothing.
 """
 
 import numpy as np

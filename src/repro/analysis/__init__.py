@@ -8,8 +8,8 @@ Public surface::
     if not report.ok:
         print(report.render())
 
-``repro lint`` (CLI) and the runtime's strict mode (``[Analysis]`` config
-section / ``offload(..., strict=True)``) are thin wrappers over this module.
+``repro lint`` (CLI) and the runtime's strict mode
+(``offload(..., strict=True)``) are thin wrappers over this module.
 The diagnostic catalogue lives in ``docs/ANALYSIS.md``.
 """
 

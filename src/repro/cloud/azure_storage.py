@@ -1,9 +1,9 @@
 """Microsoft Azure Blob Storage simulator.
 
 Mirrors the subset OmpCloud touches: a storage *account* holding *containers*
-of block blobs, addressed as ``wasb://container@account/key`` (the scheme
-HDInsight clusters mount).  Semantics beyond addressing and auth are shared
-with the generic :class:`~repro.cloud.storage.ObjectStore`.
+of block blobs, named ``wasb://container@account`` (the scheme HDInsight
+clusters mount).  Semantics beyond naming and auth are shared with the
+generic :class:`~repro.cloud.storage.ObjectStore`.
 """
 
 from __future__ import annotations
@@ -15,18 +15,6 @@ from repro.cloud.storage import AccessDeniedError, ObjectStore
 
 _ACCOUNT_RE = re.compile(r"^[a-z0-9]{3,24}$")
 _CONTAINER_RE = re.compile(r"^[a-z0-9][a-z0-9-]{2,62}$")
-
-
-def parse_wasb_uri(uri: str) -> tuple[str, str, str]:
-    """Split ``wasb://container@account/key`` into (account, container, key)."""
-    if not uri.startswith("wasb://"):
-        raise ValueError(f"not a wasb uri: {uri!r}")
-    rest = uri[len("wasb://") :]
-    authority, _, key = rest.partition("/")
-    container, _, account = authority.partition("@")
-    if not container or not account:
-        raise ValueError(f"malformed wasb uri {uri!r}")
-    return account, container, key
 
 
 class AzureBlobStore(ObjectStore):
@@ -57,6 +45,3 @@ class AzureBlobStore(ObjectStore):
             credentials.validated_for("azure")
         except CredentialError as e:
             raise AccessDeniedError(f"{self.name}: {e}") from e
-
-    def uri_for(self, key: str) -> str:
-        return f"wasb://{self.container}@{self.account}/{key}"

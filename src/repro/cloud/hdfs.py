@@ -1,146 +1,26 @@
-"""HDFS simulator: namenode metadata + block placement + replication.
+"""HDFS simulator: a namenode with simple authentication.
 
-The paper supports "any HDFS server" as the staging storage.  The pieces of
-HDFS that matter to OmpCloud's cost profile are modelled: files are split into
-fixed-size blocks, each block is replicated onto ``replication`` distinct
-datanodes, and reads are served from whichever replica is local when possible
-(the driver co-located with a datanode reads at local-disk speed).
+The paper supports "any HDFS server" as the staging storage.  What matters to
+OmpCloud's cost profile is HDFS's throughput and latency relative to the
+object stores, which the class constants carry; objects are stored via the
+common :class:`~repro.cloud.storage.ObjectStore` machinery.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-
 from repro.cloud.credentials import Credentials
-from repro.cloud.storage import AccessDeniedError, NoSuchObjectError, ObjectStore
-
-DEFAULT_BLOCK_SIZE = 128 * 1024 * 1024
-
-
-@dataclass(frozen=True)
-class BlockLocation:
-    """One replica of one block."""
-
-    block_id: int
-    datanode: str
-    length: int
-
-
-@dataclass
-class FileMeta:
-    """Namenode record for one file."""
-
-    path: str
-    size: int
-    blocks: list[BlockLocation] = field(default_factory=list)
-
-    def block_count(self) -> int:
-        seen = {b.block_id for b in self.blocks}
-        return len(seen)
+from repro.cloud.storage import AccessDeniedError, ObjectStore
 
 
 class HDFSStore(ObjectStore):
-    """An HDFS namespace backed by ``datanodes`` simulated datanodes.
-
-    Objects are stored via the common :class:`ObjectStore` machinery; on top,
-    the namenode tracks per-file block placement so locality-aware readers can
-    ask :meth:`locations` and the tests can verify the replication invariant
-    (every block on ``min(replication, n_datanodes)`` distinct nodes).
-    """
+    """One HDFS namespace."""
 
     cluster_read_bps = 700e6  # local replica reads are fast
     cluster_write_bps = 250e6  # pipeline writes pay the replication factor
     request_latency_s = 0.005
-
-    def __init__(
-        self,
-        name: str = "hdfs://namenode:9000",
-        datanodes: int = 4,
-        block_size: int = DEFAULT_BLOCK_SIZE,
-        replication: int = 3,
-        credentials: Credentials | None = None,
-    ) -> None:
-        if datanodes < 1:
-            raise ValueError(f"need at least one datanode, got {datanodes}")
-        if block_size < 1:
-            raise ValueError(f"block size must be positive, got {block_size}")
-        if replication < 1:
-            raise ValueError(f"replication must be >= 1, got {replication}")
-        super().__init__(name=name, credentials=credentials)
-        self.datanode_names = [f"datanode-{i}" for i in range(datanodes)]
-        self.block_size = block_size
-        self.replication = replication
-        self._meta: dict[str, FileMeta] = {}
-        self._block_ids = itertools.count()
-        self._rr = 0  # round-robin cursor for primary placement
 
     def check_access(self, credentials: Credentials | None) -> None:
         # HDFS inside a private cluster uses simple auth: any username works,
         # no username does not.
         if credentials is None or not credentials.username:
             raise AccessDeniedError(f"{self.name}: HDFS simple auth requires a username")
-
-    # ----------------------------------------------------------- namenode ops
-    def put(self, key, data=None, size=None, credentials=None):  # type: ignore[override]
-        obj = super().put(key, data=data, size=size, credentials=credentials)
-        self._meta[key] = self._place_blocks(key, obj.size)
-        return obj
-
-    def delete(self, key, credentials=None):  # type: ignore[override]
-        super().delete(key, credentials=credentials)
-        self._meta.pop(key, None)
-
-    def _place_blocks(self, path: str, size: int) -> FileMeta:
-        meta = FileMeta(path=path, size=size)
-        n_nodes = len(self.datanode_names)
-        reps = min(self.replication, n_nodes)
-        remaining = size
-        while remaining > 0 or (size == 0 and not meta.blocks):
-            length = min(self.block_size, remaining) if size > 0 else 0
-            block_id = next(self._block_ids)
-            # Primary replica round-robins; the rest go to the next nodes,
-            # mirroring HDFS's rack-unaware default placement.
-            for r in range(reps):
-                node = self.datanode_names[(self._rr + r) % n_nodes]
-                meta.blocks.append(BlockLocation(block_id=block_id, datanode=node, length=length))
-            self._rr = (self._rr + 1) % n_nodes
-            remaining -= length
-            if size == 0:
-                break
-        return meta
-
-    def locations(self, path: str) -> FileMeta:
-        """Namenode lookup: block placement of ``path``."""
-        try:
-            return self._meta[path]
-        except KeyError:
-            raise NoSuchObjectError(f"{self.name}: no file {path!r}") from None
-
-    def read_time_from(self, path: str, reader_node: str) -> float:
-        """Seconds for ``reader_node`` to read the file, exploiting locality.
-
-        Blocks with a replica on the reader move at local speed; the rest pay
-        a remote (intra-cluster network-bound) penalty.
-        """
-        meta = self.locations(path)
-        local_bps = self.cluster_read_bps
-        remote_bps = self.cluster_read_bps / 2.0
-        t = self.request_latency_s
-        seen: set[int] = set()
-        for b in meta.blocks:
-            if b.block_id in seen:
-                continue
-            replicas = [x for x in meta.blocks if x.block_id == b.block_id]
-            local = any(x.datanode == reader_node for x in replicas)
-            t += b.length / (local_bps if local else remote_bps)
-            seen.add(b.block_id)
-        return t
-
-    def datanode_usage(self) -> dict[str, int]:
-        """Bytes of block replicas per datanode (balance diagnostics)."""
-        usage = {n: 0 for n in self.datanode_names}
-        for meta in self._meta.values():
-            for b in meta.blocks:
-                usage[b.datanode] += b.length
-        return usage

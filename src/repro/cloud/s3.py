@@ -1,60 +1,18 @@
 """Amazon S3 simulator.
 
 Adds the S3-isms the OmpCloud plugin interacts with: buckets with naming
-rules, ``s3://bucket/key`` addressing, and multipart upload for large objects
-(the real plugin streams gzip output in parts).  Authentication follows the
-AWS credential shape checked by :class:`repro.cloud.credentials.Credentials`.
+rules, addressed as ``s3://bucket``.  Authentication follows the AWS
+credential shape checked by :class:`repro.cloud.credentials.Credentials`.
 """
 
 from __future__ import annotations
 
 import re
-import threading
-from dataclasses import dataclass, field
 
 from repro.cloud.credentials import CredentialError, Credentials
-from repro.cloud.storage import AccessDeniedError, ObjectStore, StorageError
+from repro.cloud.storage import AccessDeniedError, ObjectStore
 
 _BUCKET_RE = re.compile(r"^[a-z0-9][a-z0-9.-]{1,61}[a-z0-9]$")
-
-#: S3's multipart threshold: parts other than the last must be >= 5 MiB.
-MIN_PART_SIZE = 5 * 1024 * 1024
-
-
-def parse_s3_uri(uri: str) -> tuple[str, str]:
-    """Split ``s3://bucket/key`` into (bucket, key)."""
-    if not uri.startswith("s3://"):
-        raise ValueError(f"not an s3 uri: {uri!r}")
-    rest = uri[len("s3://") :]
-    bucket, _, key = rest.partition("/")
-    if not bucket:
-        raise ValueError(f"missing bucket in s3 uri {uri!r}")
-    return bucket, key
-
-
-@dataclass
-class MultipartUpload:
-    """In-flight multipart upload state."""
-
-    upload_id: str
-    key: str
-    parts: dict[int, bytes] = field(default_factory=dict)
-
-    def assembled(self) -> bytes:
-        if not self.parts:
-            raise StorageError(f"multipart upload {self.upload_id} has no parts")
-        numbers = sorted(self.parts)
-        if numbers != list(range(1, len(numbers) + 1)):
-            raise StorageError(
-                f"multipart upload {self.upload_id}: non-contiguous part numbers {numbers}"
-            )
-        for n in numbers[:-1]:
-            if len(self.parts[n]) < MIN_PART_SIZE:
-                raise StorageError(
-                    f"multipart part {n} is {len(self.parts[n])} bytes; "
-                    f"S3 requires >= {MIN_PART_SIZE} for all but the last part"
-                )
-        return b"".join(self.parts[n] for n in numbers)
 
 
 class S3Store(ObjectStore):
@@ -73,9 +31,6 @@ class S3Store(ObjectStore):
             raise ValueError(f"invalid S3 bucket name {bucket!r}")
         super().__init__(name=f"s3://{bucket}", credentials=credentials)
         self.bucket = bucket
-        self._uploads: dict[str, MultipartUpload] = {}
-        self._upload_seq = 0
-        self._mp_lock = threading.Lock()
 
     def check_access(self, credentials: Credentials | None) -> None:
         if credentials is None:
@@ -84,46 +39,3 @@ class S3Store(ObjectStore):
             credentials.validated_for("aws")
         except CredentialError as e:
             raise AccessDeniedError(f"{self.name}: {e}") from e
-
-    def uri_for(self, key: str) -> str:
-        return f"s3://{self.bucket}/{key}"
-
-    # -------------------------------------------------------------- multipart
-    def initiate_multipart(self, key: str, credentials: Credentials | None = None) -> str:
-        self._authorize(credentials)
-        with self._mp_lock:
-            self._upload_seq += 1
-            upload_id = f"mpu-{self._upload_seq:06d}"
-            self._uploads[upload_id] = MultipartUpload(upload_id=upload_id, key=key)
-        return upload_id
-
-    def upload_part(
-        self,
-        upload_id: str,
-        part_number: int,
-        data: bytes,
-        credentials: Credentials | None = None,
-    ) -> None:
-        self._authorize(credentials)
-        if part_number < 1 or part_number > 10_000:
-            raise ValueError(f"part number must be in [1, 10000], got {part_number}")
-        with self._mp_lock:
-            try:
-                upload = self._uploads[upload_id]
-            except KeyError:
-                raise StorageError(f"unknown multipart upload {upload_id!r}") from None
-            upload.parts[part_number] = data
-
-    def complete_multipart(self, upload_id: str, credentials: Credentials | None = None) -> None:
-        self._authorize(credentials)
-        with self._mp_lock:
-            try:
-                upload = self._uploads.pop(upload_id)
-            except KeyError:
-                raise StorageError(f"unknown multipart upload {upload_id!r}") from None
-        self.put(upload.key, data=upload.assembled(), credentials=credentials)
-
-    def abort_multipart(self, upload_id: str, credentials: Credentials | None = None) -> None:
-        self._authorize(credentials)
-        with self._mp_lock:
-            self._uploads.pop(upload_id, None)

@@ -411,9 +411,7 @@ def offload(
 
     ``strict=True`` runs the static verifier (:mod:`repro.analysis`) against
     the region and the actual ``scalars`` first, raising
-    :class:`~repro.analysis.AnalysisError` before any buffer is even built;
-    the per-device ``[Analysis]`` configuration enables the same gate
-    runtime-wide.
+    :class:`~repro.analysis.AnalysisError` before any buffer is even built.
     """
     from dataclasses import replace
 

@@ -89,31 +89,8 @@ class CloudConfig:
     #: resubmits the whole job on a replacement driver, "resume" also
     #: commits per-tile checkpoints and reschedules only unfinished tiles.
     recovery: str = "none"
-    # --- Static verification ([Analysis] section) ---
-    #: Run the offload verifier on every region before any data is uploaded
-    #: and refuse to offload regions with blocking findings.
-    analysis_strict: bool = False
-    #: Lowest severity that blocks a strict offload: "warning" or "error".
-    analysis_fail_on: str = "error"
-    #: Run clause inference before staging: provably minimal map/partition
-    #: clauses replace the user's (safe — degrades on incomplete analysis).
-    analysis_infer: bool = False
-    # --- Adaptive execution ([Schedule] section, docs/SCHEDULING.md) ---
-    #: Tiling mode: "static" (Algorithm 1) or "weighted" (capacity-aware).
-    schedule_mode: str = "static"
-    #: Race speculative copies of straggling tasks (spark.speculation).
-    speculation: bool = False
-    #: A task is a straggler after multiplier x median task duration.
-    speculation_multiplier: float = 1.5
-    #: Max scattered-but-uncollected results in flight; 0 = strict barrier.
-    pipeline_depth: int = 0
 
     def __post_init__(self) -> None:
-        if self.analysis_fail_on not in ("note", "warning", "error"):
-            raise ConfigError(
-                f"analysis_fail_on must be 'note', 'warning' or 'error', "
-                f"got {self.analysis_fail_on!r}"
-            )
         if self.provider not in _VALID_PROVIDERS:
             raise ConfigError(
                 f"unknown provider {self.provider!r}; expected one of {_VALID_PROVIDERS}"
@@ -136,27 +113,6 @@ class CloudConfig:
             raise ConfigError(
                 f"recovery must be 'none', 'restart' or 'resume', got {self.recovery!r}"
             )
-        if self.schedule_mode not in ("static", "weighted"):
-            raise ConfigError(
-                f"schedule mode must be 'static' or 'weighted', got {self.schedule_mode!r}"
-            )
-        if self.speculation_multiplier < 1.0:
-            raise ConfigError(
-                f"speculation_multiplier must be >= 1.0, got {self.speculation_multiplier}"
-            )
-        if self.pipeline_depth < 0:
-            raise ConfigError(f"pipeline_depth must be >= 0, got {self.pipeline_depth}")
-
-    def schedule(self) -> "ScheduleConfig":
-        """The :class:`~repro.spark.schedule.ScheduleConfig` this file selects."""
-        from repro.spark.schedule import ScheduleConfig
-
-        return ScheduleConfig(
-            mode=self.schedule_mode,
-            speculation=self.speculation,
-            speculation_multiplier=self.speculation_multiplier,
-            pipeline_depth=self.pipeline_depth,
-        )
 
     def retry_policy(self) -> "RetryPolicy":
         """The uniform :class:`~repro.resilience.RetryPolicy` for this device."""
@@ -204,18 +160,23 @@ _INI_OPTIONS = (
     ("Resilience", "breaker_threshold", "breaker_threshold", int),
     ("Resilience", "breaker_reset_s", "breaker_reset_s", float),
     ("Resilience", "recovery", "recovery", str.lower),
-    ("Analysis", "strict", "analysis_strict", _parse_bool),
-    ("Analysis", "fail_on", "analysis_fail_on", str.lower),
-    ("Analysis", "infer", "analysis_infer", _parse_bool),
-    ("Schedule", "mode", "schedule_mode", str.lower),
-    ("Schedule", "speculation", "speculation", _parse_bool),
-    ("Schedule", "speculation_multiplier", "speculation_multiplier", float),
-    ("Schedule", "pipeline_depth", "pipeline_depth", int),
+)
+
+#: Every (section, option) a file may set: the table above plus the
+#: credential keys :func:`_credentials_from` reads.
+_KNOWN_KEYS = frozenset(
+    [(section, option) for section, option, _, _ in _INI_OPTIONS]
+    + [("AWS", key) for key in ("access_key", "secret_key", "region")]
+    + [("Azure", key) for key in ("account", "key", "region")]
 )
 
 
 def load_config(path: str | os.PathLike[str]) -> CloudConfig:
-    """Parse an INI configuration file into a :class:`CloudConfig`."""
+    """Parse an INI configuration file into a :class:`CloudConfig`.
+
+    A section or option the loader does not read raises
+    :class:`ConfigError` naming each one, so a misspelled key cannot
+    silently fall back to its default."""
     p = Path(path)
     if not p.exists():
         raise ConfigError(f"configuration file {p} does not exist")
@@ -224,6 +185,16 @@ def load_config(path: str | os.PathLike[str]) -> CloudConfig:
         cp.read(p)
     except configparser.Error as e:
         raise ConfigError(f"cannot parse {p}: {e}") from e
+    known_sections = {section for section, _ in _KNOWN_KEYS}
+    unknown = []
+    for section in cp.sections():
+        if section not in known_sections:
+            unknown.append(section)
+            continue
+        unknown += [f"{section}.{option}" for option in cp[section]
+                    if (section, option) not in _KNOWN_KEYS]
+    if unknown:
+        raise ConfigError(f"unknown configuration keys in {p}: {', '.join(unknown)}")
 
     values = {f.name: f.default for f in fields(CloudConfig) if f.default is not MISSING}
     try:
@@ -290,17 +261,6 @@ def write_example_config(path: str | os.PathLike[str], provider: str = "ec2") ->
             "breaker_threshold": "3",
             "breaker_reset_s": "300.0",
             "recovery": "none",
-        },
-        "Analysis": {
-            "strict": "false",
-            "fail_on": "error",
-            "infer": "false",
-        },
-        "Schedule": {
-            "mode": "static",
-            "speculation": "false",
-            "speculation_multiplier": "1.5",
-            "pipeline_depth": "0",
         },
     }
     cp = configparser.ConfigParser()

@@ -73,7 +73,7 @@ from repro.simtime.timeline import Phase
 from repro.spark.cluster import SparkCluster, WorkerShape
 from repro.spark.context import SparkContext
 from repro.spark.faults import NO_FAULTS, FaultPlan
-from repro.spark.schedule import ScheduleConfig
+from repro.spark.schedule import STATIC_SCHEDULE, ScheduleConfig
 from repro.spark.scheduler import JobFailedError, SchedulerCosts
 
 
@@ -86,13 +86,11 @@ class CloudDevice(Device):
         *,
         physical_cores: int | None = None,
         calibration: Calibration = DEFAULT_CALIBRATION,
-        provider: CloudProvider | None = None,
         reachable: bool = True,
         tiling: bool = True,
-        parallel_streams: bool = True,
         fault_plan: FaultPlan = NO_FAULTS,
         colocated: bool = False,
-        schedule: ScheduleConfig | None = None,
+        schedule: ScheduleConfig = STATIC_SCHEDULE,
         worker_speeds: Sequence[float] | None = None,
     ) -> None:
         """``colocated=True`` models running the application directly from the
@@ -109,9 +107,8 @@ class CloudDevice(Device):
             if physical_cores is not None
             else config.n_workers * calibration.worker_vcpus // 2
         )
-        #: Adaptive execution policy: an explicit argument wins, otherwise
-        #: the config's [Schedule] section (static/off by default).
-        self.schedule = schedule if schedule is not None else config.schedule()
+        #: Adaptive execution policy (static, no speculation by default).
+        self.schedule = schedule
         self.cluster = SparkCluster.for_physical_cores(
             self.physical_cores,
             n_workers=config.n_workers,
@@ -132,7 +129,9 @@ class CloudDevice(Device):
         self._reachable = reachable
         self._offload_seq = itertools.count(1)
         self._provisioned: ProvisionedCluster | None = None
-        self._provider = provider
+        #: Built from the config on first initialization when
+        #: ``manage_instances`` is set.
+        self._provider: CloudProvider | None = None
         self.endpoint = SSHEndpoint(
             hostname=config.spark_driver,
             authorized_users={config.spark_user},
@@ -169,8 +168,7 @@ class CloudDevice(Device):
             storage=self.storage, credentials=config.credentials,
             codec=StagingCodec(config.compression, config.min_compress_size),
             comm=HostCommModel(calibration, network=self.network,
-                               compress=config.compression,
-                               parallel_streams=parallel_streams),
+                               compress=config.compression),
             clock=self.clock, device_name=self.name, colocated=colocated,
             retry_policy=config.retry_policy(), breaker=self.breaker,
             log=self.sc.log, spill=self._fusion_spill,
@@ -461,12 +459,11 @@ class CloudDevice(Device):
 
         mgmt_start = self.clock.now
         if self.config.manage_instances and self._provisioned is not None:
-            billed_before = self._provider.ledger.total_usd() if self._provider else 0.0
+            billed_before = self._provider.ledger.total_usd()
             self._provisioned.stop_all(self.clock.now)
-            if self._provider is not None:
-                # Accumulate: a mid-run spot replacement may already have
-                # billed its reclaimed predecessor.
-                report.billed_usd += self._provider.ledger.total_usd() - billed_before
+            # Accumulate: a mid-run spot replacement may already have
+            # billed its reclaimed predecessor.
+            report.billed_usd += self._provider.ledger.total_usd() - billed_before
         report.instance_mgmt_s += self.clock.now - mgmt_start
         self._flush_corruptions(report)
 

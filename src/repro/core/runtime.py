@@ -176,13 +176,10 @@ class OffloadRuntime:
         region reruns on the host and the merged report records the failed
         attempt's recovery counters.
 
-        When the selected device's configuration enables strict analysis
-        (``[Analysis] strict = true``), the static verifier runs here —
-        after device selection, before any data movement — and a region
-        with blocking findings raises
-        :class:`~repro.analysis.AnalysisError` without uploading a byte.
-        Verification failure is deliberately *not* a :class:`DeviceError`:
-        a broken region is broken on the host too, so no fallback.
+        Strict verification is per call and runs before this method
+        (``offload(..., strict=True)``): a region with blocking findings
+        raises :class:`~repro.analysis.AnalysisError` without uploading a
+        byte, and — not being a :class:`DeviceError` — never falls back.
 
         Observability: every offload runs inside an
         :meth:`~repro.obs.events.EventBus.offload_scope`, so each event any
@@ -598,7 +595,6 @@ class OffloadRuntime:
                 bus.emit(Fallback(time=self._device_now(dev), resource="host",
                                   region=region.name, device=unavailable.name,
                                   reason="device unavailable"))
-        self._enforce_strict(dev, region, scalars)
         bus.emit(TargetBegin(time=self._device_now(dev), resource=dev.name,
                              region=region.name, device=dev.name,
                              mode=mode.value))
@@ -647,15 +643,13 @@ class OffloadRuntime:
         """Opt-in clause inference, applied before staging so the device
         only ever sees (and transfers) the synthesized minimal clauses.
 
-        Enabled per call (``offload(infer_maps=True)``) or per device
-        (``[Analysis] infer = true``).  Inference degrades to the original
-        region whenever its evidence is incomplete, so this is always safe
-        to apply; the ``MapInferred`` event records what happened either
-        way so savings (or the degradation reason) are visible in traces.
+        Enabled per call (``offload(infer_maps=True)``).  Inference
+        degrades to the original region whenever its evidence is incomplete,
+        so this is always safe to apply; the ``MapInferred`` event records
+        what happened either way so savings (or the degradation reason) are
+        visible in traces.
         """
-        config = getattr(dev, "config", None)
-        enabled = infer_maps or getattr(config, "analysis_infer", False)
-        if not enabled:
+        if not infer_maps:
             return region
         from repro.analysis.infer import infer_region
 
@@ -669,16 +663,6 @@ class OffloadRuntime:
             reason="; ".join(rep.reasons) if rep.degraded else "",
         ))
         return rep.region
-
-    @staticmethod
-    def _enforce_strict(dev: Device, region: TargetRegion, scalars) -> None:
-        config = getattr(dev, "config", None)
-        if config is None or not getattr(config, "analysis_strict", False):
-            return
-        from repro.analysis import enforce_strict
-
-        enforce_strict(region, scalars,
-                       fail_on=getattr(config, "analysis_fail_on", "error"))
 
     def _select_device(self, region: TargetRegion,
                        override: Union[int, str, None] = None) -> Device:

@@ -298,9 +298,7 @@ class TransferEngine:
                    else self.comm.download(plans).decompress_s)
         # Wire sizes are the *actual* staged sizes (real gzip output in
         # functional mode), not the model's estimate.
-        wire_s = (self.link.parallel_transfer_time(wire)
-                  if self.comm.parallel_streams
-                  else self.link.serial_transfer_time(wire))
+        wire_s = self.link.parallel_transfer_time(wire)
         if codec_phase is None:  # one `phase` span covers both
             codec_s, wire_s = 0.0, codec_s + wire_s
         clock = self.clock

@@ -402,7 +402,7 @@ class CorruptionDetected(Event):
 @dataclass(frozen=True)
 class MapInferred(Event):
     """Clause inference ran on a region before staging
-    (``offload(infer_maps=True)`` or ``[Analysis] infer``).  Either the
+    (``offload(infer_maps=True)``).  Either the
     synthesized clauses replaced the user's (``changed``), nothing narrower
     could be proven, or the evidence was incomplete and inference degraded
     to the original clauses (``degraded``, with the ``reason``)."""

@@ -1,4 +1,4 @@
-"""Adaptive execution policy for the Spark substrate (the ``[Schedule]`` knob).
+"""Adaptive execution policy for the Spark substrate.
 
 Algorithm 1's static tiling is optimal only when every worker is identical
 and healthy — the very assumption the fault plans (spot preemption, executor
@@ -13,14 +13,11 @@ selects how far the scheduler may adapt:
   ``spark.speculation`` semantics: a task running at least
   ``multiplier x median task duration`` is a straggler, and the driver
   races a speculative copy on another executor, first result wins.
-* ``pipeline_depth`` — when > 0, the driver streams collects through NIC
-  idle gaps between scatters instead of the strict
-  scatter-all / compute / collect-all barrier, holding at most
-  ``pipeline_depth`` scattered-but-uncollected results in flight.
 
 The default :data:`STATIC_SCHEDULE` reproduces the paper exactly; every
-adaptive feature is strictly opt-in, so Figure 4/5 baselines are untouched
-unless a config asks otherwise.  See ``docs/SCHEDULING.md``.
+adaptive feature is strictly opt-in, passed as
+``CloudDevice(schedule=ScheduleConfig(...))``, so Figure 4/5 baselines are
+untouched unless a caller asks otherwise.  See ``docs/SCHEDULING.md``.
 """
 
 from __future__ import annotations
@@ -38,7 +35,6 @@ class ScheduleConfig:
     mode: str = "static"
     speculation: bool = False
     speculation_multiplier: float = 1.5
-    pipeline_depth: int = 0
 
     def __post_init__(self) -> None:
         if self.mode not in SCHEDULE_MODES:
@@ -50,20 +46,11 @@ class ScheduleConfig:
                 "speculation_multiplier must be >= 1.0 (a task is never a "
                 f"straggler before the median), got {self.speculation_multiplier!r}"
             )
-        if self.pipeline_depth < 0:
-            raise ValueError(
-                f"pipeline_depth must be >= 0, got {self.pipeline_depth!r}"
-            )
 
     @property
     def weighted(self) -> bool:
         return self.mode == "weighted"
 
-    @property
-    def pipelined(self) -> bool:
-        return self.pipeline_depth > 0
 
-
-#: The paper's behaviour: static Algorithm-1 tiles, no speculation, strict
-#: scatter/compute/collect barrier.  Shared immutable default.
+#: The paper's behaviour: static Algorithm-1 tiles, no speculation.  Shared immutable default.
 STATIC_SCHEDULE = ScheduleConfig()

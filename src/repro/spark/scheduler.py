@@ -16,10 +16,8 @@ the one-stage DOALL jobs OmpCloud generates:
   attempts — lineage recomputation in RDD terms.
 
 A :class:`~repro.spark.schedule.ScheduleConfig` unlocks the adaptive layer
-(all off by default, see ``docs/SCHEDULING.md``): speculative copies for
-stragglers (``spark.speculation`` semantics, first result wins) and a
-pipelined collect path that streams results through NIC idle gaps between
-scatters instead of the strict end-of-job barrier.
+(off by default, see ``docs/SCHEDULING.md``): speculative copies for
+stragglers (``spark.speculation`` semantics, first result wins).
 
 Everything is accounted on a :class:`~repro.simtime.timeline.Timeline` with
 the phases Figure 5 of the paper stacks.
@@ -37,7 +35,6 @@ pinned bit for bit by the committed baselines and golden event streams.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -225,7 +222,7 @@ class _JobRun:
         if not alive:
             raise JobFailedError("no alive executors")
         clock, timeline, network = self.clock, self.timeline, self.network
-        schedule, stats = self.schedule, self.stats
+        stats = self.stats
         t0 = clock.now
 
         # ------------------------------------------------------- broadcasts
@@ -248,17 +245,12 @@ class _JobRun:
         record = timeline.record
         lan_time = network.lan_transfer_time
         tid, in_b, out_b = self.tid, self.in_b, self.out_b
-        pipelined = schedule.pipelined
         driver_cursor = ready0
         nic_cursor = ready0
         agg = self.agg
         e_sched = (_agg_entry(agg, Phase.SCHEDULING, "driver")
                    if agg is not None and n else None)
         e_intra = None
-        #: Pipelined mode: scattered rows whose result is due, as a heap of
-        #: (end, task_id, row) — pop order is exactly the historical
-        #: ``min(uncollected, key=(end, task_id))`` scan.
-        uncollected: list[tuple[float, int, int]] = []
         for row in range(n):
             launch_start = driver_cursor
             driver_cursor += launch_s
@@ -270,20 +262,6 @@ class _JobRun:
                        label=f"launch-{tid[row]}")
             ready = driver_cursor
             if in_b[row] > 0:
-                if pipelined:
-                    # Back-pressure: at most pipeline_depth results may sit
-                    # uncollected before the NIC must drain one.
-                    while len(uncollected) >= schedule.pipeline_depth:
-                        nic_cursor = self._collect_one(uncollected, nic_cursor)
-                    # Opportunistic overlap: any finished result whose
-                    # transfer fits in the NIC gap before this scatter
-                    # streams back now, while other tiles still compute.
-                    while uncollected:
-                        nxt_end, _, nxt_row = uncollected[0]
-                        dt = lan_time(out_b[nxt_row])
-                        if max(nxt_end, nic_cursor) + dt > ready:
-                            break
-                        nic_cursor = self._collect_one(uncollected, nic_cursor)
                 x0 = ready if ready > nic_cursor else nic_cursor
                 dt = lan_time(in_b[row])
                 nic_cursor = x0 + dt
@@ -298,39 +276,28 @@ class _JobRun:
                            label=f"scatter-{tid[row]}")
                 ready = nic_cursor
             self._run_one(row, ready)
-            if pipelined:
-                if out_b[row] > 0:
-                    heapq.heappush(uncollected,
-                                   (self.r_end[row], tid[row], row))
-                else:
-                    self.r_collected[row] = self.r_end[row]
 
         # ---------------------------------------------------------- collect
         collect_cursor = nic_cursor
-        if pipelined:
-            while uncollected:
-                collect_cursor = self._collect_one(uncollected, collect_cursor)
-        else:
-            ends = np.array(self.r_end)
-            e_coll = None
-            for row in np.lexsort((self.table.task_id, ends)).tolist():
-                if out_b[row] > 0:
-                    end = self.r_end[row]
-                    c0 = end if end > collect_cursor else collect_cursor
-                    dt = lan_time(out_b[row])
-                    collect_cursor = c0 + dt
-                    if agg is not None:
-                        if e_coll is None:
-                            e_coll = _agg_entry(agg, Phase.COLLECT,
-                                                "driver-nic")
-                        _bump(e_coll, c0, collect_cursor)
-                    else:
-                        record(Phase.COLLECT, c0, collect_cursor,
-                               resource="driver-nic",
-                               label=f"collect-{tid[row]}")
-                    self.r_collected[row] = collect_cursor
+        ends = np.array(self.r_end)
+        e_coll = None
+        for row in np.lexsort((self.table.task_id, ends)).tolist():
+            if out_b[row] > 0:
+                end = self.r_end[row]
+                c0 = end if end > collect_cursor else collect_cursor
+                dt = lan_time(out_b[row])
+                collect_cursor = c0 + dt
+                if agg is not None:
+                    if e_coll is None:
+                        e_coll = _agg_entry(agg, Phase.COLLECT, "driver-nic")
+                    _bump(e_coll, c0, collect_cursor)
                 else:
-                    self.r_collected[row] = self.r_end[row]
+                    record(Phase.COLLECT, c0, collect_cursor,
+                           resource="driver-nic",
+                           label=f"collect-{tid[row]}")
+                self.r_collected[row] = collect_cursor
+            else:
+                self.r_collected[row] = self.r_end[row]
 
         job_end = max(self.r_collected, default=ready0)
         clock.advance_to(max(job_end, clock.now))
@@ -552,18 +519,6 @@ class _JobRun:
         self.spec_rows.add(row)
         self.values[row] = value
         return True
-
-    def _collect_one(self, pending: list[tuple[float, int, int]],
-                     cursor: float) -> float:
-        """Stream the earliest-finished pending result back over the NIC."""
-        end, tid, row = heapq.heappop(pending)
-        c0 = end if end > cursor else cursor
-        dt = self.network.lan_transfer_time(self.out_b[row])
-        cursor = c0 + dt
-        self.timeline.record(Phase.COLLECT, c0, cursor, resource="driver-nic",
-                             label=f"collect-{tid}")
-        self.r_collected[row] = cursor
-        return cursor
 
     def _record_task_spans(self, row: int, start: float, ex: Executor,
                            label_suffix: str = "") -> None:

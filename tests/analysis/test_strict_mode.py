@@ -1,13 +1,10 @@
 """Strict mode: the verifier as a runtime gate, enforced before upload."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
-from repro.analysis import AnalysisError
+from repro.analysis import AnalysisError, enforce_strict
 from repro.core.api import offload
-from repro.core.config import CloudConfig, ConfigError, load_config
 from repro.core.plugin_cloud import CloudDevice
 from repro.core.runtime import OffloadRuntime
 from repro.metrics.figures import demo_config
@@ -19,20 +16,19 @@ def _arrays(n=8):
     return {"A": np.ones(n * n), "C": np.zeros(n * n)}
 
 
-def _strict_runtime(**analysis):
-    config = replace(demo_config(n_workers=4), analysis_strict=True, **analysis)
+def _cloud_runtime():
     runtime = OffloadRuntime()
-    device = CloudDevice(config, physical_cores=16)
+    device = CloudDevice(demo_config(n_workers=4), physical_cores=16)
     runtime.register(device)
     return runtime, device
 
 
-def test_strict_config_blocks_broken_region_before_any_upload():
+def test_strict_blocks_broken_region_before_any_upload():
     bad121, _ = CASES["OMP121"]
-    runtime, device = _strict_runtime()
+    runtime, device = _cloud_runtime()
     with pytest.raises(AnalysisError) as err:
         offload(bad121(), arrays=_arrays(), scalars=dict(SCALARS),
-                runtime=runtime)
+                runtime=runtime, strict=True)
     assert err.value.report.has("OMP121")
     # Zero bytes reached cloud storage: the gate sits before data_begin.
     assert device.storage._objects == {}
@@ -48,68 +44,40 @@ def test_strict_error_does_not_fall_back_to_host():
     # AnalysisError is not a DeviceError: a broken contract is broken on
     # the host too, so the runtime must not swallow it into a fallback.
     bad121, _ = CASES["OMP121"]
-    runtime, _device = _strict_runtime()
+    runtime, _device = _cloud_runtime()
     with pytest.raises(AnalysisError):
         offload(bad121(), arrays=_arrays(), scalars=dict(SCALARS),
-                runtime=runtime)
+                runtime=runtime, strict=True)
     assert runtime.fallbacks == 0
 
 
 def test_strict_clean_region_offloads_normally():
-    runtime, _device = _strict_runtime()
+    runtime, _device = _cloud_runtime()
     n = SCALARS["N"]
     arrays = _arrays(n)
     report = offload(clean_region(), arrays=arrays, scalars=dict(SCALARS),
-                     runtime=runtime)
+                     runtime=runtime, strict=True)
     assert report is not None
     np.testing.assert_allclose(arrays["C"], arrays["A"])
 
 
 def test_fail_on_warning_escalates_warnings():
     bad113, _ = CASES["OMP113"]  # phantom access: warning-level
-    runtime, _device = _strict_runtime()  # default fail_on="error"
-    offload(bad113(), arrays=_arrays(), scalars=dict(SCALARS), runtime=runtime)
-
-    strict_runtime, _ = _strict_runtime(analysis_fail_on="warning")
+    runtime, _device = _cloud_runtime()
+    offload(bad113(), arrays=_arrays(), scalars=dict(SCALARS), runtime=runtime,
+            strict=True)  # blocks on errors only
     with pytest.raises(AnalysisError):
-        offload(bad113(), arrays=_arrays(), scalars=dict(SCALARS),
-                runtime=strict_runtime)
+        enforce_strict(bad113(), dict(SCALARS), fail_on="warning")
 
 
 def test_strict_workloads_all_pass_the_gate():
     for name in sorted(WORKLOADS):
         spec = WORKLOADS[name]
-        runtime, _device = _strict_runtime(analysis_fail_on="warning")
+        region = spec.build_region("CLOUD")
+        scalars = spec.scalars(spec.test_size)
+        enforce_strict(region, scalars, fail_on="warning")
+        runtime, _device = _cloud_runtime()
         arrays = spec.inputs(spec.test_size, density=1.0, seed=0)
-        report = offload(spec.build_region("CLOUD"), arrays=arrays,
-                         scalars=spec.scalars(spec.test_size), runtime=runtime)
+        report = offload(region, arrays=arrays, scalars=scalars,
+                         runtime=runtime, strict=True)
         assert report is not None, name
-
-
-def test_analysis_config_parsing(tmp_path):
-    ini = tmp_path / "cloud_rtl.ini"
-    ini.write_text("[Analysis]\nstrict = true\nfail_on = warning\n")
-    config = load_config(ini)
-    assert config.analysis_strict is True
-    assert config.analysis_fail_on == "warning"
-    # Defaults stay off.
-    ini2 = tmp_path / "plain.ini"
-    ini2.write_text("[Spark]\nworkers = 2\n")
-    config2 = load_config(ini2)
-    assert config2.analysis_strict is False
-    assert config2.analysis_fail_on == "error"
-
-
-def test_analysis_config_rejects_bad_fail_on():
-    with pytest.raises(ConfigError, match="analysis_fail_on"):
-        CloudConfig(analysis_fail_on="fatal")
-
-
-def test_example_config_documents_analysis_section(tmp_path):
-    from repro.core.config import write_example_config
-
-    path = write_example_config(tmp_path / "example.ini")
-    text = path.read_text()
-    assert "[Analysis]" in text
-    assert "strict" in text and "fail_on" in text
-    assert load_config(path).analysis_strict is False

@@ -131,9 +131,23 @@ def test_example_config_roundtrips(tmp_path):
 
 
 def test_empty_sections_load_to_the_dataclass_defaults(tmp_path):
-    sections = "[Spark]\n[Storage]\n[AWS]\n[Offload]\n[Resilience]\n[Analysis]\n[Schedule]\n"
+    sections = "[Spark]\n[Storage]\n[AWS]\n[Offload]\n[Resilience]\n"
     loaded, default = load_config(_write(tmp_path, sections)), CloudConfig()
     for f in dataclasses.fields(CloudConfig):
         if f.name != "credentials":
             assert getattr(loaded, f.name) == getattr(default, f.name), f.name
     assert load_config(_write(tmp_path, "")) == loaded
+
+
+
+@pytest.mark.parametrize("text,named", [
+    ("[Offload]\ncahce = true\n", "Offload.cahce"),
+    # Sections older versions read are named, not silently dropped.
+    ("[Schedule]\nspeculation = true\n[Analysis]\nstrict = true\n", "Schedule, Analysis"),
+    ("[Spark]\nworker = 4\n[AWS]\nregion = eu-west-1\ntoken = t\n[Extra]\n",
+     "Spark.worker, AWS.token, Extra"),
+], ids=["misspelled-option", "stale-sections", "every-unknown-key"])
+def test_unknown_keys_are_named(tmp_path, text, named):
+    with pytest.raises(ConfigError) as err:
+        load_config(_write(tmp_path, text))
+    assert str(err.value).endswith(f": {named}")

@@ -1,102 +1,18 @@
-"""[Schedule] configuration: parsing, validation, device wiring."""
-
-from dataclasses import replace
-
-import pytest
+"""``CloudDevice(schedule=...)``: the device wiring of the adaptive layer."""
 
 from repro.core.api import offload
 from repro.core.buffers import ExecutionMode
-from repro.core.config import (
-    CloudConfig,
-    ConfigError,
-    load_config,
-    write_example_config,
-)
 from repro.core.plugin_cloud import CloudDevice
 from repro.core.runtime import OffloadRuntime
 from repro.spark.schedule import STATIC_SCHEDULE, ScheduleConfig
 from repro.workloads import WORKLOADS
 
 
-def _write(tmp_path, body):
-    p = tmp_path / "cloud_rtl.ini"
-    p.write_text(body)
-    return p
-
-
-BASE = """\
-[Spark]
-driver = spark-driver
-workers = 4
-"""
-
-
-def test_schedule_section_parsed(tmp_path):
-    cfg = load_config(_write(tmp_path, BASE + """
-[Schedule]
-mode = Weighted
-speculation = true
-speculation_multiplier = 2.0
-pipeline_depth = 3
-"""))
-    assert cfg.schedule_mode == "weighted"
-    assert cfg.speculation is True
-    assert cfg.speculation_multiplier == 2.0
-    assert cfg.pipeline_depth == 3
-    sched = cfg.schedule()
-    assert sched == ScheduleConfig(mode="weighted", speculation=True,
-                                   speculation_multiplier=2.0,
-                                   pipeline_depth=3)
-    assert sched.weighted and sched.pipelined
-
-
-def test_schedule_section_defaults_to_static(tmp_path):
-    cfg = load_config(_write(tmp_path, BASE))
-    assert cfg.schedule() == STATIC_SCHEDULE
-
-
-@pytest.mark.parametrize("line", [
-    "mode = fastest",
-    "speculation_multiplier = 0.9",
-    "pipeline_depth = -2",
-])
-def test_schedule_section_rejects_bad_values(tmp_path, line):
-    with pytest.raises(ConfigError):
-        load_config(_write(tmp_path, BASE + f"[Schedule]\n{line}\n"))
-
-
-def test_schedule_section_rejects_non_numeric(tmp_path):
-    with pytest.raises(ConfigError):
-        load_config(_write(tmp_path,
-                           BASE + "[Schedule]\npipeline_depth = many\n"))
-
-
-def test_cloud_config_validates_schedule_fields():
-    with pytest.raises(ConfigError):
-        CloudConfig(schedule_mode="adaptive")
-    with pytest.raises(ConfigError):
-        CloudConfig(speculation_multiplier=0.0)
-    with pytest.raises(ConfigError):
-        CloudConfig(pipeline_depth=-1)
-
-
-def test_example_config_round_trips_schedule(tmp_path):
-    path = write_example_config(tmp_path / "example.ini")
-    cfg = load_config(path)
-    assert cfg.schedule() == STATIC_SCHEDULE
-
-
-# ---------------------------------------------------------- device wiring
-def test_device_picks_up_schedule_from_config(cloud_config):
-    cfg = replace(cloud_config, schedule_mode="weighted", speculation=True)
-    dev = CloudDevice(cfg, physical_cores=16)
-    assert dev.schedule.weighted and dev.schedule.speculation
-
-
-def test_device_schedule_argument_overrides_config(cloud_config):
-    dev = CloudDevice(cloud_config, physical_cores=16,
-                      schedule=ScheduleConfig(pipeline_depth=4))
-    assert dev.schedule.pipeline_depth == 4
+def test_device_takes_schedule_argument(cloud_config):
+    assert CloudDevice(cloud_config, physical_cores=16).schedule is STATIC_SCHEDULE
+    schedule = ScheduleConfig(mode="weighted", speculation=True)
+    dev = CloudDevice(cloud_config, physical_cores=16, schedule=schedule)
+    assert dev.schedule is schedule
 
 
 def test_default_schedule_leaves_model_unchanged(cloud_config):

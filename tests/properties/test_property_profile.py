@@ -6,9 +6,8 @@ The invariants the profiler promises by construction:
   pairwise non-overlapping spans inside ``[t0, t1]``);
 * per-phase self-time — including the synthetic WAIT residual — always sums
   to the wall clock exactly;
-* a fault-free serialized run (default ``ScheduleConfig``, no pipelining)
-  has a gap-free timeline, so the chain covers the whole wall and WAIT is
-  zero;
+* a fault-free run under the default ``ScheduleConfig`` has a gap-free
+  timeline, so the chain covers the whole wall and WAIT is zero;
 * all of the above keep holding when faults force retries, resubmissions,
   and preemption recovery into the timeline.
 """
@@ -85,8 +84,8 @@ def test_chain_spans_are_ordered_and_disjoint(spans):
 )
 @settings(max_examples=12, deadline=None)
 def test_serialized_run_has_no_interior_wait(workload, cores, n_workers):
-    """Default schedule (pipeline_depth=0), no faults: every simulated wait
-    is some recorded span's duration, so the chain covers the whole wall."""
+    """Default schedule, no faults: every simulated wait is some recorded
+    span's duration, so the chain covers the whole wall."""
     spec = WORKLOADS[workload]
     rt = OffloadRuntime()
     rt.register(CloudDevice(demo_config(n_workers), physical_cores=cores))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.simtime import Phase
-from repro.spark import FaultPlan, ScheduleConfig, SparkCluster, SparkContext
+from repro.spark import FaultPlan, SparkCluster, SparkContext
 
 from tests.spark.support import costs, run, sizeof_element
 
@@ -133,15 +133,6 @@ def test_pinned_measured_output_bytes(sc):
     result = run(rdd, _measured(rdd, source))
     assert _job_digest(result) == \
         "ef17e0d2003bdf8292af03dfc190d4bc2cfff3fffaf0dc89f0c024f61db38ba1"
-
-
-def test_pinned_measured_output_bytes_pipelined(sc):
-    """The pipelined collect streams each result back by its priced size."""
-    rdd, source = _growing_outputs(sc)
-    result = run(rdd, _measured(rdd, source),
-                 schedule=ScheduleConfig(pipeline_depth=1))
-    assert _job_digest(result) == \
-        "e05277b5a1c8f5e91c068bc3d552184e5076cb217f6c4b0a67866f45757d90c7"
 
 
 def test_pinned_task_failure_retry():

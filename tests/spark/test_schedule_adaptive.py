@@ -1,8 +1,8 @@
-"""Adaptive execution: speculation, pipelined collect, weighted placement.
+"""Adaptive execution: speculation and weighted placement.
 
 Everything here is opt-in through :class:`~repro.spark.schedule.ScheduleConfig`;
 the first tests pin the default-off contract (bit-identical to the static
-scheduler), the rest exercise the straggler/rescue/pipeline paths that
+scheduler), the rest exercise the straggler/rescue paths that
 ``docs/SCHEDULING.md`` describes.
 """
 
@@ -51,14 +51,13 @@ def _tasks(n, duration=1.0, **columns):
 def test_schedule_config_defaults_are_static():
     cfg = ScheduleConfig()
     assert cfg.mode == "static"
-    assert not cfg.speculation and not cfg.weighted and not cfg.pipelined
+    assert not cfg.speculation and not cfg.weighted
     assert cfg == STATIC_SCHEDULE
 
 
 @pytest.mark.parametrize("kwargs", [
     {"mode": "fastest"},
     {"speculation_multiplier": 0.5},
-    {"pipeline_depth": -1},
 ])
 def test_schedule_config_rejects_bad_values(kwargs):
     with pytest.raises(ValueError):
@@ -67,8 +66,7 @@ def test_schedule_config_rejects_bad_values(kwargs):
 
 def test_schedule_config_flags():
     assert ScheduleConfig(mode="weighted").weighted
-    assert ScheduleConfig(pipeline_depth=2).pipelined
-    assert not ScheduleConfig(pipeline_depth=0).pipelined
+    assert not ScheduleConfig().weighted
 
 
 # ------------------------------------------------------------ executor speed
@@ -216,42 +214,3 @@ def test_speculation_never_masks_max_failures():
     with pytest.raises(JobFailedError):
         _run(_tasks(1), exs, fault_plan=plan, schedule=spec)
 
-
-# ------------------------------------------------------------------ pipeline
-def _io_tasks(n, nbytes=10**9, duration=0.5):
-    return _tasks(n, duration, input_bytes=nbytes, output_bytes=nbytes)
-
-
-def test_pipeline_depth_zero_matches_strict_barrier():
-    a, _, _ = _run(_io_tasks(3), [Executor("w0", vcpus=8, task_cpus=2)])
-    b, _, _ = _run(_io_tasks(3), [Executor("w0", vcpus=8, task_cpus=2)],
-                   schedule=ScheduleConfig(pipeline_depth=0))
-    assert a.makespan_s == b.makespan_s
-    assert [r.collected_at for r in a.results] == \
-           [r.collected_at for r in b.results]
-
-
-def test_pipelined_collect_overlaps_compute():
-    # Launch serialization (0.1 s per task) leaves NIC idle gaps between the
-    # 0.01 s scatters; early results stream back through them instead of
-    # queueing behind the last scatter.
-    ex = lambda: [Executor("w0", vcpus=16, task_cpus=2)]  # noqa: E731
-    costs = SchedulerCosts(task_launch_s=0.1)
-    strict, _, t_strict = _run(_io_tasks(8, nbytes=10**7, duration=0.01),
-                               ex(), costs=costs)
-    piped, _, t_piped = _run(_io_tasks(8, nbytes=10**7, duration=0.01),
-                             ex(), costs=costs,
-                             schedule=ScheduleConfig(pipeline_depth=8))
-    # Same results, same total NIC work, shorter critical path.
-    assert [r.value for r in piped.results] == [r.value for r in strict.results]
-    assert t_piped.busy(Phase.COLLECT) == pytest.approx(
-        t_strict.busy(Phase.COLLECT))
-    assert piped.makespan_s < strict.makespan_s
-    assert all(r.collected_at >= r.end for r in piped.results)
-
-
-def test_pipelined_results_stay_ordered_by_split():
-    stats, _, _ = _run(_io_tasks(5), [Executor("w0", vcpus=4, task_cpus=2)],
-                       schedule=ScheduleConfig(pipeline_depth=2))
-    assert [r.split for r in stats.results] == list(range(5))
-    assert [r.value for r in stats.results] == [[i] for i in range(5)]
