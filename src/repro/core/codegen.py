@@ -62,14 +62,19 @@ class ExecutorOOMError(CodegenError):
 
 
 @dataclass
-class LoopJobReport:
-    """Per-loop accounting returned to the plugin."""
+class SparkJobReport:
+    """What one spark-submit produced.  Each loop adds its figures in as it
+    finishes; the record is per submission, so a discarded one never
+    counts."""
 
-    loop_var: str
-    n_tasks: int
-    computation_s: float
-    recomputed_tasks: int
-    speculated_tasks: int = 0
+    started_at: float
+    finished_at: float
+    output_keys: dict[str, str] = field(default_factory=dict)
+    output_checksums: dict[str, str] = field(default_factory=dict)
+    computation_s: float = 0.0
+    tasks_run: int = 0
+    tasks_recomputed: int = 0
+    tasks_speculated: int = 0
     speculation_wins: int = 0
     speculation_saved_s: float = 0.0
     # Durable recovery: tiles committed / resumed-from this submission.
@@ -78,17 +83,6 @@ class LoopJobReport:
     bytes_restored: int = 0
     # Cluster-fabric bytes the scheduled tasks moved (inputs + outputs).
     task_bytes_wire: int = 0
-
-
-@dataclass
-class SparkJobReport:
-    """What one spark-submit produced."""
-
-    started_at: float
-    finished_at: float
-    loops: list[LoopJobReport] = field(default_factory=list)
-    output_keys: dict[str, str] = field(default_factory=dict)
-    output_checksums: dict[str, str] = field(default_factory=dict)
     # Cluster<->storage wire bytes the driver moved: input reads and
     # checkpoint restores on one side, output and checkpoint writes on the
     # other.  Fusion elides intermediate arrays from both sides.
@@ -102,46 +96,6 @@ class SparkJobReport:
     @property
     def storage_bytes_wire(self) -> int:
         return self.storage_bytes_read + self.storage_bytes_written
-
-    @property
-    def computation_s(self) -> float:
-        return sum(lp.computation_s for lp in self.loops)
-
-    @property
-    def tasks_run(self) -> int:
-        return sum(lp.n_tasks for lp in self.loops)
-
-    @property
-    def tasks_recomputed(self) -> int:
-        return sum(lp.recomputed_tasks for lp in self.loops)
-
-    @property
-    def tasks_speculated(self) -> int:
-        return sum(lp.speculated_tasks for lp in self.loops)
-
-    @property
-    def speculation_wins(self) -> int:
-        return sum(lp.speculation_wins for lp in self.loops)
-
-    @property
-    def speculation_saved_s(self) -> float:
-        return sum(lp.speculation_saved_s for lp in self.loops)
-
-    @property
-    def tiles_checkpointed(self) -> int:
-        return sum(lp.tiles_checkpointed for lp in self.loops)
-
-    @property
-    def tiles_skipped(self) -> int:
-        return sum(lp.tiles_skipped for lp in self.loops)
-
-    @property
-    def bytes_restored(self) -> int:
-        return sum(lp.bytes_restored for lp in self.loops)
-
-    @property
-    def task_bytes_wire(self) -> int:
-        return sum(lp.task_bytes_wire for lp in self.loops)
 
 
 @dataclass
@@ -221,10 +175,9 @@ class SparkJobGenerator:
         self._buffer_info: dict[str, Buffer] = {}
         self._storage = None
         self._key_prefix = ""
-        # Driver<->storage wire-byte accounting (one generator per
-        # submission, so plain instance counters suffice).
-        self._storage_bytes_read = 0
-        self._storage_bytes_written = 0
+        # What this submission produced (one generator per submission);
+        # run() stamps its start.
+        self._job = SparkJobReport(started_at=0.0, finished_at=0.0)
 
     # ------------------------------------------------------------------ run
     def run(
@@ -237,7 +190,8 @@ class SparkJobGenerator:
         """Execute the whole job; advances the cluster clock."""
         clock = self.sc.clock
         timeline = self.sc.timeline
-        started = clock.now
+        report = self._job
+        report.started_at = clock.now
         self._buffer_info = dict(buffers)
         self._storage = storage
         self._key_prefix = key_prefix
@@ -252,15 +206,12 @@ class SparkJobGenerator:
         self._read_inputs(buffers, storage, input_keys)
         self._allocate_locals()
 
-        report = SparkJobReport(started_at=started, finished_at=started)
         for ordinal, loop in enumerate(self.region.loops):
-            report.loops.append(self._run_loop(loop, ordinal))
+            self._run_loop(loop, ordinal)
 
         report.output_keys, report.output_checksums = \
             self._write_outputs(storage, key_prefix)
         report.finished_at = clock.now
-        report.storage_bytes_read = self._storage_bytes_read
-        report.storage_bytes_written = self._storage_bytes_written
         return report
 
     # --------------------------------------------------------------- staging
@@ -284,7 +235,7 @@ class SparkJobGenerator:
             buf = buffers[name]
             key = input_keys[name]
             wire = self._storage_retry("HEAD", storage.size_of, key)
-            self._storage_bytes_read += wire
+            self._job.storage_bytes_read += wire
             codec = self._codec_for(buf)
             dt = storage.cluster_read_time(wire)
             if self.staging.compresses(buf.nbytes):
@@ -342,7 +293,7 @@ class SparkJobGenerator:
             else:
                 wire = self.staging.wire_size(codec, buf.nbytes)
                 obj = self._storage_retry("PUT", storage.put, key, size=wire)
-            self._storage_bytes_written += wire
+            self._job.storage_bytes_written += wire
             dt = codec.compress_time(buf.nbytes) if compressed else 0.0
             dt += storage.cluster_write_time(wire)
             timeline.record(Phase.STORAGE_WRITE, clock.now, clock.advance(dt),
@@ -352,14 +303,15 @@ class SparkJobGenerator:
         return out_keys, out_checksums
 
     # ------------------------------------------------------------- loop jobs
-    def _run_loop(self, loop: ParallelLoop, ordinal: int) -> LoopJobReport:
+    def _run_loop(self, loop: ParallelLoop, ordinal: int) -> None:
+        """Run one loop's map stage and add its figures into the job's
+        report."""
         clock, timeline = self.sc.clock, self.sc.timeline
         n = loop.trip_count_value(self.scalars)
         cores = self.sc.cluster.total_task_slots
         tiles = self._tiles_for(loop, n, cores)
         if not tiles:
-            return LoopJobReport(loop_var=loop.loop_var, n_tasks=0,
-                                 computation_s=0.0, recomputed_tasks=0)
+            return
 
         self._check_jvm_limits(loop)
         tiling = self._tiling_for(loop, tiles)
@@ -411,8 +363,8 @@ class SparkJobGenerator:
             handles[nm] = self.sc.broadcast(value, nbytes=wire)
 
         costs = self._task_costs(loop, tiling)
+        report = self._job
         job = None
-        computation = 0.0
         if live:
             elements = self._elements_for(live, tiling)
             rdd = self.sc.parallelize(elements, num_slices=len(live))
@@ -437,27 +389,24 @@ class SparkJobGenerator:
                              f"Map stage for loop {loop.loop_var!r} finished in "
                              f"{job.stats.makespan_s:.3f} s "
                              f"({job.stats.recomputed_tasks} task(s) recomputed)")
-            computation = job.timeline.filter([Phase.COMPUTE, Phase.JNI_CALL]).span()
+            report.computation_s += job.timeline.filter(
+                [Phase.COMPUTE, Phase.JNI_CALL]).span()
+            report.tasks_run += len(live)
+            report.tasks_recomputed += job.stats.recomputed_tasks
+            report.tasks_speculated += job.stats.speculated_tasks
+            report.speculation_wins += job.stats.speculation_wins
+            report.speculation_saved_s += job.stats.speculation_saved_s
 
-        committed = self._commit_checkpoints(loop, ordinal, live, job, costs)
+        report.tiles_checkpointed += self._commit_checkpoints(
+            loop, ordinal, live, job, costs)
         restored, bytes_restored = self._restore_checkpoints(loop, completed)
+        report.tiles_skipped += len(completed)
+        report.bytes_restored += bytes_restored
 
         partitions = (list(job.partitions) if job is not None else []) + restored
         self._reconstruct(loop, partitions, tiles)
-        task_bytes = int(np.sum(costs.input_bytes) + np.sum(costs.output_bytes))
-        return LoopJobReport(
-            loop_var=loop.loop_var,
-            n_tasks=len(live),
-            computation_s=computation,
-            recomputed_tasks=job.stats.recomputed_tasks if job is not None else 0,
-            speculated_tasks=job.stats.speculated_tasks if job is not None else 0,
-            speculation_wins=job.stats.speculation_wins if job is not None else 0,
-            speculation_saved_s=job.stats.speculation_saved_s if job is not None else 0.0,
-            tiles_checkpointed=committed,
-            tiles_skipped=len(completed),
-            bytes_restored=bytes_restored,
-            task_bytes_wire=task_bytes,
-        )
+        report.task_bytes_wire += int(np.sum(costs.input_bytes)
+                                      + np.sum(costs.output_bytes))
 
     def _commit_checkpoints(self, loop: ParallelLoop, ordinal: int,
                             live: list[Tile], job,
@@ -486,7 +435,7 @@ class SparkJobGenerator:
                 obj = self._storage_retry("PUT", storage.put, key,
                                           size=int(costs.output_bytes[split]))
             write_s += storage.cluster_write_time(obj.size)
-            self._storage_bytes_written += obj.size
+            self._job.storage_bytes_written += obj.size
             self.journal.record(
                 "tile_done", get_bus().current_correlation(), clock.now,
                 region=self.region.name, loop=ordinal,
@@ -530,7 +479,7 @@ class SparkJobGenerator:
                                              ckpt.key)
                 restored.append([])
             total += nbytes
-            self._storage_bytes_read += nbytes
+            self._job.storage_bytes_read += nbytes
             dt = self._storage.cluster_read_time(nbytes)
             timeline.record(Phase.STORAGE_READ, clock.now, clock.advance(dt),
                             resource="driver",

@@ -69,6 +69,7 @@ class HostDevice(Device):
             report.computation_s = seq
             report.spark_job_s = seq  # no cluster: the "job" is the computation
             # The host runs the whole region as one sequential "task".
+            report.tasks_run = 1
             bus.emit(TaskStart(time=0.0, resource="host", task_id=0, worker="host"))
             bus.emit(TaskEnd(time=seq, resource="host", task_id=0, worker="host",
                              duration_s=seq))

@@ -49,6 +49,7 @@ from repro.obs.events import (
     TaskwaitEnd,
     get_bus,
 )
+from repro.simtime.timeline import Phase
 
 #: Reserved device id for the initial (host) device, as in OpenMP.
 DEVICE_HOST = 0
@@ -602,6 +603,11 @@ class OffloadRuntime:
             report = dev.offload(region, buffers, scalars, mode)
             if degraded:
                 report.fell_back_to_host = True
+                # The same zero-length marker a failed attempt carries.
+                now = self._device_now(dev)
+                report.timeline.record(Phase.FALLBACK, now, now,
+                                       resource="host",
+                                       label=f"fallback-{region.name}")
             return report
         try:
             return dev.offload(region, buffers, scalars, mode)
@@ -626,7 +632,12 @@ class OffloadRuntime:
             report = host.offload(region, buffers, scalars, mode)
             report.fell_back_to_host = True
             if failed is not None:
-                # Preserve what the failed attempt cost and recorded.
+                # Preserve what the failed attempt moved, cost and recorded.
+                report.bytes_up_raw += failed.bytes_up_raw
+                report.bytes_up_wire += failed.bytes_up_wire
+                report.bytes_down_raw += failed.bytes_down_raw
+                report.bytes_down_wire += failed.bytes_down_wire
+                report.billed_usd += failed.billed_usd
                 report.retries += failed.retries
                 report.backoff_s += failed.backoff_s
                 report.resubmissions += failed.resubmissions

@@ -38,12 +38,7 @@ from repro.obs.profile import (
     profile_offloads,
     profile_report,
 )
-from repro.obs.subscribers import (
-    DerivedReport,
-    MetricsSubscriber,
-    ReportBuilder,
-    SparkLogSink,
-)
+from repro.obs.subscribers import MetricsSubscriber, SparkLogSink
 
 __all__ = [
     "EVENT_KINDS",
@@ -66,9 +61,7 @@ __all__ = [
     "inferred_upload_scale",
     "profile_offloads",
     "profile_report",
-    "DerivedReport",
     "MetricsSubscriber",
-    "ReportBuilder",
     "SparkLogSink",
     "SCHEMA",
     "bench_filename",

@@ -7,7 +7,7 @@ reproduction: every layer of the stack — the offload runtime, the cloud and
 host plugins, the resilience machinery, the Spark driver/scheduler/executors,
 storage and SSH — emits small, typed, timestamped :class:`Event` records onto
 one :class:`EventBus`.  Subscribers turn the stream into metrics
-(:mod:`repro.obs.metrics_registry`), derived reports and timelines
+(:mod:`repro.obs.metrics_registry`), the Spark log
 (:mod:`repro.obs.subscribers`), Perfetto traces, or benchmark milestones
 (:mod:`repro.obs.bench`).
 

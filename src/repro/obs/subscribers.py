@@ -1,4 +1,4 @@
-"""Bus subscribers: metrics, derived reports/timelines, log sinks.
+"""Bus subscribers: metrics and log sinks.
 
 The point of the event bus is that yesterday's bespoke artifacts become
 *views* over one stream:
@@ -6,10 +6,6 @@ The point of the event bus is that yesterday's bespoke artifacts become
 * :class:`MetricsSubscriber` — folds events into a
   :class:`~repro.obs.metrics_registry.MetricsRegistry` (the counters,
   gauges and histograms catalogued in ``docs/OBSERVABILITY.md``);
-* :class:`ReportBuilder` — rebuilds an offload report and a
-  :class:`~repro.simtime.timeline.Timeline` per correlation id, which the
-  consistency tests diff against the :class:`~repro.core.report.OffloadReport`
-  the plugin returns directly;
 * :class:`SparkLogSink` — appends :class:`~repro.obs.events.LogEvent` records
   into a :class:`~repro.spark.logging.SparkLog`, making the driver log just
   another subscriber.
@@ -17,25 +13,10 @@ The point of the event bus is that yesterday's bespoke artifacts become
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.obs.events import (
-    Event,
-    EventBus,
-    LogEvent,
-    MapDownload,
-    MapUpload,
-    Resubmit,
-    Retry,
-    TargetBegin,
-    TargetEnd,
-    TaskBatch,
-    TaskEnd,
-    TaskStart,
-)
+from repro.obs.events import Event, EventBus, LogEvent, TaskBatch
 from repro.obs.metrics_registry import MetricError, MetricsRegistry
-from repro.simtime.timeline import Phase, Timeline
 
 
 class MetricsSubscriber:
@@ -271,142 +252,6 @@ class MetricsSubscriber:
             ).inc(e.bytes_saved)
         elif kind == "log":
             self._logs.inc(level=e.level)
-
-
-@dataclass
-class DerivedReport:
-    """An offload report reconstructed purely from bus events.
-
-    The consistency tests assert these fields equal the
-    :class:`~repro.core.report.OffloadReport` the plugin hands back — proof
-    that the instrumentation plane sees everything the report records.
-    """
-
-    correlation_id: str
-    region: str = ""
-    device: str = ""
-    mode: str = ""
-    ok: bool = False
-    fell_back_to_host: bool = False
-    full_s: float = 0.0
-    bytes_up_raw: int = 0
-    bytes_up_wire: int = 0
-    bytes_down_raw: int = 0
-    bytes_down_wire: int = 0
-    tasks_run: int = 0
-    retries: int = 0
-    backoff_s: float = 0.0
-    resubmissions: int = 0
-    preemptions: int = 0
-    cache_hits: int = 0
-    cache_bytes_saved: int = 0
-    resident_hits: int = 0
-    bytes_not_retransferred: int = 0
-    tasks_speculated: int = 0
-    speculation_wins: int = 0
-    timeline: Timeline = field(default_factory=Timeline)
-
-
-class ReportBuilder:
-    """Rebuilds per-offload reports and timelines from the stream."""
-
-    #: Event kinds that contribute a span to the derived timeline.
-    _SPAN_PHASES = {
-        "map_upload": Phase.HOST_UPLOAD,
-        "map_download": Phase.HOST_DOWNLOAD,
-        "retry": Phase.RETRY_BACKOFF,
-        "resubmit": Phase.RESUBMIT,
-    }
-
-    def __init__(self) -> None:
-        self._reports: dict[str, DerivedReport] = {}
-        self._order: list[str] = []
-
-    def attach(self, bus: EventBus):
-        return bus.subscribe(self)
-
-    def report_for(self, correlation_id: str) -> DerivedReport:
-        return self._reports[correlation_id]
-
-    def correlations(self) -> list[str]:
-        return list(self._order)
-
-    def latest(self) -> DerivedReport:
-        if not self._order:
-            raise LookupError("no offload observed yet")
-        return self._reports[self._order[-1]]
-
-    def _get(self, corr: str) -> DerivedReport:
-        if corr not in self._reports:
-            self._reports[corr] = DerivedReport(correlation_id=corr)
-            self._order.append(corr)
-        return self._reports[corr]
-
-    def __call__(self, e: Event) -> None:
-        corr = e.correlation_id
-        if not corr:
-            return
-        rep = self._get(corr)
-        if isinstance(e, TargetBegin):
-            # The host rerun of a degraded offload re-enters target_begin
-            # under the same correlation id; keep the first device name.
-            if not rep.region:
-                rep.region, rep.device, rep.mode = e.region, e.device, e.mode
-        elif isinstance(e, TargetEnd):
-            rep.ok = e.ok
-            rep.fell_back_to_host = e.fell_back
-            rep.full_s = e.full_s
-        elif isinstance(e, MapUpload):
-            rep.bytes_up_raw += e.bytes_raw
-            rep.bytes_up_wire += e.bytes_wire
-            if e.end > e.start:
-                rep.timeline.record(Phase.HOST_UPLOAD, e.start, e.end,
-                                    resource="host", label=e.buffer)
-        elif isinstance(e, MapDownload):
-            rep.bytes_down_raw += e.bytes_raw
-            rep.bytes_down_wire += e.bytes_wire
-            if e.end > e.start:
-                rep.timeline.record(Phase.HOST_DOWNLOAD, e.start, e.end,
-                                    resource="host", label=e.buffer)
-        elif isinstance(e, TaskStart):
-            pass  # spans are closed by TaskEnd
-        elif isinstance(e, TaskEnd):
-            rep.tasks_run += 1
-            rep.timeline.record(Phase.COMPUTE, e.time - e.duration_s, e.time,
-                                resource=e.worker, label=f"task-{e.task_id}")
-        elif isinstance(e, Retry):
-            rep.retries += 1
-            rep.backoff_s += e.delay_s
-            rep.timeline.record(Phase.RETRY_BACKOFF, e.time, e.time + e.delay_s,
-                                resource="host", label=e.op)
-        elif isinstance(e, Resubmit):
-            rep.resubmissions += 1
-            rep.backoff_s += e.delay_s
-            rep.timeline.record(Phase.RESUBMIT, e.time, e.time + e.delay_s,
-                                resource="host", label=f"resubmit-{e.submission}")
-        elif e.kind == "preemption":
-            rep.preemptions += 1
-            rep.timeline.record(Phase.PREEMPTION, e.time, e.time,
-                                resource=e.worker, label="spot-reclaimed")
-        elif e.kind == "recovery":
-            rep.timeline.record(Phase.RECOVERY, e.time - e.duration_s, e.time,
-                                resource=e.worker, label="spot-replace")
-        elif e.kind == "task_speculated":
-            rep.tasks_speculated += 1
-            rep.timeline.record(Phase.SPECULATION, e.time, e.time,
-                                resource="driver",
-                                label=f"speculate-{e.task_id}")
-        elif e.kind == "speculation_won":
-            rep.speculation_wins += 1
-        elif e.kind == "cache_hit":
-            rep.cache_hits += 1
-            rep.cache_bytes_saved += e.bytes_saved
-        elif e.kind == "resident_hit":
-            rep.resident_hits += 1
-            rep.bytes_not_retransferred += e.bytes_saved
-        elif e.kind == "fallback":
-            rep.timeline.record(Phase.FALLBACK, e.time, e.time,
-                                resource="host", label=e.reason[:40])
 
 
 class SparkLogSink:

@@ -10,6 +10,7 @@ wave — runs the workload functionally, and asserts two things:
 * **report invariants** — the offload report is internally consistent and
   agrees with the event stream (corruption detections match the storage's
   own counter, the ``target_end`` event carries the report's wall time,
+  the report's traffic equals the ``map_upload``/``map_download`` sums,
   recovery counters respect the configured policy).
 
 Everything is simulated time and stable hashing: the same seed always
@@ -207,6 +208,16 @@ def run_chaos(benchmark: str, seed: int, recovery: str = "resume",
         result.failures.append(
             f"target_end full_s {target_ends[-1].full_s} != report "
             f"{report.full_s}")
+    for kind, side in (("map_upload", "up"), ("map_download", "down")):
+        moves = bus.events_of(kind)
+        streamed = (sum(e.bytes_raw for e in moves),
+                    sum(e.bytes_wire for e in moves))
+        reported = (getattr(report, f"bytes_{side}_raw"),
+                    getattr(report, f"bytes_{side}_wire"))
+        if streamed != reported:
+            result.failures.append(
+                f"{kind} events carry {streamed} raw/wire bytes, report "
+                f"{reported}")
 
     result.ok = not result.failures
     if journal_dir:

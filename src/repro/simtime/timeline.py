@@ -3,8 +3,10 @@
 The paper decomposes offload time into *host-target communication*, *Spark
 overhead* and *computation*.  Internally we record finer-grained phases (gzip
 compression, upload/download, broadcast, scheduling, intra-cluster shuffle,
-JNI-style call overhead, the map computation itself) and roll them up into the
-paper's three buckets with :meth:`Timeline.figure5_breakdown`.
+JNI-style call overhead, the map computation itself); each phase names the
+paper's bucket it rolls up into (:attr:`Phase.bucket`), and
+:meth:`repro.core.report.OffloadReport.figure5_stack` gives the stacked
+decomposition itself.
 """
 
 from __future__ import annotations
@@ -288,29 +290,6 @@ class Timeline:
         if not ivals:
             return 0.0
         return max(b for _, b in ivals) - min(a for a, _ in ivals)
-
-    def bucket_wall(self) -> dict[str, float]:
-        """Union-of-intervals time per Figure-5 bucket."""
-        out: dict[str, float] = {}
-        for bucket in (BUCKET_HOST_COMM, BUCKET_SPARK, BUCKET_COMPUTE):
-            phases = [p for p, b in _BUCKET_OF.items() if b == bucket]
-            out[bucket] = self.filter(phases).wall()
-        return out
-
-    def figure5_breakdown(self, total: float | None = None) -> dict[str, float]:
-        """Roll spans up into the paper's three stacked components.
-
-        The three buckets are scaled so they sum to ``total`` (default: the
-        observed makespan).  Scaling is needed because buckets overlap in time
-        (computation proceeds while the next wave is being scheduled); Figure 5
-        presents a stacked — i.e. partitioned — view.
-        """
-        walls = self.bucket_wall()
-        s = sum(walls.values())
-        total = self.span() if total is None else total
-        if s <= 0.0:
-            return {k: 0.0 for k in walls}
-        return {k: v * total / s for k, v in walls.items()}
 
     def by_resource(self) -> Mapping[str, float]:
         """Busy seconds per resource name (exact in both modes)."""

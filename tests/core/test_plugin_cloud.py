@@ -392,44 +392,31 @@ def _trace_digest(events, out, functional):
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
-def _without_checkpoint_identity(events, out):
-    """The trace with the identity of tile checkpoints blanked: the loop
-    component of ``…/ckpt/<loop>/<tile>.bin`` wherever a key appears, the
-    ``loop`` field of ``tile_done`` journal records, and what is derived from
-    the key — the modeled store's key-hashed ``virt:`` checksum and the
-    record's CRC seal."""
-    def blank(d):
-        d = dict(d)
-        if "/ckpt/" in d.get("key", ""):
-            d["key"] = re.sub(r"/ckpt/[^/]+/", "/ckpt/*/", d["key"])
-            if str(d.get("checksum", "")).startswith("virt:"):
-                d["checksum"] = "virt:*"
-        return d
-
-    journals = []
-    for journal in out["journals"]:
-        records = []
-        for line in journal:
-            rec = json.loads(json.loads(line)["rec"])
-            if rec["kind"] != "tile_done":
-                records.append(line)
-                continue
-            rec["payload"].pop("loop", None)
-            records.append(dict(rec, payload=blank(rec["payload"])))
-        journals.append(records)
-    return [blank(e) for e in events], dict(out, journals=journals)
+#: What a host run's report gained when its accounting was made to agree
+#: with its event stream: a fallback keeps the failed attempt's traffic and
+#: bill, and a host run counts its one sequential task.
+HOST_ACCOUNTING = ("bytes_up_raw", "bytes_up_wire", "bytes_down_raw",
+                   "bytes_down_wire", "billed_usd", "tasks_run")
 
 
-@pytest.mark.parametrize("mode,expected,expected_modulo_checkpoint_identity", [
+def _without_host_accounting(events, out):
+    """The trace with :data:`HOST_ACCOUNTING` blanked on every report a host
+    run returned."""
+    reports = [dict(r, **dict.fromkeys(HOST_ACCOUNTING))
+               if r["device"] == "HOST" else r for r in out["reports"]]
+    return events, dict(out, reports=reports)
+
+
+@pytest.mark.parametrize("mode,expected,expected_modulo_host_accounting", [
     (ExecutionMode.MODELED,
-     "aed3390ada367a30976297e5250249c8981fe4f3c5d9fd8dbcfc73e9916c581f",
-     "5e2ff088f8a8df03cc02964a049c067c4fa0566e641f2ab598669ff103900f6b"),
+     "d517d9ca735ae66e374f1ab2ebac259d8a5a9d2e15ff21b88653dc1670480cb1",
+     "e508c029eca2d24ae2059e9a6ea89d9e8c1cfad25d9d2bcd3a4d42bb9d65cc99"),
     (ExecutionMode.FUNCTIONAL,
-     "2440e7b9846bd00e096da85c289d2b375da05c097b6e2737a6a5f95d2b85e241",
-     "61576d2ebd20401d819251a63309da9e16859d3baed10d33deb7c7e7ad7dc061"),
+     "186521465e7640c703a060d35f7ae9b25b6b1cb3220f68261cb0cb55ea33ff60",
+     "9d357c3056dbbd213fa01844bde38e4b81273d5557b9d832869a9cc20df2eb8f"),
 ], ids=["modeled", "functional"])
 def test_golden_transfer_trace(cloud_config, mode, expected,
-                               expected_modulo_checkpoint_identity):
+                               expected_modulo_host_accounting):
     """Everything observable about how mapped data crosses the host<->storage
     hop, pinned before the eight per-construct transfer sequences were
     collapsed into :mod:`repro.core.transfer`.  The functional digest covers
@@ -440,17 +427,23 @@ def test_golden_transfer_trace(cloud_config, mode, expected,
     region may share one — ``tests/resilience/test_checkpoint_keys.py``), so
     the chained-3MM ``recovery="resume"`` part of this trace now says
     ``…/ckpt/0/…`` where it said ``…/ckpt/i/…`` and its ``tile_done`` records
-    carry ``"loop": 0``.  The second digest shows nothing else moved: it is
-    taken with exactly that identity blanked, and is the value the previous
-    pin's commit produces too.
+    carry ``"loop": 0``.
 
     Re-pinned a second time, for one reason: the colocated variant ran with
     serial streams, an option the cloud device no longer has, so both
-    variants now use parallel streams, and all four digests are what the
-    commit before that removal produces with this driver."""
+    variants now use parallel streams.
+
+    Re-pinned a third time, for three fixes that make a host run's report
+    agree with its event stream (``tests/obs/test_report_matches_stream.py``):
+    a host fallback keeps the failed attempt's upload/download bytes, it
+    keeps the failed attempt's bill, and a host run reports its one
+    sequential task (``tasks_run = 1``).  The
+    second digest shows nothing else moved: it is taken with exactly
+    :data:`HOST_ACCOUNTING` blanked on the host reports, and is the value the
+    commit before these fixes produces too."""
     functional = mode == ExecutionMode.FUNCTIONAL
     trace, events = _golden_transfer_trace(cloud_config, mode)
     assert len(trace["errors"]) == 3
     assert _trace_digest(events, trace, functional) == expected
-    assert _trace_digest(*_without_checkpoint_identity(events, trace),
-                         functional) == expected_modulo_checkpoint_identity
+    assert _trace_digest(*_without_host_accounting(events, trace),
+                         functional) == expected_modulo_host_accounting

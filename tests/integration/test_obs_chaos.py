@@ -16,7 +16,7 @@ import pytest
 from repro.core.api import offload
 from repro.core.buffers import ExecutionMode
 from repro.obs.events import EventBus, use_bus
-from repro.obs.subscribers import MetricsSubscriber, ReportBuilder
+from repro.obs.subscribers import MetricsSubscriber
 from repro.simtime import Phase
 from repro.spark.faults import FaultPlan
 from repro.workloads import WORKLOADS
@@ -26,14 +26,12 @@ from tests.conftest import make_cloud_runtime
 
 @pytest.fixture
 def stack():
-    """(bus, metrics, builder) attached and installed as the process bus."""
+    """(bus, metrics registry) attached and installed as the process bus."""
     bus = EventBus(keep_history=True)
     metrics = MetricsSubscriber()
     metrics.attach(bus)
-    builder = ReportBuilder()
-    builder.attach(bus)
     with use_bus(bus):
-        yield bus, metrics.registry, builder
+        yield bus, metrics.registry
 
 
 def _chaos_report(cloud_config):
@@ -52,7 +50,7 @@ def _chaos_report(cloud_config):
 
 
 def test_retry_events_match_spans_and_metrics(cloud_config, stack):
-    bus, registry, builder = stack
+    bus, registry = stack
     report = _chaos_report(cloud_config)
 
     retries = bus.events_of("retry")
@@ -73,14 +71,10 @@ def test_retry_events_match_spans_and_metrics(cloud_config, stack):
     assert registry.get("repro_retries_total").total() == len(retries)
     assert (registry.get("repro_retry_backoff_seconds_total").total()
             == pytest.approx(report.backoff_s))
-    # Derived-view plane agrees too.
-    derived = builder.latest()
-    assert derived.retries == report.retries
-    assert derived.backoff_s == pytest.approx(report.backoff_s)
 
 
 def test_preemption_events_match_spans_and_metrics(cloud_config, stack):
-    bus, registry, builder = stack
+    bus, registry = stack
     report = _chaos_report(cloud_config)
 
     preemptions = bus.events_of("preemption")
@@ -97,7 +91,6 @@ def test_preemption_events_match_spans_and_metrics(cloud_config, stack):
     assert len(rec_spans) == 1
     assert recoveries[0].duration_s == pytest.approx(rec_spans[0].duration)
     assert registry.get("repro_preemptions_total").total() == 1
-    assert builder.latest().preemptions == 1
     # The preempted worker is replaced by the plugin before the scheduler
     # ever sees it dead; the crashed task's worker *is* reported lost.
     lost = bus.events_of("executor_lost")
@@ -108,24 +101,25 @@ def test_preemption_events_match_spans_and_metrics(cloud_config, stack):
 
 def test_fallback_events_match_spans_and_metrics(cloud_config, stack):
     """Breaker chaos: every host degradation shows up on all planes."""
-    bus, registry, builder = stack
+    bus, registry = stack
     cfg = replace(cloud_config, breaker_threshold=3, breaker_reset_s=600.0)
     rt = make_cloud_runtime(cfg)
     dev = rt.device("CLOUD")
     spec = WORKLOADS["matmul"]
     dev.storage.inject_failures(puts=3 * dev.retry_policy.max_attempts)
+    reports = []
     for _ in range(3):
         with pytest.warns(RuntimeWarning, match="falling back to host"):
-            offload(spec.build_region("CLOUD"), scalars=spec.scalars(),
-                    runtime=rt, mode=ExecutionMode.MODELED)
+            reports.append(offload(spec.build_region("CLOUD"),
+                                   scalars=spec.scalars(), runtime=rt,
+                                   mode=ExecutionMode.MODELED))
 
     fallbacks = bus.events_of("fallback")
     assert len(fallbacks) == rt.fallbacks == 3
     assert registry.get("repro_fallbacks_total").total() == 3
-    # One derived report per offload; each carries its FALLBACK marker span.
-    assert len(builder.correlations()) == 3
-    for corr in builder.correlations():
-        rep = builder.report_for(corr)
+    # One fallback per offload; each report carries its FALLBACK marker span.
+    assert len({e.correlation_id for e in fallbacks}) == 3
+    for rep in reports:
         assert rep.fell_back_to_host
         assert any(s.phase is Phase.FALLBACK for s in rep.timeline.spans)
     # The third failure trips the breaker — once, on all planes.
@@ -137,7 +131,7 @@ def test_fallback_events_match_spans_and_metrics(cloud_config, stack):
 
 
 def test_resubmission_events_match_report(cloud_config, stack):
-    bus, registry, builder = stack
+    bus, registry = stack
     plan = FaultPlan(spark_submit_failures=1)
     rt = make_cloud_runtime(cloud_config, fault_plan=plan)
     spec = WORKLOADS["matmul"]
@@ -154,7 +148,6 @@ def test_resubmission_events_match_report(cloud_config, stack):
     submits = bus.events_of("spark_submit")
     assert [s.ok for s in submits] == [False, True]
     assert submits[1].submission == 2
-    assert builder.latest().resubmissions == 1
 
 
 def test_restaged_input_is_announced_like_any_upload(cloud_config, stack):
@@ -162,7 +155,7 @@ def test_restaged_input_is_announced_like_any_upload(cloud_config, stack):
     re-staged through the ordinary upload path: the bytes it moves reach the
     event stream (``MapUpload``) as well as the report, and the result is
     bit-identical to a healthy run."""
-    bus, _registry, builder = stack
+    bus, _registry = stack
     spec = WORKLOADS["gemm"]
     scalars = spec.scalars(spec.test_size)
 
@@ -189,21 +182,22 @@ def test_restaged_input_is_announced_like_any_upload(cloud_config, stack):
     for key in healthy:
         assert np.array_equal(healthy[key], arrays[key]), key
     assert report.bytes_up_raw == clean.bytes_up_raw + arrays["A"].nbytes
-    derived = builder.latest()
+    corr = bus.events_of("target_end")[-1].correlation_id
+    uploads = [e for e in bus.events_of("map_upload")
+               if e.correlation_id == corr]
     assert (report.bytes_up_raw, report.bytes_up_wire) \
-        == (derived.bytes_up_raw, derived.bytes_up_wire)
-    uploads = [e.buffer for e in bus.events_of("map_upload")
-               if e.correlation_id == derived.correlation_id]
-    assert sorted(uploads) == ["A", "A", "B", "C"]
+        == (sum(e.bytes_raw for e in uploads),
+            sum(e.bytes_wire for e in uploads))
+    assert sorted(e.buffer for e in uploads) == ["A", "A", "B", "C"]
 
 
 def test_chaos_stream_is_fully_correlated(cloud_config, stack):
     """Under chaos every emitted event still belongs to the offload's
     correlation scope — nothing leaks out uncorrelated."""
-    bus, _registry, builder = stack
+    bus, _registry = stack
     _chaos_report(cloud_config)
     corrs = {e.correlation_id for e in bus.events}
-    assert corrs == {builder.correlations()[0]}
+    assert corrs == {bus.events_of("target_begin")[0].correlation_id}
     roots = [e for e in bus.events if e.kind == "target_begin"]
     assert roots and all(e.parent_id == roots[0].span_id
                          for e in bus.events if e.span_id != roots[0].span_id)

@@ -1,6 +1,4 @@
-"""Bus subscribers: metrics folding, derived reports, log sinks."""
-
-import pytest
+"""Bus subscribers: metrics folding, per-offload correlation, log sinks."""
 
 from repro.core.api import offload
 from repro.core.buffers import ExecutionMode
@@ -22,8 +20,7 @@ from repro.obs.events import (
     TaskStart,
     use_bus,
 )
-from repro.obs.subscribers import MetricsSubscriber, ReportBuilder, SparkLogSink
-from repro.simtime import Phase
+from repro.obs.subscribers import MetricsSubscriber, SparkLogSink
 from repro.spark.logging import SparkLog
 from repro.workloads import WORKLOADS
 
@@ -91,81 +88,20 @@ def test_unsuccessful_offload_does_not_observe_duration():
     assert sub.registry.get("repro_offload_seconds").count(device="CLOUD") == 0
 
 
-# ------------------------------------------------------------ derived report
-def test_derived_report_matches_plugin_report(cloud_config):
-    """The instrumentation plane sees everything the OffloadReport records."""
+# ----------------------------------------------------------- per offload
+def test_each_offload_has_its_own_correlation(cloud_config):
     bus = EventBus(keep_history=True)
-    builder = ReportBuilder()
-    builder.attach(bus)
     with use_bus(bus):
         rt = make_cloud_runtime(cloud_config)
-        report = _offload_matmul(rt)
-
-    derived = builder.latest()
-    assert derived.region == report.region_name
-    assert derived.device == "CLOUD"
-    assert derived.ok and not derived.fell_back_to_host
-    assert derived.full_s == pytest.approx(report.full_s)
-    assert derived.tasks_run == report.tasks_run
-    assert derived.bytes_up_raw == report.bytes_up_raw
-    assert derived.bytes_up_wire == report.bytes_up_wire
-    assert derived.bytes_down_raw == report.bytes_down_raw
-    assert derived.bytes_down_wire == report.bytes_down_wire
-    assert derived.retries == report.retries
-    assert derived.backoff_s == pytest.approx(report.backoff_s)
-
-    # The derived timeline books each task's whole slot as one COMPUTE span;
-    # the real timeline splits the slot into decompress/jni/compute/compress.
-    # The per-worker totals must still agree.
-    worker_phases = {Phase.WORKER_DECOMPRESS, Phase.JNI_CALL,
-                     Phase.COMPUTE, Phase.WORKER_COMPRESS}
-    real_slots = sum(s.duration for s in report.timeline.spans
-                     if s.phase in worker_phases)
-    derived_slots = sum(s.duration for s in derived.timeline.spans
-                        if s.phase is Phase.COMPUTE)
-    assert derived_slots == pytest.approx(real_slots)
-
-
-def test_report_builder_tracks_multiple_offloads(cloud_config):
-    bus = EventBus(keep_history=True)
-    builder = ReportBuilder()
-    builder.attach(bus)
-    with use_bus(bus):
-        rt = make_cloud_runtime(cloud_config)
-        _offload_matmul(rt)
-        _offload_matmul(rt)
-    assert len(builder.correlations()) == 2
-    first, second = builder.correlations()
+        reports = [_offload_matmul(rt), _offload_matmul(rt)]
+    ends = bus.events_of("target_end")
+    assert [e.ok for e in ends] == [True, True]
+    first, second = (e.correlation_id for e in ends)
     assert first != second
-    assert builder.report_for(first).ok
-    assert builder.latest() is builder.report_for(second)
-
-
-def test_latest_raises_before_any_offload():
-    with pytest.raises(LookupError):
-        ReportBuilder().latest()
-
-
-def test_uncorrelated_events_are_ignored():
-    builder = ReportBuilder()
-    builder(TaskEnd(task_id=1, worker="w0", duration_s=1.0))  # no corr id
-    assert builder.correlations() == []
-
-
-def test_fallback_keeps_first_device_and_marks_degradation():
-    bus = EventBus(keep_history=True)
-    builder = ReportBuilder()
-    builder.attach(bus)
-    with bus.offload_scope("gemm"):
-        bus.emit(TargetBegin(region="gemm", device="CLOUD", mode="modeled"))
-        bus.emit(Fallback(region="gemm", device="CLOUD", reason="unreachable"))
-        bus.emit(TargetBegin(region="gemm", device="HOST", mode="modeled"))
-        bus.emit(TargetEnd(region="gemm", device="HOST", ok=True,
-                           fell_back=True, full_s=1.0))
-    rep = builder.latest()
-    assert rep.device == "CLOUD"  # first target wins; rerun doesn't overwrite
-    assert rep.fell_back_to_host
-    assert any(s.phase is Phase.FALLBACK for s in rep.timeline.spans)
+    for report, corr in zip(reports, (first, second)):
+        tasks = [e for e in bus.events_of("task_end")
+                 if e.correlation_id == corr]
+        assert len(tasks) == report.tasks_run
 
 
 # ------------------------------------------------------------------ log sink

@@ -1,4 +1,4 @@
-"""Timeline roll-ups: busy vs wall, buckets, Figure-5 scaling."""
+"""Timeline roll-ups: busy vs wall, buckets, coarse aggregation."""
 
 import pytest
 
@@ -70,28 +70,6 @@ def test_host_phases_bucket():
     assert Phase.HOST_COMPRESS.bucket == BUCKET_HOST_COMM
     assert Phase.SCHEDULING.bucket == BUCKET_SPARK
     assert Phase.COMPUTE.bucket == BUCKET_COMPUTE
-
-
-def test_figure5_breakdown_partitions_the_total():
-    tl = Timeline()
-    tl.record(Phase.HOST_UPLOAD, 0.0, 2.0)
-    tl.record(Phase.SCHEDULING, 2.0, 3.0)
-    tl.record(Phase.COMPUTE, 3.0, 7.0)
-    stack = tl.figure5_breakdown()
-    assert sum(stack.values()) == pytest.approx(tl.span())
-    assert stack[BUCKET_COMPUTE] > stack[BUCKET_SPARK]
-
-
-def test_figure5_breakdown_with_explicit_total():
-    tl = Timeline()
-    tl.record(Phase.COMPUTE, 0.0, 4.0)
-    stack = tl.figure5_breakdown(total=8.0)
-    assert stack[BUCKET_COMPUTE] == pytest.approx(8.0)
-
-
-def test_figure5_breakdown_empty():
-    stack = Timeline().figure5_breakdown()
-    assert all(v == 0.0 for v in stack.values())
 
 
 def test_filter_keeps_selected_phases():
