@@ -40,7 +40,7 @@ from repro.perfmodel.compression import CompressionModel, gzip_compress, gzip_de
 from repro.perfmodel.compute import ComputeModel
 from repro.obs.events import CheckpointCommit, get_bus
 from repro.resilience import OffloadJournal, RetryPolicy, TileCheckpoint, retry_call
-from repro.simtime.timeline import Phase
+from repro.simtime.timeline import Phase, Timeline
 from repro.spark.context import SparkContext
 from repro.spark.driver import TaskCostsArrays
 from repro.spark.faults import FaultPlan
@@ -133,6 +133,7 @@ class SparkJobGenerator:
         region: TargetRegion,
         scalars: Mapping[str, Union[int, float]],
         context: SparkContext,
+        timeline: Timeline,
         *,
         calibration: Calibration,
         mode: ExecutionMode,
@@ -149,6 +150,9 @@ class SparkJobGenerator:
         self.region = region
         self.scalars = dict(scalars)
         self.sc = context
+        #: The submitting offload's report timeline: every span this job
+        #: causes is recorded there and nowhere else.
+        self.timeline = timeline
         self.cal = calibration
         self.mode = mode
         self.tiling = tiling
@@ -189,7 +193,7 @@ class SparkJobGenerator:
     ) -> SparkJobReport:
         """Execute the whole job; advances the cluster clock."""
         clock = self.sc.clock
-        timeline = self.sc.timeline
+        timeline = self.timeline
         report = self._job
         report.started_at = clock.now
         self._buffer_info = dict(buffers)
@@ -230,7 +234,7 @@ class SparkJobGenerator:
                           op_name=op_name, on_retry=on_retry, **kwargs)
 
     def _read_inputs(self, buffers, storage, input_keys) -> None:
-        clock, timeline = self.sc.clock, self.sc.timeline
+        clock, timeline = self.sc.clock, self.timeline
         for name in self.region.input_names:
             buf = buffers[name]
             key = input_keys[name]
@@ -273,7 +277,7 @@ class SparkJobGenerator:
             )
 
     def _write_outputs(self, storage, key_prefix: str) -> tuple[dict[str, str], dict[str, str]]:
-        clock, timeline = self.sc.clock, self.sc.timeline
+        clock, timeline = self.sc.clock, self.timeline
         out_keys: dict[str, str] = {}
         out_checksums: dict[str, str] = {}
         for name in self.region.output_names:
@@ -306,7 +310,7 @@ class SparkJobGenerator:
     def _run_loop(self, loop: ParallelLoop, ordinal: int) -> None:
         """Run one loop's map stage and add its figures into the job's
         report."""
-        clock, timeline = self.sc.clock, self.sc.timeline
+        clock, timeline = self.sc.clock, self.timeline
         n = loop.trip_count_value(self.scalars)
         cores = self.sc.cluster.total_task_slots
         tiles = self._tiles_for(loop, n, cores)
@@ -384,7 +388,7 @@ class SparkJobGenerator:
                 schedule=self.schedule,
                 stage=loop.loop_var,
             )
-            self.sc.timeline.extend(job.timeline)
+            self.timeline.extend(job.timeline)
             self.sc.log.info(clock.now, "DAGScheduler",
                              f"Map stage for loop {loop.loop_var!r} finished in "
                              f"{job.stats.makespan_s:.3f} s "
@@ -418,7 +422,7 @@ class SparkJobGenerator:
         charged wall time is the per-node share, not the serial sum."""
         if not self.checkpoint or job is None:
             return 0
-        clock, timeline = self.sc.clock, self.sc.timeline
+        clock, timeline = self.sc.clock, self.timeline
         storage = self._storage
         committed = 0
         write_s = 0.0
@@ -464,7 +468,7 @@ class SparkJobGenerator:
         Every read is checksum-verified by the store itself."""
         if not completed:
             return [], 0
-        clock, timeline = self.sc.clock, self.sc.timeline
+        clock, timeline = self.sc.clock, self.timeline
         restored: list[list[Any]] = []
         total = 0
         for i in sorted(completed):
@@ -670,7 +674,7 @@ class SparkJobGenerator:
 
     # ------------------------------------------------------------ reconstruct
     def _reconstruct(self, loop: ParallelLoop, partitions: list[list[Any]], tiles) -> None:
-        clock, timeline = self.sc.clock, self.sc.timeline
+        clock, timeline = self.sc.clock, self.timeline
         out_raw = 0
         for nm in loop.writes:
             buf = self._buffer_info[nm]

@@ -121,6 +121,8 @@ class CloudDevice(Device):
             cluster=self.cluster,
             scheduler_costs=SchedulerCosts(task_launch_s=calibration.task_launch_s),
         )
+        if config.verbose:
+            self.sc.log.sinks.append(print)
         self.storage = self._storage_from_config()
         # Storage events carry this device's simulated time.
         self.storage.clock = self.clock
@@ -313,12 +315,9 @@ class CloudDevice(Device):
         if self.config.manage_instances:
             self._start_instances()
             if self.clock.now > mgmt_start:
-                # Boot time is wall time the user waits through; span it on
-                # the shared Spark timeline (like the SSH handshake) so every
-                # report of a chained environment covers it gap-free.
-                self.sc.timeline.record(Phase.CLUSTER_INIT, mgmt_start,
-                                        self.clock.now, resource="host",
-                                        label="instance-boot")
+                # Boot time is wall time the user waits through.
+                report.timeline.record(Phase.CLUSTER_INIT, mgmt_start, self.clock.now,
+                                       resource="host", label="instance-boot")
         report.instance_mgmt_s += self.clock.now - mgmt_start
 
         key_prefix = f"{region.name}/{seq}"
@@ -779,8 +778,8 @@ class CloudDevice(Device):
             # What this submission's job produced, filled in by its handler.
             finished: list[tuple[SparkJobReport, dict[str, np.ndarray]]] = []
             self.endpoint.register_handler("spark-submit", self._job_handler(
-                region, buffers, scalars, mode, input_keys, key_prefix,
-                resume_tiles, finished))
+                region, buffers, scalars, mode, timeline, input_keys,
+                key_prefix, resume_tiles, finished))
             try:
                 result = self._submit_once(region, ssh_creds, report)
             except SSHError as e:
@@ -812,9 +811,6 @@ class CloudDevice(Device):
         # replacement before the cluster is whole again.
         self._recover_preempted(report)
         self.breaker.record_success()
-        if self.config.verbose:
-            for line in self.sc.log.lines():
-                print(line)
 
         report.spark_job_s = job_report.job_s
         report.computation_s = job_report.computation_s
@@ -847,10 +843,9 @@ class CloudDevice(Device):
                 tiles_rerun=job_report.tasks_run,
                 bytes_restored=job_report.bytes_restored))
         self._flush_corruptions(report)
-        report.timeline.extend(self.sc.timeline)
         return job_report.output_keys
 
-    def _job_handler(self, region, buffers, scalars, mode, input_keys,
+    def _job_handler(self, region, buffers, scalars, mode, timeline, input_keys,
                      key_prefix, resume_tiles, finished) -> CommandHandler:
         """The driver-side ``spark-submit`` handler of one submission.  Each
         call builds a *fresh* job (generator state is per-submission); the
@@ -876,7 +871,7 @@ class CloudDevice(Device):
                                      stderr="spark-submit: transient submission "
                                             "failure (injected)")
             gen = SparkJobGenerator(
-                region, scalars, self.sc,
+                region, scalars, self.sc, timeline,
                 calibration=self.cal, mode=mode, tiling=self.tiling,
                 fault_plan=self.fault_plan,
                 staging=self.transfer.codec,
@@ -953,16 +948,12 @@ class CloudDevice(Device):
             op_name=f"ssh-{self.config.spark_driver}", on_retry=on_retry,
             now=lambda: self.clock.now,
         )
-        t_conn = self.clock.now
-        self.clock.advance(handshake)
         # The handshake is wall time the user waits through; give it a span
         # so the timeline covers the makespan gap-free (the critical-path
-        # profiler partitions the makespan across recorded spans).  Recorded
-        # on the Spark context's timeline — not the report's — so every
-        # report sharing this cluster (chained offloads in one data
-        # environment) sees it via the post-job extend.
-        self.sc.timeline.record(Phase.CLUSTER_INIT, t_conn, self.clock.now,
-                                resource="host", label="ssh-connect")
+        # profiler partitions the makespan across recorded spans).
+        report.timeline.record(Phase.CLUSTER_INIT, self.clock.now,
+                               self.clock.advance(handshake),
+                               resource="host", label="ssh-connect")
         try:
             return ssh.exec_command(
                 f"spark-submit --class org.ompcloud.Job ompcloud-{region.name}.jar "

@@ -17,8 +17,10 @@ Nothing is tuned per-figure: the same instance feeds every bench.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-from repro.cloud.network import Link
+if TYPE_CHECKING:  # import would cycle: cloud -> obs -> profile -> here
+    from repro.cloud.network import Link
 
 
 @dataclass(frozen=True)
@@ -103,6 +105,7 @@ class Calibration:
 
     # ----------------------------------------------------------- conveniences
     def wan_link(self) -> Link:
+        from repro.cloud.network import Link
         return Link(
             capacity_bps=self.wan_capacity_bps,
             latency_s=self.wan_latency_s,
@@ -110,6 +113,7 @@ class Calibration:
         )
 
     def lan_link(self) -> Link:
+        from repro.cloud.network import Link
         return Link(capacity_bps=self.lan_capacity_bps, latency_s=self.lan_latency_s)
 
     @property

@@ -167,9 +167,9 @@ class Timeline:
     exporters draw as per-worker segments); ``wall`` unions those merged
     segments with the spans, an upper bound on the exact per-span union.
     ``coarse`` only decides where ``record`` puts a new activity, so a mixed
-    chain — coarse job timeline -> long-lived fine device timeline -> coarse
-    report — loses nothing: the final table is identical to an all-coarse
-    chain.
+    chain — a fine job timeline extended into a coarse report, or the
+    reverse — loses nothing: ending coarse, the table is identical to an
+    all-coarse chain.
     """
 
     def __init__(self, coarse: bool | None = None) -> None:

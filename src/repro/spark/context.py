@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from typing import Any, Sequence
 
-from repro.simtime.timeline import Timeline
 from repro.spark.broadcast import Broadcast
 from repro.spark.logging import SparkLog
 from repro.spark.cluster import SparkCluster
@@ -19,8 +18,8 @@ from repro.spark.scheduler import SchedulerCosts
 
 
 class SparkContext:
-    """Owns the cluster connection and its driver; collects the timelines
-    and log of the jobs run on it."""
+    """Owns the cluster connection, its driver and the log of the jobs run on
+    it; a job's spans go to the timeline of the offload that submitted it."""
 
     def __init__(
         self,
@@ -29,7 +28,6 @@ class SparkContext:
     ) -> None:
         self.cluster = cluster
         self.driver = Driver(self.cluster, scheduler_costs)
-        self.timeline = Timeline()
         self.log = SparkLog()
 
     # ------------------------------------------------------------------ API

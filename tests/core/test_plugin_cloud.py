@@ -407,16 +407,20 @@ def _without_host_accounting(events, out):
     return events, dict(out, reports=reports)
 
 
-@pytest.mark.parametrize("mode,expected,expected_modulo_host_accounting", [
-    (ExecutionMode.MODELED,
-     "d517d9ca735ae66e374f1ab2ebac259d8a5a9d2e15ff21b88653dc1670480cb1",
-     "e508c029eca2d24ae2059e9a6ea89d9e8c1cfad25d9d2bcd3a4d42bb9d65cc99"),
-    (ExecutionMode.FUNCTIONAL,
-     "186521465e7640c703a060d35f7ae9b25b6b1cb3220f68261cb0cb55ea33ff60",
-     "9d357c3056dbbd213fa01844bde38e4b81273d5557b9d832869a9cc20df2eb8f"),
-], ids=["modeled", "functional"])
+@pytest.mark.parametrize(
+    "mode,expected,expected_modulo_host_accounting,expected_modulo_spans", [
+        (ExecutionMode.MODELED,
+         "b7369830c95d36a1e0a6ee3b13bcc805310c8486e6bb034a30905e0cd869cb23",
+         "5f0f9dc43f9b2abe47c831e1cf6dbc68227b319098a67b2d84bdab8e07ac69cf",
+         "111f19848e604bdfcf9a87ab690d45c5c26a41b906f4d170cfdaa7bfef2e94a4"),
+        (ExecutionMode.FUNCTIONAL,
+         "f726d81ed49e38d5d091470b2a9057555ef7ddc6787e648250fcec78fea38d82",
+         "3246b11984234c739a4fd515ddd4965fd30ac3a05c5e34ff51bccdc14e399fda",
+         "60a919b0d18868c9c6a0c06e8b5e363c7b6f2f4ac8d045d7af3ef27e7efee024"),
+    ], ids=["modeled", "functional"])
 def test_golden_transfer_trace(cloud_config, mode, expected,
-                               expected_modulo_host_accounting):
+                               expected_modulo_host_accounting,
+                               expected_modulo_spans):
     """Everything observable about how mapped data crosses the host<->storage
     hop, pinned before the eight per-construct transfer sequences were
     collapsed into :mod:`repro.core.transfer`.  The functional digest covers
@@ -438,12 +442,21 @@ def test_golden_transfer_trace(cloud_config, mode, expected,
     a host fallback keeps the failed attempt's upload/download bytes, it
     keeps the failed attempt's bill, and a host run reports its one
     sequential task (``tasks_run = 1``).  The
-    second digest shows nothing else moved: it is taken with exactly
-    :data:`HOST_ACCOUNTING` blanked on the host reports, and is the value the
-    commit before these fixes produces too."""
+    second digest showed nothing else moved: it is taken with exactly
+    :data:`HOST_ACCOUNTING` blanked on the host reports, and was the value
+    the commit before those fixes produced too.
+
+    Re-pinned a fourth time, for one reason: a report's timeline holds only
+    the spans of its own offload (plus a failed attempt's, on a fallback
+    report), where it used to carry every earlier offload's cluster spans
+    on the same device.  Only the recorded spans moved: the third digest,
+    taken with ``out["spans"]`` blanked, is the value the commit before
+    this change produces too."""
     functional = mode == ExecutionMode.FUNCTIONAL
     trace, events = _golden_transfer_trace(cloud_config, mode)
     assert len(trace["errors"]) == 3
     assert _trace_digest(events, trace, functional) == expected
     assert _trace_digest(*_without_host_accounting(events, trace),
                          functional) == expected_modulo_host_accounting
+    assert _trace_digest(events, dict(trace, spans=[]),
+                         functional) == expected_modulo_spans

@@ -40,13 +40,10 @@ def costs(n: int, *, compute_s=0.0, jni_s=0.0, decompress_s=0.0,
 def run(rdd: RDD, job_costs: TaskCostsArrays | None = None,
         **kwargs: Any) -> JobResult:
     """Run ``rdd`` as one job on its context's driver (zero costs unless
-    given) and add the job's timeline to the context's, as the generated
-    job does."""
+    given)."""
     if job_costs is None:
         job_costs = costs(rdd.num_partitions)
-    result = rdd.context.driver.run_job(rdd, job_costs, **kwargs)
-    rdd.context.timeline.extend(result.timeline)
-    return result
+    return rdd.context.driver.run_job(rdd, job_costs, **kwargs)
 
 
 def collect(rdd: RDD) -> list[Any]:

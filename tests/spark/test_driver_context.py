@@ -58,14 +58,6 @@ def test_broadcast_participates_in_jobs(sc):
     assert result.timeline.busy(Phase.BROADCAST) > 0
 
 
-def test_context_timeline_accumulates_jobs(sc):
-    rdd = sc.parallelize([1, 2, 3], num_slices=2)
-    run(rdd)
-    n1 = len(sc.timeline)
-    run(rdd)
-    assert len(sc.timeline) > n1
-
-
 def test_fault_plan_from_context():
     sc = SparkContext(cluster=SparkCluster.for_physical_cores(32, n_workers=2))
     rdd = sc.parallelize(list(range(10)), num_slices=5).map(lambda x: x * 2)

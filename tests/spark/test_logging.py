@@ -81,6 +81,15 @@ def test_verbose_config_prints_log(cloud_config, capsys):
     assert "verbosecopy" in out
 
 
+def test_verbose_prints_each_record_once(cloud_config, capsys):
+    rt = make_cloud_runtime(replace(cloud_config, verbose=True))
+    _offload_copy(rt, "first", 8)
+    _offload_copy(rt, "second", 8)
+    records = rt.device("CLOUD").sc.log.records
+    assert len(records) == 8
+    assert capsys.readouterr().out.splitlines() == [r.format() for r in records]
+
+
 def test_log_timestamps_are_simulated(cloud_config):
     rt = make_cloud_runtime(cloud_config)
     _offload_copy(rt, "first", 8)
