@@ -529,9 +529,11 @@ class SparkJobGenerator:
             # No chunk given: OpenMP's dynamic default is fine-grained; use
             # 4 waves per core as a Spark-friendly compromise.
             return drop_empty_tiles(tile_by_chunk(n, max(1, n // (cores * 4))))
-        if self.schedule.weighted and n > 0:
-            return drop_empty_tiles(
-                tile_weighted(n, self.sc.cluster.slot_capacities()))
+        # With no live slot left there is nothing to weigh: tile as Algorithm
+        # 1 does and let the scheduler fail the job.
+        caps = self.sc.cluster.slot_capacities() if self.schedule.weighted else []
+        if caps and n > 0:
+            return drop_empty_tiles(tile_weighted(n, caps))
         return drop_empty_tiles(tile_iterations(n, cores))
 
     # ------------------------------------------------------------- elements

@@ -197,7 +197,7 @@ class OffloadRuntime:
                 bus.emit(TargetEnd(region=region.name, ok=False))
                 raise
             bus.emit(TargetEnd(
-                time=report.timeline.spans[-1].end if len(report.timeline) else 0.0,
+                time=report.timeline.last_end,
                 resource=report.device_name,
                 region=region.name,
                 device=report.device_name,

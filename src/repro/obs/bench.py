@@ -683,10 +683,9 @@ def run_scaling(
     Each grid point offloads one synthetic region of ``tasks`` single-
     iteration tiles (``schedule(static, 1)``, the worst case for scheduler
     overhead: every task pays selection, window evaluation, and span
-    recording) to a ``workers``-node cluster, under
-    :func:`~repro.simtime.timeline.coarse_timelines` and a zero-sigma
-    straggler model — the configuration docs/PERFORMANCE.md prescribes for
-    large sweeps.
+    recording) to a ``workers``-node cluster under a zero-sigma straggler
+    model.  Each point's report must hold exactly ``tasks`` COMPUTE spans,
+    counted from the timeline's columns without building a span.
 
     Two kinds of gate:
 
@@ -709,7 +708,7 @@ def run_scaling(
     from repro.core.api import ParallelLoop, TargetRegion, offload
     from repro.core.buffers import ExecutionMode
     from repro.perfmodel.calibration import DEFAULT_CALIBRATION
-    from repro.simtime import coarse_timelines
+    from repro.simtime.timeline import Phase
 
     if size is not None:
         grid = ((n_workers, int(size), float("inf")),)
@@ -744,15 +743,19 @@ def run_scaling(
             rt = _runtime(_config(workers), physical_cores=workers * 8,
                           calibration=cal)
             t0 = perf_counter()
-            with coarse_timelines():
-                rep = offload(region_for(), scalars={"N": tasks, "R": 4},
-                              runtime=rt, mode=ExecutionMode.MODELED,
-                              densities={"A": density, "C": density})
+            rep = offload(region_for(), scalars={"N": tasks, "R": 4},
+                          runtime=rt, mode=ExecutionMode.MODELED,
+                          densities={"A": density, "C": density})
             wall = perf_counter() - t0
             if rep.tasks_run != tasks:
                 raise RuntimeError(
                     f"scaling: {workers}x{tasks}: expected {tasks} tasks, "
                     f"scheduler ran {rep.tasks_run}")
+            computes = len(rep.timeline.filter([Phase.COMPUTE]))
+            if computes != tasks:
+                raise RuntimeError(
+                    f"scaling: {workers}x{tasks}: expected {tasks} COMPUTE "
+                    f"spans, the timeline holds {computes}")
             if wall > budget * wall_scale:
                 raise RuntimeError(
                     f"scaling: {workers} workers x {tasks} tasks took "

@@ -7,14 +7,21 @@ JNI-style call overhead, the map computation itself); each phase names the
 paper's bucket it rolls up into (:attr:`Phase.bucket`), and
 :meth:`repro.core.report.OffloadReport.figure5_stack` gives the stacked
 decomposition itself.
+
+Most spans of an offload belong to its tasks: about seven per task (launch,
+scatter, four worker phases, collect).  A Spark job therefore hands its
+timeline one :class:`TaskSpans` block of columns rather than a :class:`Span`
+per activity; the spans exist only once something iterates them.
 """
 
 from __future__ import annotations
 
 import enum
 from contextlib import contextmanager
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from dataclasses import dataclass, field, replace
+from typing import Iterable, Iterator, Mapping, Sequence
+
+import numpy as np
 
 
 class Phase(enum.Enum):
@@ -122,61 +129,166 @@ class Span:
         return self.end - self.start
 
 
-#: Process default for :class:`Timeline` coarsening (see
-#: :func:`coarse_timelines`).  Off by default: every existing run records
-#: exact per-activity spans, bit-identical to the historical behaviour.
-_COARSE_DEFAULT = False
+#: The four worker phases of one task attempt, in the order they run.
+_WORKER_PHASES = (Phase.WORKER_DECOMPRESS, Phase.JNI_CALL, Phase.COMPUTE,
+                  Phase.WORKER_COMPRESS)
 
 
 @contextmanager
-def coarse_timelines(enabled: bool = True) -> Iterator[None]:
-    """Make every :class:`Timeline` created in this scope coarse by default.
+def coarse_timelines() -> Iterator[None]:
+    """Does nothing; kept importable for ``perf/workloads.py``."""
+    yield
 
-    Coarse timelines aggregate spans into one segment per (phase, resource)
-    — per-worker segments instead of a million-element span list.  The
-    scaling bench wraps its giant runs in this; ordinary runs never coarsen
-    unless asked, so recorded traces and baselines stay exact.
+
+def task_spans(stage: str, task_id: int, start: float, speed: float,
+               resource: str, durations: Sequence[float],
+               label_suffix: str = "") -> list[Span]:
+    """The worker phases of one task attempt, back to back from ``start``;
+    ``durations`` are (decompress, JNI, compute, compress) at speed 1."""
+    prefix = f"{stage}/" if stage else ""
+    label = f"{prefix}task-{task_id}{label_suffix}"
+    out = []
+    cursor = start
+    for phase, dur in zip(_WORKER_PHASES, durations):
+        if dur > 0.0:
+            scaled = dur / speed
+            out.append(Span(phase, cursor, cursor + scaled, resource, label))
+            cursor += scaled
+    return out
+
+
+@dataclass(eq=False, repr=False)
+class TaskSpans:
+    """One job's per-task spans, held as columns.
+
+    Per row, in run order: ``launch-<tid>`` on the driver, ``scatter-<tid>``
+    on the driver NIC (rows with input bytes), the spans its attempts
+    ``attached`` (speculation launches, a copy's ``-spec`` phases, a killed
+    original's phases), then — unless a speculative copy won it — the
+    :func:`task_spans` of its result attempt.  The ``collect-<tid>`` spans
+    follow every row, in collect order.  :meth:`spans` builds them, once;
+    ``len``, :meth:`bounds` and :meth:`last_end` read the columns.  Columns
+    are numbers and strings only: no closure or broadcast stays alive.
     """
-    global _COARSE_DEFAULT
-    prev = _COARSE_DEFAULT
-    _COARSE_DEFAULT = bool(enabled)
-    try:
-        yield
-    finally:
-        _COARSE_DEFAULT = prev
+
+    stage: str
+    task_id: np.ndarray
+    ready0: float
+    launch_s: float
+    scatter_rows: np.ndarray
+    scatter_start: Sequence[float]
+    scatter_end: Sequence[float]
+    #: Per row: the result attempt's start and worker position.
+    start: Sequence[float]
+    worker: Sequence[int]
+    #: Per worker position: its id and speed at job start.
+    worker_ids: Sequence[str]
+    speeds: Sequence[float]
+    #: (decompress, JNI, compute, compress) seconds per row at speed 1.
+    costs: tuple[np.ndarray, ...]
+    spec_rows: set[int]
+    attached: Mapping[int, list[Span]]
+    collect_rows: np.ndarray
+    collect_start: Sequence[float]
+    #: Per row: when its result reached the driver.
+    collect_end: Sequence[float]
+    #: The phases this view keeps (see :meth:`only`).
+    phases: frozenset[Phase] = frozenset(Phase)
+    _spans: list[Span] | None = field(default=None, init=False)
+
+    def only(self, phases: Iterable[Phase]) -> "TaskSpans":
+        return replace(self, phases=self.phases & frozenset(phases))
+
+    def spans(self) -> list[Span]:
+        if self._spans is None:
+            tid = self.task_id.tolist()
+            launch = self._launch().tolist()
+            scatter = dict(zip(self.scatter_rows.tolist(),
+                               zip(self.scatter_start, self.scatter_end)))
+            costs = list(zip(*(c.tolist() for c in self.costs)))
+            out: list[Span] = []
+            for row, t in enumerate(tid):
+                out.append(Span(Phase.SCHEDULING, launch[row], launch[row + 1],
+                                "driver", f"launch-{t}"))
+                x = scatter.get(row)
+                if x is not None:
+                    out.append(Span(Phase.INTRA_TRANSFER, x[0], x[1],
+                                    "driver-nic", f"scatter-{t}"))
+                out.extend(self.attached.get(row, ()))
+                if row not in self.spec_rows:
+                    pos = self.worker[row]
+                    out.extend(task_spans(self.stage, t, self.start[row],
+                                          self.speeds[pos],
+                                          self.worker_ids[pos], costs[row]))
+            out.extend(Span(Phase.COLLECT, c0, self.collect_end[row],
+                            "driver-nic", f"collect-{tid[row]}")
+                       for row, c0 in zip(self.collect_rows.tolist(),
+                                          self.collect_start))
+            self._spans = [s for s in out if s.phase in self.phases]
+        return self._spans
+
+    def _launch(self) -> np.ndarray:
+        """``ready0`` plus one ``launch_s`` per row, added one at a time."""
+        n = len(self.task_id)
+        return np.add.accumulate(np.r_[self.ready0, np.full(n, self.launch_s)])
+
+    def _intervals(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(starts, ends) per phase column, for the phases this view keeps."""
+        launch = self._launch()
+        out = [(Phase.SCHEDULING, launch[:-1], launch[1:]),
+               (Phase.INTRA_TRANSFER, np.asarray(self.scatter_start),
+                np.asarray(self.scatter_end)),
+               (Phase.COLLECT, np.asarray(self.collect_start),
+                np.asarray(self.collect_end)[self.collect_rows])]
+        rows = np.ones(len(self.task_id), dtype=bool)
+        rows[list(self.spec_rows)] = False
+        pos = np.asarray(self.worker, dtype=np.int64)[rows]
+        speed = np.asarray(self.speeds, dtype=np.float64)[pos]
+        cursor = np.asarray(self.start, dtype=np.float64)[rows]
+        for phase, col in zip(_WORKER_PHASES, self.costs):
+            dur = col[rows]
+            end = cursor + dur / speed  # + 0.0 where the phase is skipped
+            ran = dur > 0.0
+            out.append((phase, cursor[ran], end[ran]))
+            cursor = end
+        out.extend((s.phase, np.array([s.start]), np.array([s.end]))
+                   for spans in self.attached.values() for s in spans)
+        return [(a, b) for phase, a, b in out if phase in self.phases and len(a)]
+
+    def __len__(self) -> int:
+        return sum(len(a) for a, _ in self._intervals())
+
+    def bounds(self) -> tuple[float, float] | None:
+        """(earliest start, latest end); None for an empty view."""
+        ivals = self._intervals()
+        return (min(float(a.min()) for a, _ in ivals),
+                max(float(b.max()) for _, b in ivals)) if ivals else None
+
+    def last_end(self) -> float | None:
+        """End of the last span (None for an empty view)."""
+        if len(self.collect_rows) and Phase.COLLECT in self.phases:
+            return self.collect_end[int(self.collect_rows[-1])]
+        spans = self.spans()  # no collect: rare, and cheap
+        return spans[-1].end if spans else None
 
 
 class Timeline:
-    """An append-only collection of :class:`Span` with roll-up queries.
+    """An append-only sequence of activities with roll-up queries.
 
     The *critical-path* semantics of an offload run live in the recorded start
     and end times, not the sum of durations: parallel uploads overlap, map
     tasks overlap.  ``wall(phase)`` therefore measures the union of intervals
     of a phase, while ``busy(phase)`` sums raw durations (resource-seconds).
 
-    A **coarse** timeline (``Timeline(coarse=True)``, or any timeline created
-    under :func:`coarse_timelines`) does not retain individual spans: each
-    ``record`` folds into the timeline's aggregate table — one entry per
-    (phase, resource) holding the span count, the earliest start, the latest
-    end and the exact busy-seconds sum.  1M task phases cost a few dict
-    updates each and O(workers) memory instead of a 4M-element span list.
-
-    Every timeline has both a span list and an aggregate table, and every
-    query reads both: ``busy``/``by_resource``/``span`` stay exact; ``spans``
-    shows each table entry as one merged segment (what the gantt/trace
-    exporters draw as per-worker segments); ``wall`` unions those merged
-    segments with the spans, an upper bound on the exact per-span union.
-    ``coarse`` only decides where ``record`` puts a new activity, so a mixed
-    chain — a fine job timeline extended into a coarse report, or the
-    reverse — loses nothing: ending coarse, the table is identical to an
-    all-coarse chain.
+    ``record`` stores one :class:`Span`; ``add_tasks`` stores one job's
+    :class:`TaskSpans`.  ``spans``, ``busy``, ``wall`` and ``by_resource``
+    iterate the block's spans; ``len``, ``span``, ``filter`` and
+    ``last_end`` read its columns and build none.
     """
 
     def __init__(self, coarse: bool | None = None) -> None:
-        self.coarse = _COARSE_DEFAULT if coarse is None else bool(coarse)
-        self._spans: list[Span] = []
-        # (phase, resource) -> [count, min_start, max_end, busy_sum]
-        self._agg: dict[tuple[Phase, str], list] = {}
+        # `coarse` is accepted and ignored: perf/probes.py still passes it.
+        self._items: list[Span | TaskSpans] = []
 
     def record(
         self,
@@ -185,94 +297,64 @@ class Timeline:
         end: float,
         resource: str = "",
         label: str = "",
-    ) -> Span | None:
-        """Record one activity.  Returns the stored span, or None when this
-        timeline is coarse (aggregates don't keep individual spans)."""
-        if self.coarse:
-            if end < start:
-                raise ValueError(
-                    f"span ends before it starts: {phase} [{start}, {end})")
-            e = self._agg.get((phase, resource))
-            if e is None:
-                self._agg[(phase, resource)] = [1, start, end, end - start]
-            else:
-                e[0] += 1
-                if start < e[1]:
-                    e[1] = start
-                if end > e[2]:
-                    e[2] = end
-                e[3] += end - start
-            return None
+    ) -> Span:
+        """Record one activity; returns the stored span."""
         span = Span(phase=phase, start=start, end=end, resource=resource, label=label)
-        self._spans.append(span)
+        self._items.append(span)
         return span
 
+    def add_tasks(self, block: TaskSpans) -> None:
+        """Append one job's per-task activity."""
+        self._items.append(block)
+
     def extend(self, other: "Timeline") -> None:
-        # Spans first, then the table: the order busy sums accumulate in.
-        if self.coarse:
-            for s in other._spans:
-                self.record(s.phase, s.start, s.end, s.resource)
-        else:
-            self._spans.extend(other._spans)
-        for key, (cnt, lo, hi, busy) in other._agg.items():
-            e = self._agg.get(key)
-            if e is None:
-                self._agg[key] = [cnt, lo, hi, busy]
+        self._items.extend(other._items)
+
+    def _iter(self) -> Iterator[Span]:
+        for item in self._items:
+            if isinstance(item, Span):
+                yield item
             else:
-                e[0] += cnt
-                e[1] = min(e[1], lo)
-                e[2] = max(e[2], hi)
-                e[3] += busy
+                yield from item.spans()
 
     @property
     def spans(self) -> tuple[Span, ...]:
-        """The recorded spans, then one merged segment per table entry in a
-        stable order."""
-        return tuple(self._spans) + tuple(
-            Span(phase=phase, start=lo, end=hi, resource=resource,
-                 label=f"coarse:{cnt}")
-            for (phase, resource), (cnt, lo, hi, _busy) in sorted(
-                self._agg.items(),
-                key=lambda kv: (kv[1][1], kv[0][0].value, kv[0][1])))
+        """Every activity as a :class:`Span`, in record order."""
+        return tuple(self._iter())
+
+    @property
+    def last_end(self) -> float:
+        """End of the last recorded activity (0 for an empty timeline)."""
+        for item in reversed(self._items):
+            end = item.end if isinstance(item, Span) else item.last_end()
+            if end is not None:
+                return end
+        return 0.0
 
     def __len__(self) -> int:
-        return len(self._spans) + len(self._agg)
+        return sum(1 if isinstance(item, Span) else len(item)
+                   for item in self._items)
 
     def filter(self, phases: Iterable[Phase]) -> "Timeline":
         keep = set(phases)
-        tl = Timeline(coarse=self.coarse)
-        tl._spans = [s for s in self._spans if s.phase in keep]
-        tl._agg = {k: list(v) for k, v in self._agg.items() if k[0] in keep}
+        tl = Timeline()
+        tl._items = [item.only(keep) if isinstance(item, TaskSpans) else item
+                     for item in self._items
+                     if isinstance(item, TaskSpans) or item.phase in keep]
         return tl
 
     def busy(self, phase: Phase | None = None) -> float:
-        """Total resource-seconds spent in ``phase`` (all phases if None).
-
-        Exact in both modes: table entries carry the busy-seconds sum.
-        """
-        return (sum(s.duration for s in self._spans
-                    if phase is None or s.phase == phase)
-                + sum(v[3] for k, v in self._agg.items()
-                      if phase is None or k[0] == phase))
-
-    def _intervals(self, phase: Phase | None = None) -> list[tuple[float, float]]:
-        """(start, end) of every span and merged table segment of ``phase``."""
-        ivals = [(s.start, s.end) for s in self._spans
-                 if phase is None or s.phase == phase]
-        ivals.extend((v[1], v[2]) for k, v in self._agg.items()
-                     if phase is None or k[0] == phase)
-        return ivals
+        """Total resource-seconds spent in ``phase`` (all phases if None)."""
+        return sum(s.duration for s in self._iter()
+                   if phase is None or s.phase == phase)
 
     def wall(self, phase: Phase | None = None) -> float:
-        """Length of the union of intervals of ``phase`` (all phases if None).
-
-        Table entries enter the union as their merged per-(phase, resource)
-        segments, an upper bound on the per-span union.
-        """
+        """Length of the union of intervals of ``phase`` (all phases if None)."""
         total = 0.0
         cur_start: float | None = None
         cur_end = 0.0
-        for a, b in sorted(self._intervals(phase)):
+        for a, b in sorted((s.start, s.end) for s in self._iter()
+                           if phase is None or s.phase == phase):
             if cur_start is None:
                 cur_start, cur_end = a, b
             elif a <= cur_end:
@@ -286,16 +368,15 @@ class Timeline:
 
     def span(self) -> float:
         """Makespan: last end minus first start (0 for an empty timeline)."""
-        ivals = self._intervals()
-        if not ivals:
+        bounds = [b for b in ((i.start, i.end) if isinstance(i, Span)
+                              else i.bounds() for i in self._items) if b]
+        if not bounds:
             return 0.0
-        return max(b for _, b in ivals) - min(a for a, _ in ivals)
+        return max(b for _, b in bounds) - min(a for a, _ in bounds)
 
     def by_resource(self) -> Mapping[str, float]:
-        """Busy seconds per resource name (exact in both modes)."""
+        """Busy seconds per resource name."""
         out: dict[str, float] = {}
-        for s in self._spans:
+        for s in self._iter():
             out[s.resource] = out.get(s.resource, 0.0) + s.duration
-        for (_phase, resource), v in self._agg.items():
-            out[resource] = out.get(resource, 0.0) + v[3]
         return out

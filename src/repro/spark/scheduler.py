@@ -27,14 +27,17 @@ columnar :class:`~repro.spark.tasktable.TaskTable` (plain scalars in the hot
 loop, no per-task object).  The loop picks executors through the
 amortized-O(log n) :class:`~repro.spark.exindex.ExecutorIndex`, orders
 collects with one ``np.lexsort``, materializes :class:`TaskResult` objects
-lazily, and reports each completed task to the event bus as one plain row
-(``EventBus.task_done``; the bus batches them, docs/OBSERVABILITY.md).
+lazily, reports each completed task to the event bus as one plain row
+(``EventBus.task_done``; the bus batches them, docs/OBSERVABILITY.md), and
+hands the timeline its task spans as one
+:class:`~repro.simtime.timeline.TaskSpans` block of columns.
 Scheduling order is observable through reports, journals and traces, so it is
 pinned bit for bit by the committed baselines and golden event streams.
 """
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -43,7 +46,7 @@ import numpy as np
 from repro.cloud.network import NetworkModel
 from repro.obs.events import SpeculationWon, TaskSpeculated, get_bus
 from repro.simtime.clock import SimClock
-from repro.simtime.timeline import Phase, Timeline
+from repro.simtime.timeline import Phase, Span, TaskSpans, Timeline, task_spans
 from repro.spark.broadcast import Broadcast
 from repro.spark.executor import Executor, ExecutorLostError
 from repro.spark.exindex import ExecutorIndex
@@ -63,32 +66,6 @@ __all__ = [
 
 #: Spark's default spark.task.maxFailures.
 MAX_TASK_FAILURES = 4
-
-
-def _agg_entry(agg: dict, phase: Phase, resource: str) -> list:
-    """Get-or-create one coarse aggregate ([count, min, max, busy]) entry.
-
-    Entries start at the identity ([0, +inf, -inf, 0.0]) and are only ever
-    created immediately before a :func:`_bump`, so no empty group is ever
-    visible — the aggregate ends up element-for-element identical to what
-    ``Timeline.record`` would have built span by span.
-    """
-    key = (phase, resource)
-    e = agg.get(key)
-    if e is None:
-        e = agg[key] = [0, float("inf"), float("-inf"), 0.0]
-    return e
-
-
-def _bump(e: list, start: float, end: float) -> None:
-    """Fold one span into a coarse aggregate entry (same math as
-    ``Timeline.record``'s coarse path, minus the call overhead)."""
-    e[0] += 1
-    if start < e[1]:
-        e[1] = start
-    if end > e[2]:
-        e[2] = end
-    e[3] += end - start
 
 
 class JobFailedError(Exception):
@@ -172,15 +149,6 @@ class _JobRun:
         self.functional = functional
         self.schedule = schedule
         self.index = ExecutorIndex(executors)
-        #: A coarse timeline's aggregate table; ``None`` for a fine one, which
-        #: keeps a labelled span per activity.  Coarse timelines ignore
-        #: labels, so the hot loop skips building the f-strings and updates
-        #: the table in place (same math as ``Timeline.record``, without a
-        #: method call per span).
-        self.agg = timeline._agg if timeline.coarse else None
-        #: (id(executor) -> [entry or None] * 4) coarse aggregate entries for
-        #: the four per-task worker phases, created lazily per executor.
-        self._ex_entries: dict[int, list] = {}
         #: Fault bookkeeping is all dict probes; an empty plan (the common
         #: case) skips them entirely.
         self.no_faults = fault_plan is NO_FAULTS or fault_plan.empty
@@ -198,10 +166,6 @@ class _JobRun:
         self.tid = self.table.task_id.tolist()
         self.in_b = self.table.input_bytes.tolist()
         self.out_b = self.table.output_bytes.tolist()
-        self.dec_s = self.table.decompress_s.tolist()
-        self.jni_s = self.table.jni_s.tolist()
-        self.cmp_s = self.table.compute_s.tolist()
-        self.cpr_s = self.table.compress_s.tolist()
         # Result columns, filled as rows complete.
         self.r_start = [0.0] * n
         self.r_end = [0.0] * n
@@ -210,9 +174,14 @@ class _JobRun:
         self.r_worker = [0] * n
         self.spec_rows: set[int] = set()
         self.values: list[Any] = [None] * n
-        #: Worker-id snapshot at job start; results reference positions so a
-        #: post-job ``replace_executor`` cannot rewrite history.
+        #: Spans a row's attempts record besides its result's worker phases
+        #: (speculation launches, a speculative copy's or killed original's
+        #: phases), in record order.
+        self.attached: dict[int, list[Span]] = {}
+        #: Worker-id and speed snapshots at job start; results reference
+        #: positions so a post-job ``replace_executor`` cannot rewrite history.
         self.worker_ids = [ex.worker_id for ex in executors]
+        self.speeds = [ex.speed for ex in executors]
         self.pos_of = {id(ex): i for i, ex in enumerate(executors)}
         self.stats = JobStats(results=self._results(), tasks=n)
 
@@ -240,65 +209,54 @@ class _JobRun:
             ready0 += dt
 
         # -------------------------------------------- launch + scatter + run
-        n = len(self.table)
+        # Every launch, scatter and collect span, and each row's result
+        # phases, is a function of the columns below; the job adds them to
+        # the timeline as one TaskSpans block.
+        table = self.table
+        n = len(table)
         launch_s = self.costs.task_launch_s
-        record = timeline.record
         lan_time = network.lan_transfer_time
-        tid, in_b, out_b = self.tid, self.in_b, self.out_b
+        in_b, out_b = self.in_b, self.out_b
         driver_cursor = ready0
         nic_cursor = ready0
-        agg = self.agg
-        e_sched = (_agg_entry(agg, Phase.SCHEDULING, "driver")
-                   if agg is not None and n else None)
-        e_intra = None
+        scatter_start, scatter_end = array("d"), array("d")
         for row in range(n):
-            launch_start = driver_cursor
             driver_cursor += launch_s
-            if e_sched is not None:
-                _bump(e_sched, launch_start, driver_cursor)
-            else:
-                record(Phase.SCHEDULING, launch_start, driver_cursor,
-                       resource="driver",
-                       label=f"launch-{tid[row]}")
             ready = driver_cursor
             if in_b[row] > 0:
                 x0 = ready if ready > nic_cursor else nic_cursor
-                dt = lan_time(in_b[row])
-                nic_cursor = x0 + dt
-                if agg is not None:
-                    if e_intra is None:
-                        e_intra = _agg_entry(agg, Phase.INTRA_TRANSFER,
-                                             "driver-nic")
-                    _bump(e_intra, x0, nic_cursor)
-                else:
-                    record(Phase.INTRA_TRANSFER, x0, nic_cursor,
-                           resource="driver-nic",
-                           label=f"scatter-{tid[row]}")
+                nic_cursor = x0 + lan_time(in_b[row])
+                scatter_start.append(x0)
+                scatter_end.append(nic_cursor)
                 ready = nic_cursor
             self._run_one(row, ready)
 
         # ---------------------------------------------------------- collect
         collect_cursor = nic_cursor
-        ends = np.array(self.r_end)
-        e_coll = None
-        for row in np.lexsort((self.table.task_id, ends)).tolist():
+        order = np.lexsort((table.task_id, np.array(self.r_end)))
+        collect_start = array("d")
+        for row in order.tolist():
             if out_b[row] > 0:
                 end = self.r_end[row]
                 c0 = end if end > collect_cursor else collect_cursor
-                dt = lan_time(out_b[row])
-                collect_cursor = c0 + dt
-                if agg is not None:
-                    if e_coll is None:
-                        e_coll = _agg_entry(agg, Phase.COLLECT, "driver-nic")
-                    _bump(e_coll, c0, collect_cursor)
-                else:
-                    record(Phase.COLLECT, c0, collect_cursor,
-                           resource="driver-nic",
-                           label=f"collect-{tid[row]}")
+                collect_cursor = c0 + lan_time(out_b[row])
+                collect_start.append(c0)
                 self.r_collected[row] = collect_cursor
             else:
                 self.r_collected[row] = self.r_end[row]
 
+        timeline.add_tasks(TaskSpans(
+            stage=table.stage, task_id=table.task_id, ready0=ready0,
+            launch_s=launch_s,
+            scatter_rows=np.flatnonzero(table.input_bytes > 0),
+            scatter_start=scatter_start, scatter_end=scatter_end,
+            start=self.r_start, worker=self.r_worker,
+            worker_ids=self.worker_ids, speeds=self.speeds,
+            costs=(table.decompress_s, table.jni_s, table.compute_s,
+                   table.compress_s),
+            spec_rows=self.spec_rows, attached=self.attached,
+            collect_rows=order[table.output_bytes[order] > 0],
+            collect_start=collect_start, collect_end=self.r_collected))
         job_end = max(self.r_collected, default=ready0)
         clock.advance_to(max(job_end, clock.now))
         stats.makespan_s = job_end - t0
@@ -405,10 +363,9 @@ class _JobRun:
                     # (Spark kills it, but the model bills the spent time);
                     # its spans stay on the timeline, unlabelled as a task
                     # completion — no TaskEnd is emitted for a killed copy.
-                    self._record_task_spans(row, res.start, ex)
+                    self._attach_task_spans(row, res.start, ex)
                     return
 
-            self._record_task_spans(row, res.start, ex)
             if self.bus.is_active:
                 self.bus.task_done(self.tid[row], ex.worker_id, res.start,
                                    res.end, duration / ex.speed, attempts)
@@ -461,9 +418,8 @@ class _JobRun:
             return False  # the copy cannot win; Spark would not launch it
 
         copy = copy_ex.reserve(launch_end, duration)
-        self.timeline.record(Phase.SPECULATION, watch, launch_end,
-                             resource="driver",
-                             label=f"speculate-{tid}")
+        self.attached.setdefault(row, []).append(Span(
+            Phase.SPECULATION, watch, launch_end, "driver", f"speculate-{tid}"))
         self.stats.speculated_tasks += 1
         bus = self.bus
         if bus.is_active:
@@ -504,7 +460,7 @@ class _JobRun:
         saved = max(0.0, counterfactual - copy.end)
         self.stats.speculation_wins += 1
         self.stats.speculation_saved_s += saved
-        self._record_task_spans(row, copy.start, copy_ex, label_suffix="-spec")
+        self._attach_task_spans(row, copy.start, copy_ex, label_suffix="-spec")
         if bus.is_active:
             bus.task_done(tid, copy_ex.worker_id, copy.start, copy.end,
                           duration / copy_ex.speed, attempts)
@@ -520,46 +476,11 @@ class _JobRun:
         self.values[row] = value
         return True
 
-    def _record_task_spans(self, row: int, start: float, ex: Executor,
+    def _attach_task_spans(self, row: int, start: float, ex: Executor,
                            label_suffix: str = "") -> None:
-        cursor = start
-        speed = ex.speed
-        agg = self.agg
-        if agg is not None:
-            # Coarse: fold the four phases into per-executor aggregate
-            # entries, fetched once per executor and bumped in place.
-            ents = self._ex_entries.get(id(ex))
-            if ents is None:
-                ents = self._ex_entries[id(ex)] = [None, None, None, None]
-            resource = ex.worker_id
-            for i, (phase, dur) in enumerate((
-                (Phase.WORKER_DECOMPRESS, self.dec_s[row]),
-                (Phase.JNI_CALL, self.jni_s[row]),
-                (Phase.COMPUTE, self.cmp_s[row]),
-                (Phase.WORKER_COMPRESS, self.cpr_s[row]),
-            )):
-                if dur > 0.0:
-                    scaled = dur / speed
-                    e = ents[i]
-                    if e is None:
-                        e = ents[i] = _agg_entry(agg, phase, resource)
-                    nxt = cursor + scaled
-                    _bump(e, cursor, nxt)
-                    cursor = nxt
-            return
-        record = self.timeline.record
-        resource = ex.worker_id
-        stage = self.table.stage
-        prefix = f"{stage}/" if stage else ""
-        label = f"{prefix}task-{self.tid[row]}{label_suffix}"
-        for phase, dur in (
-            (Phase.WORKER_DECOMPRESS, self.dec_s[row]),
-            (Phase.JNI_CALL, self.jni_s[row]),
-            (Phase.COMPUTE, self.cmp_s[row]),
-            (Phase.WORKER_COMPRESS, self.cpr_s[row]),
-        ):
-            if dur > 0.0:
-                scaled = dur / speed
-                record(phase, cursor, cursor + scaled,
-                       resource=resource, label=label)
-                cursor += scaled
+        table = self.table
+        self.attached.setdefault(row, []).extend(task_spans(
+            table.stage, self.tid[row], start, ex.speed, ex.worker_id,
+            (float(table.decompress_s[row]), float(table.jni_s[row]),
+             float(table.compute_s[row]), float(table.compress_s[row])),
+            label_suffix))

@@ -1,9 +1,12 @@
 """``CloudDevice(schedule=...)``: the device wiring of the adaptive layer."""
 
+import pytest
+
 from repro.core.api import offload
 from repro.core.buffers import ExecutionMode
 from repro.core.plugin_cloud import CloudDevice
 from repro.core.runtime import OffloadRuntime
+from repro.spark.faults import FaultPlan
 from repro.spark.schedule import STATIC_SCHEDULE, ScheduleConfig
 from repro.workloads import WORKLOADS
 
@@ -64,3 +67,21 @@ def test_report_carries_speculation_fields(cloud_config):
     d = rep.to_dict()
     assert d["tasks_speculated"] == rep.tasks_speculated
     assert "speculation" in rep.summary()
+
+
+def test_weighted_schedule_with_no_live_slot_falls_back_like_static(cloud_config):
+    """Once the only executor is dead a resubmission has no slot capacity to
+    weigh; it must fail the job (and fall back to the host) as static does."""
+    spec = WORKLOADS["gemm"]
+
+    def run(schedule):
+        rt = OffloadRuntime()
+        rt.register(CloudDevice(cloud_config, physical_cores=16,
+                                schedule=schedule,
+                                fault_plan=FaultPlan(die_at={"worker-0": 0.0})))
+        with pytest.warns(RuntimeWarning, match="falling back to host"):
+            return offload(spec.build_region("CLOUD"), scalars=spec.scalars(),
+                           runtime=rt, mode=ExecutionMode.MODELED)
+
+    assert run(ScheduleConfig()).fell_back_to_host
+    assert run(ScheduleConfig(mode="weighted")).fell_back_to_host

@@ -1,4 +1,4 @@
-"""Timeline roll-ups: busy vs wall, buckets, coarse aggregation."""
+"""Timeline roll-ups: busy vs wall, buckets, last end."""
 
 import pytest
 
@@ -100,112 +100,9 @@ def test_by_resource_accumulates():
     assert by["w1"] == pytest.approx(2.0)
 
 
-# ------------------------------------------------------------- coarse mode
-from repro.simtime import coarse_timelines  # noqa: E402
-
-
-def _fine_and_coarse():
-    """The same spans recorded into a fine and a coarse timeline."""
-    spans = [
-        (Phase.COMPUTE, 0.0, 2.0, "w0"),
-        (Phase.COMPUTE, 1.0, 4.0, "w0"),
-        (Phase.COMPUTE, 5.0, 6.0, "w1"),
-        (Phase.SCHEDULING, 0.0, 0.5, "driver"),
-    ]
-    fine, coarse = Timeline(coarse=False), Timeline(coarse=True)
-    for phase, a, b, res in spans:
-        fine.record(phase, a, b, resource=res)
-        coarse.record(phase, a, b, resource=res)
-    return fine, coarse
-
-
-def test_coarse_record_returns_none():
-    tl = Timeline(coarse=True)
-    assert tl.record(Phase.COMPUTE, 0.0, 1.0, resource="w0") is None
-    assert tl.record(Phase.COMPUTE, 1.0, 2.0, resource="w0") is None
-    assert len(tl) == 1  # one (phase, resource) aggregate
-
-
-def test_coarse_busy_span_by_resource_are_exact():
-    fine, coarse = _fine_and_coarse()
-    assert coarse.busy() == fine.busy()
-    assert coarse.busy(Phase.COMPUTE) == fine.busy(Phase.COMPUTE)
-    assert coarse.span() == fine.span()
-    assert coarse.by_resource() == fine.by_resource()
-
-
-def test_coarse_spans_materialize_merged_segments():
-    _, coarse = _fine_and_coarse()
-    seg = [s for s in coarse.spans
-           if s.phase is Phase.COMPUTE and s.resource == "w0"]
-    assert len(seg) == 1
-    assert (seg[0].start, seg[0].end, seg[0].label) == (0.0, 4.0, "coarse:2")
-
-
-def test_coarse_filter_keeps_aggregates():
-    fine, coarse = _fine_and_coarse()
-    kept = coarse.filter([Phase.COMPUTE])
-    assert kept.busy() == fine.filter([Phase.COMPUTE]).busy()
-    assert kept.busy(Phase.SCHEDULING) == 0.0
-
-
-def test_coarse_rejects_negative_interval():
-    tl = Timeline(coarse=True)
-    with pytest.raises(ValueError):
-        tl.record(Phase.COMPUTE, 2.0, 1.0)
-
-
-def test_coarse_timelines_context_sets_the_default():
-    assert not Timeline().coarse
-    with coarse_timelines():
-        assert Timeline().coarse
-        assert not Timeline(coarse=False).coarse  # explicit wins
-    assert not Timeline().coarse  # restored
-
-
-def test_extend_coarse_into_coarse_merges_aggregates():
-    fine, coarse = _fine_and_coarse()
-    other = Timeline(coarse=True)
-    other.record(Phase.COMPUTE, 6.0, 8.0, resource="w0")
-    coarse.extend(other)
-    assert coarse.busy(Phase.COMPUTE) == fine.busy(Phase.COMPUTE) + 2.0
-    seg = [s for s in coarse.spans
-           if s.phase is Phase.COMPUTE and s.resource == "w0"]
-    assert seg[0].label == "coarse:3"
-
-
-def test_extend_fine_into_coarse_counts_each_span():
-    fine, _ = _fine_and_coarse()
-    tl = Timeline(coarse=True)
-    tl.extend(fine)
-    assert tl.busy() == fine.busy()
-    assert tl.span() == fine.span()
-
-
-def test_mixed_chain_through_fine_accumulator_is_lossless():
-    """coarse job -> long-lived fine accumulator -> coarse report must keep
-    exact (count, envelope, busy) — the SparkContext.timeline chain."""
-    _, job = _fine_and_coarse()
-    accumulator = Timeline(coarse=False)
-    accumulator.record(Phase.CLUSTER_INIT, 0.0, 1.0, resource="cluster")
-    accumulator.extend(job)
-    report = Timeline(coarse=True)
-    report.extend(accumulator)
-    assert report._agg[(Phase.COMPUTE, "w0")] == [2, 0.0, 4.0, 5.0]
-    assert report._agg[(Phase.COMPUTE, "w1")] == [1, 5.0, 6.0, 1.0]
-    assert report._agg[(Phase.SCHEDULING, "driver")] == [1, 0.0, 0.5, 0.5]
-    assert report._agg[(Phase.CLUSTER_INIT, "cluster")] == [1, 0.0, 1.0, 1.0]
-
-
-def test_fine_accumulator_queries_fold_carried_aggregates():
-    fine, job = _fine_and_coarse()
-    acc = Timeline(coarse=False)
-    acc.extend(job)  # all carried, no real spans
-    assert acc.busy() == fine.busy()
-    assert acc.span() == fine.span()
-    assert acc.by_resource() == fine.by_resource()
-    assert len(acc) == 3
-    labels = sorted(s.label for s in acc.spans)
-    assert labels == ["coarse:1", "coarse:1", "coarse:2"]
-    kept = acc.filter([Phase.SCHEDULING])
-    assert kept.busy() == 0.5
+def test_last_end_is_the_last_recorded_activity():
+    tl = Timeline()
+    assert tl.last_end == 0.0
+    tl.record(Phase.COMPUTE, 0.0, 9.0)
+    tl.record(Phase.HOST_DOWNLOAD, 2.0, 3.0)  # recorded last, ends earlier
+    assert tl.last_end == 3.0 == tl.spans[-1].end

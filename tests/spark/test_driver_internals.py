@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.simtime import Phase, coarse_timelines
+from repro.simtime import Phase
 from repro.spark import SparkCluster, SparkContext
 from repro.spark.rdd import ParallelCollectionRDD
 
@@ -50,9 +50,8 @@ def test_jobs_get_distinct_task_ids(sc):
     # them (profiles sum tile seconds per task id).
     n = 150_000
     big = sc.parallelize(range(n), num_slices=n)
-    with coarse_timelines():
-        r3 = run(big, costs(n), functional=False)
-        r4 = run(big, costs(n), functional=False)
+    r3 = run(big, costs(n), functional=False)
+    r4 = run(big, costs(n), functional=False)
     assert r3.stats.results[0].task_id == 300_000
     assert r4.stats.results[0].task_id > r3.stats.results[-1].task_id
     r5 = run(rdd)
