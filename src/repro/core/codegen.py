@@ -34,9 +34,12 @@ from repro.core.omp_ast import REDUCTION_OPS, MapType
 from repro.core.partition import partition_windows
 from repro.core.tiling import (Tile, drop_empty_tiles, tile_by_chunk,
                                tile_iterations, tile_weighted, untiled)
-from repro.core.transfer import StagingCodec
+from repro.core.transfer import TransferEngine
 from repro.perfmodel.calibration import Calibration
-from repro.perfmodel.compression import CompressionModel, gzip_compress, gzip_decompress, model_for_density
+from repro.perfmodel.compression import CompressionModel, model_for_density
+# Not called here since StagingCodec does both ends of the hop; kept bound
+# because perf/tests/test_trace.py:90,96 asserts the name is bound here.
+from repro.perfmodel.compression import gzip_compress  # noqa: F401
 from repro.perfmodel.compute import ComputeModel
 from repro.obs.events import CheckpointCommit, get_bus
 from repro.resilience import OffloadJournal, RetryPolicy, TileCheckpoint, retry_call
@@ -139,7 +142,7 @@ class SparkJobGenerator:
         mode: ExecutionMode,
         tiling: bool,
         fault_plan: FaultPlan,
-        staging: StagingCodec,
+        transfer: TransferEngine,
         retry_policy: RetryPolicy,
         schedule: ScheduleConfig,
         journal: OffloadJournal,
@@ -157,9 +160,9 @@ class SparkJobGenerator:
         self.mode = mode
         self.tiling = tiling
         self.fault_plan = fault_plan
-        #: The plugin's codec: how it encoded what it staged, and how outputs
-        #: must be encoded for it — one object decides both sides of the hop.
-        self.staging = staging
+        #: The device's storage client: its codec decides how both ends of
+        #: the hop encode, and it keeps the inputs this driver inflated.
+        self.transfer = transfer
         self.retry_policy = retry_policy
         self.schedule = schedule
         #: Recovery wiring: when ``checkpoint`` is on, completed tile outputs
@@ -235,6 +238,15 @@ class SparkJobGenerator:
 
     def _read_inputs(self, buffers, storage, input_keys) -> None:
         clock, timeline = self.sc.clock, self.timeline
+        functional = self.mode == ExecutionMode.FUNCTIONAL
+        if functional:
+            self.transfer.keep_driver_inputs(
+                [(buffers[nm], input_keys[nm]) for nm in self.region.input_names])
+            # Only these get a private writable copy of the shared read-only
+            # inflated input; every other input is read in place.
+            written = set(self.region.output_names).union(
+                *(loop.writes for loop in self.region.loops),
+                *(loop.reduction_vars for loop in self.region.loops))
         for name in self.region.input_names:
             buf = buffers[name]
             key = input_keys[name]
@@ -242,15 +254,14 @@ class SparkJobGenerator:
             self._job.storage_bytes_read += wire
             codec = self._codec_for(buf)
             dt = storage.cluster_read_time(wire)
-            if self.staging.compresses(buf.nbytes):
+            if self.transfer.codec.compresses(buf.nbytes):
                 dt += codec.decompress_time(buf.nbytes)
             timeline.record(Phase.STORAGE_READ, clock.now, clock.advance(dt),
                             resource="driver", label=f"read-{name}")
-            if self.mode == ExecutionMode.FUNCTIONAL:
-                raw = self._storage_retry("GET", storage.get_bytes, key)
-                if self.staging.compresses(buf.nbytes):
-                    raw = gzip_decompress(raw)
-                self._driver_arrays[name] = np.frombuffer(raw, dtype=buf.dtype).copy()
+            if functional:
+                payload = self._storage_retry("GET", storage.get_bytes, key)
+                arr = self.transfer.driver_input(key, payload, buf)
+                self._driver_arrays[name] = arr.copy() if name in written else arr
             else:
                 self._driver_arrays[name] = None
         # Output-only variables exist on the driver but carry no uploaded
@@ -283,19 +294,19 @@ class SparkJobGenerator:
         for name in self.region.output_names:
             buf = self._buffer_info[name]
             codec = self._codec_for(buf)
-            compressed = self.staging.compresses(buf.nbytes)
-            key = self.staging.key(f"{key_prefix}/out/{name}", buf.nbytes)
+            compressed = self.transfer.codec.compresses(buf.nbytes)
+            key = self.transfer.codec.key(f"{key_prefix}/out/{name}", buf.nbytes)
             if self.mode == ExecutionMode.FUNCTIONAL:
                 arr = self._driver_arrays[name]
                 assert arr is not None
                 # Zero-copy staging: compress (or PUT) straight from a view
                 # of the driver array; storage materialises its own bytes.
                 view = memoryview(arr).cast("B").toreadonly()
-                payload = gzip_compress(view) if compressed else view
+                payload = self.transfer.codec.encode(view, buf.nbytes)
                 obj = self._storage_retry("PUT", storage.put, key, data=payload)
                 wire = len(payload)
             else:
-                wire = self.staging.wire_size(codec, buf.nbytes)
+                wire = self.transfer.codec.wire_size(codec, buf.nbytes)
                 obj = self._storage_retry("PUT", storage.put, key, size=wire)
             self._job.storage_bytes_written += wire
             dt = codec.compress_time(buf.nbytes) if compressed else 0.0

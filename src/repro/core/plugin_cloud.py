@@ -367,8 +367,6 @@ class CloudDevice(Device):
                     probe_cost = probe_retries * len(cached.encode("utf-8"))
                     saved = max(0, buf.nbytes - probe_cost)
                     input_keys[name] = cached
-                    self.stage_cache.credit_saved(buf.nbytes,
-                                                  probe_cost_bytes=probe_cost)
                     report.cache_hits += 1
                     report.cache_bytes_saved += saved
                     get_bus().emit(CacheHit(time=self.clock.now,
@@ -874,7 +872,7 @@ class CloudDevice(Device):
                 region, scalars, self.sc, timeline,
                 calibration=self.cal, mode=mode, tiling=self.tiling,
                 fault_plan=self.fault_plan,
-                staging=self.transfer.codec,
+                transfer=self.transfer,
                 retry_policy=self.retry_policy,
                 schedule=self.schedule,
                 journal=self.journal,

@@ -16,6 +16,17 @@ Content identity:
 Downloaded outputs are registered too: re-offloading a result the cloud just
 produced (`C` of one GEMM as `A` of the next) is a cache hit without the
 host ever re-uploading it.
+
+The cache saves the host->storage hop only.  On the cluster side the Spark
+driver still GETs a reused object and verifies its checksum; what it does
+not repeat is the gunzip — the device's
+:class:`~repro.core.transfer.TransferEngine` keeps the inputs the driver
+inflated for its most recent job, keyed on storage key, dtype and length and
+reused only when the verified GET returns the very same stored object.
+
+The digest is recomputed on every offload: a NumPy array can be written in
+place (``a[i] = v``) without any counter seeing it, so a memoised hash could
+name stale content.
 """
 
 from __future__ import annotations
@@ -48,44 +59,20 @@ class CacheKey:
 
 @dataclass
 class StagingCache:
-    """digest -> storage key of the already-staged object."""
+    """digest -> storage key of the already-staged object.  It keeps nothing
+    else: the offload report (``cache_hits``, ``cache_bytes_saved``) and the
+    :class:`~repro.obs.events.CacheHit` event are the account of its hits."""
 
     enabled: bool = True
     _entries: dict[str, str] = field(default_factory=dict)
-    hits: int = 0
-    misses: int = 0
-    bytes_saved: int = 0
 
     def lookup(self, key: CacheKey) -> str | None:
         """Storage key holding this content, or None."""
-        if not self.enabled:
-            return None
-        found = self._entries.get(key.digest)
-        if found is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return found
+        return self._entries.get(key.digest) if self.enabled else None
 
     def record(self, key: CacheKey, storage_key: str) -> None:
         if self.enabled:
             self._entries[key.digest] = storage_key
-
-    def credit_saved(self, nbytes: int, probe_cost_bytes: int = 0) -> None:
-        """Credit a hit's avoided upload.  When the EXISTS probe that
-        confirmed the hit needed retries, those probes billed real storage
-        round-trips — their wire cost is netted out so ``bytes_saved`` stays
-        an honest account of traffic the cache removed."""
-        self.bytes_saved += max(0, nbytes - probe_cost_bytes)
-
-    def invalidate(self, storage_key: str) -> None:
-        """Drop entries pointing at a deleted/overwritten object."""
-        stale = [d for d, k in self._entries.items() if k == storage_key]
-        for d in stale:
-            del self._entries[d]
-
-    def clear(self) -> None:
-        self._entries.clear()
 
     def __len__(self) -> int:
         return len(self._entries)

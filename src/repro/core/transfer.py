@@ -6,7 +6,9 @@ size is larger than a predefined minimal compression size)."  Every construct
 of the cloud plugin that moves mapped data goes through the one
 :meth:`TransferEngine.upload` or the one :meth:`TransferEngine.download`
 below; docs/DATA_ENV.md ("How bytes move") describes the path and what each
-construct keeps to itself.
+construct keeps to itself.  The Spark driver, on the other side of storage,
+encodes and decodes with the same :class:`StagingCodec` and inflates each
+stored input once (:meth:`TransferEngine.driver_input`).
 """
 
 from __future__ import annotations
@@ -66,6 +68,15 @@ class StagingCodec:
         """Modeled object size of an ``nbytes`` buffer."""
         return model.compressed_size(nbytes) if self.compresses(nbytes) else nbytes
 
+    def encode(self, view: memoryview, nbytes: int) -> "bytes | memoryview":
+        """The object to store for an ``nbytes`` buffer's raw bytes: gzip'd
+        above the threshold, else the view itself (storage copies on PUT)."""
+        return gzip_compress(view) if self.compresses(nbytes) else view
+
+    def decode(self, payload: bytes, nbytes: int) -> bytes:
+        """The raw bytes of an ``nbytes`` buffer's stored object."""
+        return gzip_decompress(payload) if self.compresses(nbytes) else payload
+
 
 class Charged(NamedTuple):
     """Simulated interval one transfer's codec + wire time was charged over
@@ -81,7 +92,9 @@ class Charged(NamedTuple):
 
 @dataclass
 class TransferEngine:
-    """The host side of the host<->storage hop of one cloud device."""
+    """The one storage client of a cloud device: the host side of the
+    host<->storage hop, plus the Spark driver's memo of the inputs it
+    inflated for the device's most recent job (:meth:`driver_input`)."""
 
     storage: ObjectStore
     credentials: Credentials
@@ -114,6 +127,12 @@ class TransferEngine:
         #: the "implicit checkpoint" a resubmission reuses is still intact.
         self._staged_checksums: dict[str, str] = {}
         self._checksum_lock = threading.Lock()
+        #: The driver's inflated inputs of the most recent job: (storage key,
+        #: dtype, length) -> (the verified stored payload they came from,
+        #: read-only array).  Staged keys are unique per offload and the
+        #: store never deletes, so the table is cut to one job's inputs at
+        #: each job's read.
+        self._driver_inputs: dict[tuple, tuple[bytes, np.ndarray]] = {}
 
     # ------------------------------------------------------ retries + backoff
     def _with_retries(self, op_name: str, fn, *args, **kwargs):
@@ -229,8 +248,7 @@ class TransferEngine:
             # Compress straight off the zero-copy view.  Storage materialises
             # its own bytes on PUT, so the stored object never aliases the
             # live host array.
-            payload = (gzip_compress(view)
-                       if self.codec.compresses(buf.nbytes) else view)
+            payload = self.codec.encode(view, buf.nbytes)
             wire, body = len(payload), {"data": payload}
         else:
             wire = self.codec.wire_size(model_for_density(buf.density),
@@ -278,9 +296,37 @@ class TransferEngine:
         payload = (self._with_retries("GET", get, key,
                                       credentials=self.credentials)
                    if retry else get(key, credentials=self.credentials))
-        if self.codec.compresses(buf.nbytes):
-            payload = gzip_decompress(payload)
-        buf.require_data()[:] = np.frombuffer(payload, dtype=buf.dtype)
+        raw = self.codec.decode(payload, buf.nbytes)
+        buf.require_data()[:] = np.frombuffer(raw, dtype=buf.dtype)
+
+    # ------------------------------------------------------ storage -> driver
+    def keep_driver_inputs(self, items: Items) -> None:
+        """Start a job's input read: forget every inflated input that is not
+        one of this job's ``(buffer, key)`` inputs, so the memo never
+        outgrows a job."""
+        wanted = {(key, buf.dtype, buf.length) for buf, key in items}
+        self._driver_inputs = {ident: entry
+                               for ident, entry in self._driver_inputs.items()
+                               if ident in wanted}
+
+    def driver_input(self, key: str, payload: bytes,
+                     buf: Buffer) -> np.ndarray:
+        """The driver's read-only array for ``payload``, the checksum-verified
+        object a GET of ``key`` just returned.  It is inflated once per stored
+        object and dtype: a later job whose GET returns the very same object
+        (a cache hit, a resident mapping, a resubmission) reuses the array.
+        The identity test, not the CRC32, stands for content; the dtype and
+        length are part of the key because the staging cache hashes bytes
+        only, so one object may back buffers of different types."""
+        ident = (key, buf.dtype, buf.length)
+        entry = self._driver_inputs.get(ident)
+        if entry is not None and entry[0] is payload:
+            return entry[1]
+        raw = self.codec.decode(payload, buf.nbytes)
+        arr = np.frombuffer(raw, dtype=buf.dtype).copy()
+        arr.flags.writeable = False
+        self._driver_inputs[ident] = (payload, arr)
+        return arr
 
     # ------------------------------------------------------ simulated seconds
     def _charge(self, report: Report, items: Items, wire: list[int],

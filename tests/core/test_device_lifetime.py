@@ -47,9 +47,12 @@ def test_dropped_device_is_freed_by_refcount(cloud_config, no_gc, options):
     report = _offload_gemm(rt)
     _offload_gemm(rt)
     dev_ref, storage_ref = weakref.ref(dev), weakref.ref(dev.storage)
-    del rt, dev
+    (_, inflated), *_ = dev.transfer._driver_inputs.values()
+    memo_ref = weakref.ref(inflated)
+    del rt, dev, inflated
     assert dev_ref() is None, "the dropped CloudDevice is still referenced"
     assert storage_ref() is None, "its storage (staged objects) is still alive"
+    assert memo_ref() is None, "the driver's inflated input is still alive"
     assert report.tasks_run > 0  # the caller's report outlives the device
 
 

@@ -35,7 +35,6 @@ def test_cache_lookup_and_stats():
     assert cache.lookup(key) is None
     cache.record(key, "some/key")
     assert cache.lookup(key) == "some/key"
-    assert cache.hits == 1 and cache.misses == 1
 
 
 def test_disabled_cache_never_hits():
@@ -44,16 +43,6 @@ def test_disabled_cache_never_hits():
     cache.record(key, "k")
     assert cache.lookup(key) is None
     assert len(cache) == 0
-
-
-def test_cache_invalidate():
-    cache = StagingCache()
-    k1, k2 = CacheKey.for_bytes(b"1"), CacheKey.for_bytes(b"2")
-    cache.record(k1, "obj/a")
-    cache.record(k2, "obj/b")
-    cache.invalidate("obj/a")
-    assert cache.lookup(k1) is None
-    assert cache.lookup(k2) == "obj/b"
 
 
 # ----------------------------------------------------------- plugin behaviour
