@@ -15,6 +15,11 @@ builds the same job directly against the Spark substrate:
    for reduction variables (Eq. 8-10);
 3. write region outputs back to cloud storage.
 
+Every storage access of the driver (input read, output write, checkpoint
+commit and restore) goes through the device's
+:class:`~repro.core.transfer.TransferEngine`, the same client the host
+stages with; its retries are counted in the submitting offload's report.
+
 The generator runs in both execution modes: functional (real ndarrays, the
 body really executes on the substrate) and modeled (virtual buffers, task
 durations from the performance model).
@@ -32,6 +37,7 @@ from repro.core.api import ParallelLoop, TargetRegion
 from repro.core.buffers import Buffer, ExecutionMode, OffsetArray
 from repro.core.omp_ast import REDUCTION_OPS, MapType
 from repro.core.partition import partition_windows
+from repro.core.report import OffloadReport
 from repro.core.tiling import (Tile, drop_empty_tiles, tile_by_chunk,
                                tile_iterations, tile_weighted, untiled)
 from repro.core.transfer import TransferEngine
@@ -42,13 +48,12 @@ from repro.perfmodel.compression import CompressionModel, model_for_density
 from repro.perfmodel.compression import gzip_compress  # noqa: F401
 from repro.perfmodel.compute import ComputeModel
 from repro.obs.events import CheckpointCommit, get_bus
-from repro.resilience import OffloadJournal, RetryPolicy, TileCheckpoint, retry_call
-from repro.simtime.timeline import Phase, Timeline
+from repro.resilience import OffloadJournal, TileCheckpoint
+from repro.simtime.timeline import Phase
 from repro.spark.context import SparkContext
 from repro.spark.driver import TaskCostsArrays
 from repro.spark.faults import FaultPlan
 from repro.spark.schedule import ScheduleConfig
-from repro.cloud.storage import TransientStorageError
 from repro.spark.serialization import check_jvm_array_limit
 
 
@@ -86,19 +91,14 @@ class SparkJobReport:
     bytes_restored: int = 0
     # Cluster-fabric bytes the scheduled tasks moved (inputs + outputs).
     task_bytes_wire: int = 0
-    # Cluster<->storage wire bytes the driver moved: input reads and
-    # checkpoint restores on one side, output and checkpoint writes on the
-    # other.  Fusion elides intermediate arrays from both sides.
-    storage_bytes_read: int = 0
-    storage_bytes_written: int = 0
+    # Cluster<->storage wire bytes the driver moved: input reads, checkpoint
+    # restores, output and checkpoint writes.  Fusion elides intermediate
+    # arrays from both directions.
+    storage_bytes_wire: int = 0
 
     @property
     def job_s(self) -> float:
         return self.finished_at - self.started_at
-
-    @property
-    def storage_bytes_wire(self) -> int:
-        return self.storage_bytes_read + self.storage_bytes_written
 
 
 @dataclass
@@ -136,14 +136,13 @@ class SparkJobGenerator:
         region: TargetRegion,
         scalars: Mapping[str, Union[int, float]],
         context: SparkContext,
-        timeline: Timeline,
+        report: OffloadReport,
         *,
         calibration: Calibration,
         mode: ExecutionMode,
         tiling: bool,
         fault_plan: FaultPlan,
         transfer: TransferEngine,
-        retry_policy: RetryPolicy,
         schedule: ScheduleConfig,
         journal: OffloadJournal,
         checkpoint: bool,
@@ -153,17 +152,18 @@ class SparkJobGenerator:
         self.region = region
         self.scalars = dict(scalars)
         self.sc = context
-        #: The submitting offload's report timeline: every span this job
-        #: causes is recorded there and nowhere else.
-        self.timeline = timeline
+        #: The submitting offload's report: every span this job causes is
+        #: recorded on its timeline and nowhere else, and every storage retry
+        #: counts there — a discarded submission's too.
+        self.report = report
+        self.timeline = report.timeline
         self.cal = calibration
         self.mode = mode
         self.tiling = tiling
         self.fault_plan = fault_plan
-        #: The device's storage client: its codec decides how both ends of
-        #: the hop encode, and it keeps the inputs this driver inflated.
+        #: The device's storage client for both hops: the driver reads and
+        #: writes through it, and it keeps the inputs this driver inflated.
         self.transfer = transfer
-        self.retry_policy = retry_policy
         self.schedule = schedule
         #: Recovery wiring: when ``checkpoint`` is on, completed tile outputs
         #: are committed to storage and journaled; ``resume`` carries the
@@ -180,7 +180,6 @@ class SparkJobGenerator:
         self.compute_model = ComputeModel(calibration)
         self._driver_arrays: dict[str, np.ndarray | None] = {}
         self._buffer_info: dict[str, Buffer] = {}
-        self._storage = None
         self._key_prefix = ""
         # What this submission produced (one generator per submission);
         # run() stamps its start.
@@ -190,7 +189,6 @@ class SparkJobGenerator:
     def run(
         self,
         buffers: Mapping[str, Buffer],
-        storage,
         input_keys: Mapping[str, str],
         key_prefix: str,
     ) -> SparkJobReport:
@@ -200,7 +198,6 @@ class SparkJobGenerator:
         report = self._job
         report.started_at = clock.now
         self._buffer_info = dict(buffers)
-        self._storage = storage
         self._key_prefix = key_prefix
 
         # Stage setup: spark-submit, driver JVM, stage DAG.
@@ -210,33 +207,19 @@ class SparkJobGenerator:
         timeline.record(Phase.CLUSTER_INIT, clock.now, clock.advance(self.cal.job_setup_s),
                         resource="driver", label="job-setup")
 
-        self._read_inputs(buffers, storage, input_keys)
+        self._read_inputs(buffers, input_keys)
         self._allocate_locals()
 
         for ordinal, loop in enumerate(self.region.loops):
             self._run_loop(loop, ordinal)
 
         report.output_keys, report.output_checksums = \
-            self._write_outputs(storage, key_prefix)
+            self._write_outputs(key_prefix)
         report.finished_at = clock.now
         return report
 
     # --------------------------------------------------------------- staging
-    def _storage_retry(self, op_name: str, fn, *args, **kwargs):
-        """Driver-side storage access with Hadoop-client-style retries;
-        backoff is charged to the simulated clock."""
-
-        def on_retry(failure: int, delay: float, exc: BaseException) -> None:
-            self.sc.log.warn(self.sc.clock.now, "HadoopRDD",
-                             f"{op_name} failed transiently ({exc}); "
-                             f"retrying in {delay:.1f}s")
-            self.sc.clock.advance(delay)
-
-        return retry_call(self.retry_policy, fn, *args,
-                          retry_on=(TransientStorageError,),
-                          op_name=op_name, on_retry=on_retry, **kwargs)
-
-    def _read_inputs(self, buffers, storage, input_keys) -> None:
+    def _read_inputs(self, buffers, input_keys) -> None:
         clock, timeline = self.sc.clock, self.timeline
         functional = self.mode == ExecutionMode.FUNCTIONAL
         if functional:
@@ -250,67 +233,49 @@ class SparkJobGenerator:
         for name in self.region.input_names:
             buf = buffers[name]
             key = input_keys[name]
-            wire = self._storage_retry("HEAD", storage.size_of, key)
-            self._job.storage_bytes_read += wire
-            codec = self._codec_for(buf)
-            dt = storage.cluster_read_time(wire)
+            wire = self.transfer.driver_op(self.report, "HEAD", key)
+            self._job.storage_bytes_wire += wire
+            dt = self.transfer.storage.cluster_read_time(wire)
             if self.transfer.codec.compresses(buf.nbytes):
-                dt += codec.decompress_time(buf.nbytes)
+                dt += self._codec_for(buf).decompress_time(buf.nbytes)
             timeline.record(Phase.STORAGE_READ, clock.now, clock.advance(dt),
                             resource="driver", label=f"read-{name}")
             if functional:
-                payload = self._storage_retry("GET", storage.get_bytes, key)
-                arr = self.transfer.driver_input(key, payload, buf)
+                arr = self.transfer.driver_input(self.report, key, buf)
                 self._driver_arrays[name] = arr.copy() if name in written else arr
             else:
                 self._driver_arrays[name] = None
         # Output-only variables exist on the driver but carry no uploaded
         # payload; allocate them for reconstruction.
         for name in self.region.output_names:
-            if name in self._driver_arrays:
-                continue
-            buf = buffers[name]
-            self._driver_arrays[name] = (
-                np.zeros(buf.length, dtype=buf.dtype)
-                if self.mode == ExecutionMode.FUNCTIONAL
-                else None
-            )
+            if name not in self._driver_arrays:
+                self._driver_arrays[name] = self._zeros(buffers[name])
 
     def _allocate_locals(self) -> None:
         for name in self.region.locals_:
             length = self.region.declared_length(name, self.scalars)
             buf = Buffer(name, length=length, dtype=np.float32)
             self._buffer_info[name] = buf
-            self._driver_arrays[name] = (
-                np.zeros(length, dtype=np.float32)
-                if self.mode == ExecutionMode.FUNCTIONAL
-                else None
-            )
+            self._driver_arrays[name] = self._zeros(buf)
 
-    def _write_outputs(self, storage, key_prefix: str) -> tuple[dict[str, str], dict[str, str]]:
+    def _zeros(self, buf: Buffer) -> np.ndarray | None:
+        """A fresh driver array for ``buf`` (None in modeled mode)."""
+        return (np.zeros(buf.length, dtype=buf.dtype)
+                if self.mode == ExecutionMode.FUNCTIONAL else None)
+
+    def _write_outputs(self, key_prefix: str) -> tuple[dict[str, str], dict[str, str]]:
         clock, timeline = self.sc.clock, self.timeline
         out_keys: dict[str, str] = {}
         out_checksums: dict[str, str] = {}
         for name in self.region.output_names:
             buf = self._buffer_info[name]
-            codec = self._codec_for(buf)
-            compressed = self.transfer.codec.compresses(buf.nbytes)
             key = self.transfer.codec.key(f"{key_prefix}/out/{name}", buf.nbytes)
-            if self.mode == ExecutionMode.FUNCTIONAL:
-                arr = self._driver_arrays[name]
-                assert arr is not None
-                # Zero-copy staging: compress (or PUT) straight from a view
-                # of the driver array; storage materialises its own bytes.
-                view = memoryview(arr).cast("B").toreadonly()
-                payload = self.transfer.codec.encode(view, buf.nbytes)
-                obj = self._storage_retry("PUT", storage.put, key, data=payload)
-                wire = len(payload)
-            else:
-                wire = self.transfer.codec.wire_size(codec, buf.nbytes)
-                obj = self._storage_retry("PUT", storage.put, key, size=wire)
-            self._job.storage_bytes_written += wire
-            dt = codec.compress_time(buf.nbytes) if compressed else 0.0
-            dt += storage.cluster_write_time(wire)
+            obj = self.transfer.driver_output(self.report, key, buf,
+                                              self._driver_arrays[name])
+            self._job.storage_bytes_wire += obj.size
+            dt = (self._codec_for(buf).compress_time(buf.nbytes)
+                  if self.transfer.codec.compresses(buf.nbytes) else 0.0)
+            dt += self.transfer.storage.cluster_write_time(obj.size)
             timeline.record(Phase.STORAGE_WRITE, clock.now, clock.advance(dt),
                             resource="driver", label=f"write-{name}")
             out_keys[name] = key
@@ -414,9 +379,8 @@ class SparkJobGenerator:
 
         report.tiles_checkpointed += self._commit_checkpoints(
             loop, ordinal, live, job, costs)
-        restored, bytes_restored = self._restore_checkpoints(loop, completed)
+        restored = self._restore_checkpoints(loop, completed)
         report.tiles_skipped += len(completed)
-        report.bytes_restored += bytes_restored
 
         partitions = (list(job.partitions) if job is not None else []) + restored
         self._reconstruct(loop, partitions, tiles)
@@ -434,7 +398,6 @@ class SparkJobGenerator:
         if not self.checkpoint or job is None:
             return 0
         clock, timeline = self.sc.clock, self.timeline
-        storage = self._storage
         committed = 0
         write_s = 0.0
         for tres in job.stats.results:
@@ -443,14 +406,12 @@ class SparkJobGenerator:
             if self.death_at is not None and tres.end >= self.death_at:
                 continue  # completed after the driver was already gone
             key = f"{self._key_prefix}/ckpt/{ordinal}/{tile.index}.bin"
-            if self.mode == ExecutionMode.FUNCTIONAL:
-                payload = pickle.dumps(job.partitions[split])
-                obj = self._storage_retry("PUT", storage.put, key, data=payload)
-            else:
-                obj = self._storage_retry("PUT", storage.put, key,
-                                          size=int(costs.output_bytes[split]))
-            write_s += storage.cluster_write_time(obj.size)
-            self._job.storage_bytes_written += obj.size
+            body = ({"data": pickle.dumps(job.partitions[split])}
+                    if self.mode == ExecutionMode.FUNCTIONAL
+                    else {"size": int(costs.output_bytes[split])})
+            obj = self.transfer.driver_op(self.report, "PUT", key, **body)
+            write_s += self.transfer.storage.cluster_write_time(obj.size)
+            self._job.storage_bytes_wire += obj.size
             self.journal.record(
                 "tile_done", get_bus().current_correlation(), clock.now,
                 region=self.region.name, loop=ordinal,
@@ -472,34 +433,28 @@ class SparkJobGenerator:
 
     def _restore_checkpoints(self, loop: ParallelLoop,
                              completed: dict[int, TileCheckpoint]
-                             ) -> tuple[list[list[Any]], int]:
-        """Read committed tile outputs back onto the replacement driver.
-
-        Returns (partitions to merge into reconstruction, bytes restored).
-        Every read is checksum-verified by the store itself."""
-        if not completed:
-            return [], 0
+                             ) -> list[list[Any]]:
+        """Read committed tile outputs back onto the replacement driver: the
+        partitions to merge into reconstruction.  Every read is
+        checksum-verified by the store itself."""
         clock, timeline = self.sc.clock, self.timeline
         restored: list[list[Any]] = []
-        total = 0
         for i in sorted(completed):
-            ckpt = completed[i]
+            key = completed[i].key
             if self.mode == ExecutionMode.FUNCTIONAL:
-                payload = self._storage_retry("GET", self._storage.get_bytes,
-                                              ckpt.key)
+                payload = self.transfer.driver_op(self.report, "GET", key)
                 restored.append(pickle.loads(payload))
                 nbytes = len(payload)
             else:
-                nbytes = self._storage_retry("HEAD", self._storage.size_of,
-                                             ckpt.key)
+                nbytes = self.transfer.driver_op(self.report, "HEAD", key)
                 restored.append([])
-            total += nbytes
-            self._job.storage_bytes_read += nbytes
-            dt = self._storage.cluster_read_time(nbytes)
+            self._job.bytes_restored += nbytes
+            self._job.storage_bytes_wire += nbytes
+            dt = self.transfer.storage.cluster_read_time(nbytes)
             timeline.record(Phase.STORAGE_READ, clock.now, clock.advance(dt),
                             resource="driver",
                             label=f"restore-{loop.loop_var}-{i}")
-        return restored, total
+        return restored
 
     def _tiling_for(self, loop: ParallelLoop, tiles: list[Tile]) -> _LoopTiling:
         """Classify the loop's variables and evaluate (and range-check) every

@@ -67,7 +67,7 @@ from repro.perfmodel.comm import HostCommModel
 # because perf/tests/test_trace.py (frozen with the benchmark) checks that
 # the tracer re-binds by-name imports of it in this module.
 from repro.perfmodel.compression import gzip_compress  # noqa: F401
-from repro.resilience import CircuitBreaker, OffloadJournal, RetryPolicy, retry_call
+from repro.resilience import CircuitBreaker, OffloadJournal, RetryPolicy
 from repro.simtime.clock import SimClock
 from repro.simtime.timeline import Phase
 from repro.spark.cluster import SparkCluster, WorkerShape
@@ -225,20 +225,15 @@ class CloudDevice(Device):
                 authorized_users=(self.config.spark_user,),
             )
 
-            def on_retry(failure: int, delay: float, exc: BaseException) -> None:
-                self.sc.log.warn(self.clock.now, "CloudPlugin",
-                                 f"cluster provisioning failed ({exc}); "
-                                 f"retrying in {delay:.1f}s")
-                self.clock.advance(delay)
-
             from repro.cloud.provider import ProviderError
 
-            self._provisioned = retry_call(
-                self.retry_policy, provision_cluster,
+            # No report exists yet: the backoff is charged to the clock only.
+            self._provisioned = self.transfer.retry(
+                None, "provision", provision_cluster,
                 self._provider, spec, self.clock,
                 driver_hostname=self.config.spark_driver,
-                retry_on=(ProviderError,), op_name="provision",
-                on_retry=on_retry, now=lambda: self.clock.now,
+                retry_on=(ProviderError,),
+                failed="cluster provisioning failed", source="CloudPlugin",
             )
             self.endpoint = self._provisioned.ssh_endpoint
 
@@ -776,7 +771,7 @@ class CloudDevice(Device):
             # What this submission's job produced, filled in by its handler.
             finished: list[tuple[SparkJobReport, dict[str, np.ndarray]]] = []
             self.endpoint.register_handler("spark-submit", self._job_handler(
-                region, buffers, scalars, mode, timeline, input_keys,
+                region, buffers, scalars, mode, report, input_keys,
                 key_prefix, resume_tiles, finished))
             try:
                 result = self._submit_once(region, ssh_creds, report)
@@ -843,7 +838,7 @@ class CloudDevice(Device):
         self._flush_corruptions(report)
         return job_report.output_keys
 
-    def _job_handler(self, region, buffers, scalars, mode, timeline, input_keys,
+    def _job_handler(self, region, buffers, scalars, mode, report, input_keys,
                      key_prefix, resume_tiles, finished) -> CommandHandler:
         """The driver-side ``spark-submit`` handler of one submission.  Each
         call builds a *fresh* job (generator state is per-submission); the
@@ -869,11 +864,10 @@ class CloudDevice(Device):
                                      stderr="spark-submit: transient submission "
                                             "failure (injected)")
             gen = SparkJobGenerator(
-                region, scalars, self.sc, timeline,
+                region, scalars, self.sc, report,
                 calibration=self.cal, mode=mode, tiling=self.tiling,
                 fault_plan=self.fault_plan,
                 transfer=self.transfer,
-                retry_policy=self.retry_policy,
                 schedule=self.schedule,
                 journal=self.journal,
                 checkpoint=(self.recovery == "resume"),
@@ -882,7 +876,7 @@ class CloudDevice(Device):
                           else self.fault_plan.driver_dies_at),
             )
             try:
-                job_report = gen.run(buffers, self.storage, input_keys, key_prefix)
+                job_report = gen.run(buffers, input_keys, key_prefix)
             except (JobFailedError, TransientStorageError) as e:
                 return CommandResult(command=command, exit_status=1,
                                      stderr=f"{type(e).__name__}: {e}")
@@ -930,21 +924,10 @@ class CloudDevice(Device):
                 )
             return ssh.connect()
 
-        def on_retry(failure: int, delay: float, exc: BaseException) -> None:
-            self.sc.log.warn(self.clock.now, "CloudPlugin",
-                             f"SSH connect failed ({exc}); "
-                             f"retrying in {delay:.1f}s")
-            t0 = self.clock.now
-            self.clock.advance(delay)
-            report.retries += 1
-            report.backoff_s += delay
-            report.timeline.record(Phase.RETRY_BACKOFF, t0, self.clock.now,
-                                   resource="host", label="ssh-backoff")
-
-        handshake = retry_call(
-            self.retry_policy, connect, retry_on=(SSHError,),
-            op_name=f"ssh-{self.config.spark_driver}", on_retry=on_retry,
-            now=lambda: self.clock.now,
+        handshake = self.transfer.retry(
+            report, f"ssh-{self.config.spark_driver}", connect,
+            retry_on=(SSHError,), failed="SSH connect failed",
+            source="CloudPlugin", label="ssh-backoff",
         )
         # The handshake is wall time the user waits through; give it a span
         # so the timeline covers the makespan gap-free (the critical-path

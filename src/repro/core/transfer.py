@@ -1,4 +1,4 @@
-"""How bytes move between the host and cloud storage.
+"""How bytes move through cloud storage, on both sides of it.
 
 "The cloud-specific plugin ... automatically creates a new thread for
 transmitting each offloaded data (possibly after gzip compression if the data
@@ -7,8 +7,10 @@ of the cloud plugin that moves mapped data goes through the one
 :meth:`TransferEngine.upload` or the one :meth:`TransferEngine.download`
 below; docs/DATA_ENV.md ("How bytes move") describes the path and what each
 construct keeps to itself.  The Spark driver, on the other side of storage,
-encodes and decodes with the same :class:`StagingCodec` and inflates each
-stored input once (:meth:`TransferEngine.driver_input`).
+reads and writes through the same engine: its input read, output write,
+checkpoint commit and restore share the host's encode-and-PUT and
+GET-and-decode rules, and their retries are charged by the one
+:meth:`TransferEngine.retry` hook the SSH connect uses too.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Mapping, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -25,6 +28,7 @@ from repro.cloud.storage import (
     NoSuchObjectError,
     ObjectStore,
     StorageError,
+    StoredObject,
     TransientStorageError,
 )
 from repro.core.buffers import Buffer, ExecutionMode
@@ -47,6 +51,10 @@ from repro.spark.logging import SparkLog
 
 Report = Union[OffloadReport, DataEnvReport]
 Items = Sequence[tuple[Buffer, str]]
+#: The store method behind each operation name (the name the retry log, the
+#: ``Retry`` event and the backoff jitter carry).
+_OPS = {"PUT": "put", "GET": "get_bytes", "HEAD": "size_of",
+        "EXISTS": "exists", "CHECKSUM": "checksum_of"}
 
 
 @dataclass(frozen=True)
@@ -92,9 +100,10 @@ class Charged(NamedTuple):
 
 @dataclass
 class TransferEngine:
-    """The one storage client of a cloud device: the host side of the
-    host<->storage hop, plus the Spark driver's memo of the inputs it
-    inflated for the device's most recent job (:meth:`driver_input`)."""
+    """The one storage client of a cloud device, for both hops: the host's
+    side of host<->storage and the Spark driver's side of driver<->storage,
+    with the driver's memo of the inputs it inflated for the device's most
+    recent job (:meth:`driver_input`)."""
 
     storage: ObjectStore
     credentials: Credentials
@@ -135,10 +144,31 @@ class TransferEngine:
         self._driver_inputs: dict[tuple, tuple[bytes, np.ndarray]] = {}
 
     # ------------------------------------------------------ retries + backoff
-    def _with_retries(self, op_name: str, fn, *args, **kwargs):
-        """Run a storage operation under the retry policy (thread-safe; the
-        backoff is charged to the simulated clock once the transfer
-        completes, via :meth:`charge_backoff`)."""
+    def retry(self, report: Report | None, op_name: str, fn, *args,
+              retry_on: tuple, failed: str, source: str,
+              resource: str = "host", label: str = "", **kwargs):
+        """Run ``fn`` under the retry policy, each backoff logged and charged
+        to the clock where it happens and, given a ``report``, counted there
+        and spanned on ``resource``'s row."""
+
+        def on_retry(failure: int, delay: float, exc: BaseException) -> None:
+            self.log.warn(self.clock.now, source,
+                          f"{failed} ({exc}); retrying in {delay:.1f}s")
+            t0, t1 = self.clock.now, self.clock.advance(delay)
+            if report is not None:
+                report.retries += 1
+                report.backoff_s += delay
+                report.timeline.record(Phase.RETRY_BACKOFF, t0, t1,
+                                       resource=resource, label=label)
+
+        return retry_call(self.retry_policy, fn, *args, retry_on=retry_on,
+                          op_name=op_name, on_retry=on_retry,
+                          now=lambda: self.clock.now, **kwargs)
+
+    def _with_retries(self, op_name: str, key: str, **kwargs):
+        """Run a host storage operation on ``key`` under the retry policy
+        (thread-safe; the backoff is charged to the simulated clock once the
+        transfer completes, via :meth:`charge_backoff`)."""
 
         def on_retry(failure: int, delay: float, exc: BaseException) -> None:
             with self._backoff_lock:
@@ -148,7 +178,8 @@ class TransferEngine:
                           f"{op_name} failed transiently ({exc}); "
                           f"retrying in {delay:.1f}s")
 
-        return retry_call(self.retry_policy, fn, *args,
+        return retry_call(self.retry_policy,
+                          getattr(self.storage, _OPS[op_name]), key,
                           retry_on=(TransientStorageError,),
                           op_name=op_name, on_retry=on_retry,
                           now=lambda: self.clock.now, **kwargs)
@@ -195,7 +226,7 @@ class TransferEngine:
         with self._backoff_lock:
             before = self._pending_retries
         try:
-            found = self._with_retries("EXISTS", self.storage.exists, key)
+            found = self._with_retries("EXISTS", key)
         except TransientStorageError:
             found = False
         with self._backoff_lock:
@@ -205,7 +236,7 @@ class TransferEngine:
         """The stored object's checksum: "" when the object is gone, None
         when storage kept failing (which says nothing about the object)."""
         try:
-            return self._with_retries("CHECKSUM", self.storage.checksum_of, key)
+            return self._with_retries("CHECKSUM", key)
         except NoSuchObjectError:
             return ""
         except TransientStorageError:
@@ -237,28 +268,27 @@ class TransferEngine:
                             up=True)
 
     def _put(self, buf: Buffer, key: str, mode: ExecutionMode) -> int:
+        data = None
         if mode == ExecutionMode.FUNCTIONAL:
             spilled = self.spill.get(buf.name)
-            if spilled is not None:
-                src = (spilled if spilled.flags["C_CONTIGUOUS"]
-                       else np.ascontiguousarray(spilled))
-                view = memoryview(src).cast("B").toreadonly()
-            else:
-                view = buf.payload_view()
-            # Compress straight off the zero-copy view.  Storage materialises
-            # its own bytes on PUT, so the stored object never aliases the
-            # live host array.
-            payload = self.codec.encode(view, buf.nbytes)
-            wire, body = len(payload), {"data": payload}
-        else:
-            wire = self.codec.wire_size(model_for_density(buf.density),
-                                        buf.nbytes)
-            body = {"size": wire}
-        obj = self._with_retries("PUT", self.storage.put, key,
-                                 credentials=self.credentials, **body)
+            data = buf.require_data() if spilled is None else spilled
+        obj = self._store(self._with_retries, key, buf, data)
         with self._checksum_lock:
             self._staged_checksums[key] = obj.checksum
-        return wire
+        return obj.size
+
+    def _store(self, call, key: str, buf: Buffer,
+               data: np.ndarray | None) -> StoredObject:
+        """The encode-and-PUT rule of both hops: ``buf``'s values ``data``
+        gzip'd straight off a zero-copy view (storage copies on PUT), or, for
+        None (modeled), a virtual object of the modeled size."""
+        if data is not None:
+            view = memoryview(np.ascontiguousarray(data)).cast("B").toreadonly()
+            body = {"data": self.codec.encode(view, buf.nbytes)}
+        else:
+            body = {"size": self.codec.wire_size(model_for_density(buf.density),
+                                                 buf.nbytes)}
+        return call("PUT", key, credentials=self.credentials, **body)
 
     # --------------------------------------------------------- storage -> host
     def download(self, items: Items, mode: ExecutionMode, report: Report, *,
@@ -272,9 +302,10 @@ class TransferEngine:
         wire: list[int] = []
         try:
             for buf, key in items:
-                wire.append(self._with_retries("HEAD", self.storage.size_of, key))
+                wire.append(self._with_retries("HEAD", key))
                 if mode == ExecutionMode.FUNCTIONAL and not buf.is_virtual:
-                    self._fetch(buf, key, retry=True)
+                    buf.require_data()[:] = self._decode(
+                        self._get(self._with_retries, key), buf)
                     if landed is not None:
                         landed(buf, key)
         except TransientStorageError as e:
@@ -286,20 +317,40 @@ class TransferEngine:
         """Best-effort copy of ``key`` into the host array: one attempt, no
         time charged; on any failure the host copy stays as-is."""
         try:
-            self._fetch(buf, key, retry=False)
+            payload = self.storage.get_bytes(key, credentials=self.credentials)
+            buf.require_data()[:] = self._decode(payload, buf)
         except (StorageError, ValueError):
             return False
         return True
 
-    def _fetch(self, buf: Buffer, key: str, *, retry: bool) -> None:
-        get = self.storage.get_bytes
-        payload = (self._with_retries("GET", get, key,
-                                      credentials=self.credentials)
-                   if retry else get(key, credentials=self.credentials))
-        raw = self.codec.decode(payload, buf.nbytes)
-        buf.require_data()[:] = np.frombuffer(raw, dtype=buf.dtype)
+    def _get(self, call, key: str) -> bytes:
+        """GET ``key`` through ``call``; the store verifies the checksum."""
+        return call("GET", key, credentials=self.credentials)
 
-    # ------------------------------------------------------ storage -> driver
+    def _decode(self, payload: bytes, buf: Buffer) -> np.ndarray:
+        """``buf``'s values in its stored object (a read-only view)."""
+        return np.frombuffer(self.codec.decode(payload, buf.nbytes),
+                             dtype=buf.dtype)
+
+    # ----------------------------------------------------- driver <-> storage
+    def driver_op(self, report: OffloadReport, op_name: str, key: str,
+                  **kwargs):
+        """One Spark-driver storage operation on ``key`` (``HEAD``: its size,
+        ``GET``: its payload, ``PUT``: the stored object), retries charged
+        on the driver row.  An exhausted budget fails only the submission,
+        never the breaker."""
+        return self.retry(report, op_name, getattr(self.storage, _OPS[op_name]),
+                          key, retry_on=(TransientStorageError,),
+                          failed=f"{op_name} failed transiently",
+                          source="HadoopRDD", resource="driver",
+                          label="storage-backoff", **kwargs)
+
+    def driver_output(self, report: OffloadReport, key: str, buf: Buffer,
+                      arr: np.ndarray | None) -> StoredObject:
+        """Write output ``buf`` (driver array ``arr``) by the host's rule; only
+        host-staged checksums are recorded (resubmissions re-verify those)."""
+        return self._store(partial(self.driver_op, report), key, buf, arr)
+
     def keep_driver_inputs(self, items: Items) -> None:
         """Start a job's input read: forget every inflated input that is not
         one of this job's ``(buffer, key)`` inputs, so the memo never
@@ -309,21 +360,21 @@ class TransferEngine:
                                for ident, entry in self._driver_inputs.items()
                                if ident in wanted}
 
-    def driver_input(self, key: str, payload: bytes,
+    def driver_input(self, report: OffloadReport, key: str,
                      buf: Buffer) -> np.ndarray:
-        """The driver's read-only array for ``payload``, the checksum-verified
-        object a GET of ``key`` just returned.  It is inflated once per stored
-        object and dtype: a later job whose GET returns the very same object
-        (a cache hit, a resident mapping, a resubmission) reuses the array.
-        The identity test, not the CRC32, stands for content; the dtype and
+        """GET input ``key`` from the driver; its read-only array.  The
+        checksum-verified payload is inflated once per stored object and
+        dtype: a later job whose GET returns the very same object (a cache
+        hit, a resident mapping, a resubmission) reuses the array.  The
+        identity test, not the CRC32, stands for content; the dtype and
         length are part of the key because the staging cache hashes bytes
         only, so one object may back buffers of different types."""
+        payload = self._get(partial(self.driver_op, report), key)
         ident = (key, buf.dtype, buf.length)
         entry = self._driver_inputs.get(ident)
         if entry is not None and entry[0] is payload:
             return entry[1]
-        raw = self.codec.decode(payload, buf.nbytes)
-        arr = np.frombuffer(raw, dtype=buf.dtype).copy()
+        arr = self._decode(payload, buf).copy()
         arr.flags.writeable = False
         self._driver_inputs[ident] = (payload, arr)
         return arr

@@ -10,8 +10,9 @@ wave — runs the workload functionally, and asserts two things:
 * **report invariants** — the offload report is internally consistent and
   agrees with the event stream (corruption detections match the storage's
   own counter, the ``target_end`` event carries the report's wall time,
-  the report's traffic equals the ``map_upload``/``map_download`` sums,
-  recovery counters respect the configured policy).
+  the report's traffic equals the ``map_upload``/``map_download`` sums, its
+  retries and backoff equal the ``retry``/``resubmit`` events', recovery
+  counters respect the configured policy).
 
 Everything is simulated time and stable hashing: the same seed always
 produces the same faults, the same recovery, the same report.  Journals can
@@ -218,6 +219,15 @@ def run_chaos(benchmark: str, seed: int, recovery: str = "resume",
             result.failures.append(
                 f"{kind} events carry {streamed} raw/wire bytes, report "
                 f"{reported}")
+    retries = bus.events_of("retry")
+    if len(retries) != report.retries:
+        result.failures.append(
+            f"{len(retries)} retry events vs report retries {report.retries}")
+    backoff = sum(e.delay_s for e in bus.events_of("retry", "resubmit"))
+    if abs(backoff - report.backoff_s) > 1e-9:
+        result.failures.append(
+            f"retry/resubmit events carry {backoff} s of backoff, report "
+            f"{report.backoff_s}")
 
     result.ok = not result.failures
     if journal_dir:

@@ -107,7 +107,7 @@ def retry_call(
     retry_on: Tuple[Type[BaseException], ...] = (Exception,),
     op_name: str = "",
     on_retry: RetryHook | None = None,
-    now: Callable[[], float] | None = None,
+    now: Callable[[], float],
     **kwargs: Any,
 ):
     """Run ``fn(*args, **kwargs)`` under ``policy``.
@@ -120,7 +120,8 @@ def retry_call(
 
     Every retry is also published to the process event bus as a
     :class:`~repro.obs.events.Retry`, stamped with the simulated time from
-    ``now()`` when given (0.0 otherwise).
+    ``now()`` — required, so no caller's retries can lose their place on
+    the run's clock.
     """
     last: BaseException | None = None
     backoff_total = 0.0
@@ -137,7 +138,7 @@ def retry_call(
                 break
             backoff_total += delay
             get_bus().emit(Retry(
-                time=now() if now is not None else 0.0,
+                time=now(),
                 resource="host",
                 op=op_name or getattr(fn, "__name__", "op"),
                 attempt=attempt,

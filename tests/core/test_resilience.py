@@ -61,7 +61,8 @@ def test_backoff_schedule_respects_deadline():
 
 # ------------------------------------------------------------------ retry_call
 def test_retry_call_passes_through_success():
-    assert retry_call(RetryPolicy(), lambda x: x + 1, 41) == 42
+    assert retry_call(RetryPolicy(), lambda x: x + 1, 41,
+                      now=lambda: 0.0) == 42
 
 
 def test_retry_call_retries_then_succeeds():
@@ -75,7 +76,8 @@ def test_retry_call_retries_then_succeeds():
         return "ok"
 
     out = retry_call(RetryPolicy(), flaky, retry_on=(OSError,),
-                     on_retry=lambda n, d, e: hooks.append((n, d)))
+                     on_retry=lambda n, d, e: hooks.append((n, d)),
+                     now=lambda: 0.0)
     assert out == "ok"
     assert len(calls) == 3
     assert hooks == [(1, 0.5), (2, 1.0)]
@@ -83,7 +85,8 @@ def test_retry_call_retries_then_succeeds():
 
 def test_retry_call_reraises_after_exhaustion():
     with pytest.raises(OSError, match="always"):
-        retry_call(RetryPolicy(max_attempts=2), _always_fail, retry_on=(OSError,))
+        retry_call(RetryPolicy(max_attempts=2), _always_fail, retry_on=(OSError,),
+                   now=lambda: 0.0)
 
 
 def _always_fail():
@@ -98,7 +101,7 @@ def test_retry_call_does_not_catch_unlisted_exceptions():
         raise KeyError("not transient")
 
     with pytest.raises(KeyError):
-        retry_call(RetryPolicy(), boom, retry_on=(OSError,))
+        retry_call(RetryPolicy(), boom, retry_on=(OSError,), now=lambda: 0.0)
     assert len(calls) == 1  # no retry for a non-matching exception
 
 
@@ -111,7 +114,7 @@ def test_retry_call_deadline_stops_retrying_early():
 
     policy = RetryPolicy(max_attempts=10, base_delay_s=1.0, deadline_s=3.0)
     with pytest.raises(OSError):
-        retry_call(policy, flaky, retry_on=(OSError,))
+        retry_call(policy, flaky, retry_on=(OSError,), now=lambda: 0.0)
     # Backoff budget: 1 + 2 fits, the third delay (4) would bust 3.0.
     assert len(calls) == 3
 

@@ -7,6 +7,7 @@ import pytest
 
 from repro.cloud.storage import TransientStorageError
 from repro.core.api import ParallelLoop, TargetRegion, offload
+from repro.simtime.timeline import Phase
 
 from tests.conftest import make_cloud_runtime
 
@@ -72,6 +73,36 @@ def test_download_survives_transient_get_failures(cloud_config):
     dev.storage.inject_failures(gets=1)
     report = _offload(rt)
     assert report.tasks_run > 0
+
+
+def test_driver_read_retry_counts_in_the_report(cloud_config):
+    """The Spark driver reads through the device's storage client: a retried
+    input GET is charged where it happens, counted in the report, spanned
+    on the driver row and logged by the Hadoop client."""
+    rt = make_cloud_runtime(cloud_config)
+    dev = rt.device("CLOUD")
+    _offload(rt)
+    dev.storage.inject_failures(gets=1)  # the driver's input read
+    report = _offload(rt)
+    assert (report.retries, report.backoff_s) == (1, 0.5)
+    (span,) = [s for s in report.timeline.spans
+               if s.phase is Phase.RETRY_BACKOFF]
+    assert (span.resource, span.label, span.duration) == (
+        "driver", "storage-backoff", 0.5)
+    (warning,) = [r for r in dev.sc.log.records if r.level == "WARN"]
+    assert warning.component == "HadoopRDD"
+    assert warning.message.startswith("GET failed transiently (")
+    assert warning.message.endswith("; retrying in 0.5s")
+    assert warning.time == span.start
+
+
+def test_only_host_staged_objects_carry_a_recorded_checksum(cloud_config):
+    """The driver writes its outputs through the same client, but only the
+    host-staged inputs are what a resubmission re-verifies."""
+    rt = make_cloud_runtime(cloud_config)
+    _offload(rt)
+    staged = rt.device("CLOUD").transfer._staged_checksums
+    assert staged and all("/in/" in key for key in staged)
 
 
 def test_persistent_failure_falls_back_to_host(cloud_config):

@@ -3,9 +3,11 @@
 Each scenario below runs offloads with a recording bus attached, folds every
 offload's events by correlation id, and requires the fold to equal the
 ``OffloadReport`` the runtime returned on every counter both carry — healthy
-and faulty runs, host runs, host fallbacks after a failed attempt, an
+and faulty runs, the Spark driver's own storage retries (one of them in a
+discarded submission), host runs, host fallbacks after a failed attempt, an
 unreachable device, and a chained 3MM inside ``target data`` (synchronous
-and ``nowait``-fused).
+and ``nowait``-fused).  No offload's ``retry`` event predates its
+``target_begin``.
 """
 
 from __future__ import annotations
@@ -90,6 +92,27 @@ def functional_chaos(cfg):
     rt.device("CLOUD").storage.inject_failures(puts=2)
     rep = _gemm(rt)
     assert rep.retries >= 3 and rep.preemptions == 1
+    return [rep]
+
+
+def functional_corrupt_input(cfg):
+    """The driver's input GET reads a corrupt object once and retries."""
+    rt = make_cloud_runtime(cfg, fault_plan=FaultPlan(corrupt_keys={"/in/": 1}))
+    rep = _gemm(rt)
+    assert rep.corruption_detected == 1
+    return [rep]
+
+
+def functional_driver_get_budget_exhausted(cfg):
+    """Every attempt of the driver's first input GET fails: the submission
+    fails (its retries still count), the resubmission succeeds, and the
+    exhausted driver budget never reaches the breaker."""
+    rt = make_cloud_runtime(cfg)
+    device = rt.device("CLOUD")
+    device.storage.inject_failures(gets=device.retry_policy.max_attempts)
+    rep = _gemm(rt)
+    assert rep.device_name == "CLOUD" and rep.resubmissions == 1
+    assert device.breaker.consecutive_failures == 0
     return [rep]
 
 
@@ -189,6 +212,8 @@ SCENARIOS = [
     (modeled_straggler, False),
     (modeled_failed_submit, False),
     (functional_chaos, False),
+    (functional_corrupt_input, False),
+    (functional_driver_get_budget_exhausted, False),
     (functional_warm_cache, True),
     (functional_resume_after_driver_death, False),
     (functional_no_recovery_after_driver_death, False),
@@ -288,6 +313,8 @@ def test_report_equals_the_fold_of_its_events(cloud_config, scenario,
     for report, events in _run(scenario, cloud_config):
         folded = _fold(events)
         assert _reported(report, folded) == folded
+        begin = next(e.time for e in events if e.kind == "target_begin")
+        assert all(e.time >= begin for e in events if e.kind == "retry")
         if fault_free:
             slots = sum(e.duration_s for e in events if e.kind == "task_end")
             worker_time = sum(s.duration for s in report.timeline.spans

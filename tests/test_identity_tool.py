@@ -1,0 +1,40 @@
+"""tools/identity.py names every artifact that moved, appeared or vanished."""
+
+import importlib.util
+from pathlib import Path
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "identity.py"
+_SPEC = importlib.util.spec_from_file_location("identity_tool", _PATH)
+identity = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(identity)
+
+
+def _entry(data: bytes) -> dict:
+    return identity._digest(data)
+
+
+def test_identical_artifacts_report_nothing():
+    pinned = {"chaos-none.json": _entry(b"x"), "journals-none/j.jsonl": _entry(b"y")}
+    assert identity.moved(pinned, dict(pinned)) == []
+
+
+def test_every_moved_missing_and_new_artifact_is_named():
+    pinned = {"a": _entry(b"1"), "b": _entry(b"2"), "c": _entry(b"3")}
+    fresh = {"a": _entry(b"1"), "b": _entry(b"22"), "d": _entry(b"4")}
+    lines = identity.moved(pinned, fresh)
+    assert [line.split(":")[0] for line in lines] == ["b", "c", "d"]
+    assert lines[0].startswith("b: size 1 -> 2, sha256 ")
+    assert lines[1] == "c: missing"
+    assert lines[2] == "d: not in the manifest"
+
+
+def test_the_manifest_pins_every_policy_and_its_versions():
+    import json
+
+    manifest = json.loads(identity.MANIFEST.read_text())
+    assert set(manifest["versions"]) == {"python", "numpy", "zlib"}
+    for policy in identity.POLICIES:
+        assert f"chaos-{policy}.json" in manifest["artifacts"]
+        journals = [name for name in manifest["artifacts"]
+                    if name.startswith(f"journals-{policy}/")]
+        assert len(journals) == len(identity.BENCHMARKS) * identity.SEEDS

@@ -1,0 +1,119 @@
+"""Byte-identity manifest of the chaos sweep.
+
+Regenerates ``repro chaos gemm matmul 2mm 3mm --seeds 5 --json
+--journal-dir DIR`` under each recovery policy (``resume``, ``none``,
+``restart``), capturing the JSON it prints and every offload journal it
+dumps, and pins the sha256 and size of each artifact in ``IDENTITY.json``
+(next to this script), together with the Python, NumPy and zlib versions
+that produced them.  A refactor that claims "no observable moved" proves it
+with ``--check``::
+
+    python tools/identity.py --check            # exit 1 naming every moved artifact
+    python tools/identity.py --repin "reason"   # rewrite the manifest
+
+Everything the sweep does is simulated time and stable hashing, so the
+artifacts depend only on the source tree and the three versions recorded.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import subprocess
+import sys
+import tempfile
+import zlib
+from pathlib import Path
+
+import numpy as np
+
+REPO = Path(__file__).resolve().parents[1]
+MANIFEST = Path(__file__).resolve().with_name("IDENTITY.json")
+BENCHMARKS = ("gemm", "matmul", "2mm", "3mm")
+POLICIES = ("resume", "none", "restart")
+SEEDS = 5
+
+
+def versions() -> dict[str, str]:
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "zlib": zlib.ZLIB_RUNTIME_VERSION}
+
+
+def _digest(data: bytes) -> dict[str, object]:
+    return {"sha256": hashlib.sha256(data).hexdigest(), "size": len(data)}
+
+
+def generate() -> dict[str, dict[str, object]]:
+    """Run the sweep under every policy; {artifact name: sha256 + size}."""
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    artifacts: dict[str, dict[str, object]] = {}
+    for policy in POLICIES:
+        with tempfile.TemporaryDirectory() as journals:
+            run = subprocess.run(
+                [sys.executable, "-m", "repro", "chaos", *BENCHMARKS,
+                 "--seeds", str(SEEDS), "--recovery", policy, "--json",
+                 "--journal-dir", journals],
+                cwd=REPO, env=env, capture_output=True, check=False)
+            if run.returncode != 0:
+                sys.stderr.write(run.stderr.decode(errors="replace"))
+                raise SystemExit(f"chaos sweep under {policy!r} exited "
+                                 f"{run.returncode}")
+            artifacts[f"chaos-{policy}.json"] = _digest(run.stdout)
+            for path in sorted(Path(journals).iterdir()):
+                artifacts[f"journals-{policy}/{path.name}"] = \
+                    _digest(path.read_bytes())
+    return artifacts
+
+
+def moved(pinned: dict[str, dict[str, object]],
+          fresh: dict[str, dict[str, object]]) -> list[str]:
+    """One line per artifact that differs, appeared or vanished."""
+    out = []
+    for name in sorted(pinned.keys() | fresh.keys()):
+        if name not in fresh:
+            out.append(f"{name}: missing")
+        elif name not in pinned:
+            out.append(f"{name}: not in the manifest")
+        elif pinned[name] != fresh[name]:
+            out.append(f"{name}: size {pinned[name]['size']} -> "
+                       f"{fresh[name]['size']}, sha256 "
+                       f"{str(pinned[name]['sha256'])[:12]} -> "
+                       f"{str(fresh[name]['sha256'])[:12]}")
+    return out
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    action = parser.add_mutually_exclusive_group(required=True)
+    action.add_argument("--check", action="store_true",
+                        help="regenerate and compare with the manifest")
+    action.add_argument("--repin", metavar="REASON",
+                        help="regenerate and rewrite the manifest")
+    args = parser.parse_args(argv)
+
+    fresh = generate()
+    if args.repin is not None:
+        MANIFEST.write_text(json.dumps(
+            {"reason": args.repin, "versions": versions(),
+             "artifacts": fresh}, indent=2, sort_keys=True) + "\n")
+        print(f"pinned {len(fresh)} artifacts in {MANIFEST.name}")
+        return 0
+
+    manifest = json.loads(MANIFEST.read_text())
+    lines = moved(manifest["artifacts"], fresh)
+    if not lines:
+        print(f"identical: {len(fresh)} artifacts match {MANIFEST.name}")
+        return 0
+    for line in lines:
+        print(f"MOVED {line}")
+    if manifest["versions"] != versions():
+        print(f"note: pinned with {manifest['versions']}, "
+              f"checked with {versions()}")
+    return 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
