@@ -95,6 +95,9 @@ class SparkJobReport:
     # restores, output and checkpoint writes.  Fusion elides intermediate
     # arrays from both directions.
     storage_bytes_wire: int = 0
+    # Driver storage-retry backoff inside [started_at, finished_at]: the
+    # offload's backoff_s already counts it, so its Spark time must not.
+    backoff_s: float = 0.0
 
     @property
     def job_s(self) -> float:
@@ -197,6 +200,7 @@ class SparkJobGenerator:
         timeline = self.timeline
         report = self._job
         report.started_at = clock.now
+        backoff_before = self.report.backoff_s
         self._buffer_info = dict(buffers)
         self._key_prefix = key_prefix
 
@@ -216,6 +220,7 @@ class SparkJobGenerator:
         report.output_keys, report.output_checksums = \
             self._write_outputs(key_prefix)
         report.finished_at = clock.now
+        report.backoff_s = self.report.backoff_s - backoff_before
         return report
 
     # --------------------------------------------------------------- staging
@@ -233,7 +238,7 @@ class SparkJobGenerator:
         for name in self.region.input_names:
             buf = buffers[name]
             key = input_keys[name]
-            wire = self.transfer.driver_op(self.report, "HEAD", key)
+            wire = self.transfer.driver_size(self.report, key)
             self._job.storage_bytes_wire += wire
             dt = self.transfer.storage.cluster_read_time(wire)
             if self.transfer.codec.compresses(buf.nbytes):
@@ -409,7 +414,7 @@ class SparkJobGenerator:
             body = ({"data": pickle.dumps(job.partitions[split])}
                     if self.mode == ExecutionMode.FUNCTIONAL
                     else {"size": int(costs.output_bytes[split])})
-            obj = self.transfer.driver_op(self.report, "PUT", key, **body)
+            obj = self.transfer.driver_put(self.report, key, **body)
             write_s += self.transfer.storage.cluster_write_time(obj.size)
             self._job.storage_bytes_wire += obj.size
             self.journal.record(
@@ -442,11 +447,11 @@ class SparkJobGenerator:
         for i in sorted(completed):
             key = completed[i].key
             if self.mode == ExecutionMode.FUNCTIONAL:
-                payload = self.transfer.driver_op(self.report, "GET", key)
+                payload = self.transfer.driver_get(self.report, key)
                 restored.append(pickle.loads(payload))
                 nbytes = len(payload)
             else:
-                nbytes = self.transfer.driver_op(self.report, "HEAD", key)
+                nbytes = self.transfer.driver_size(self.report, key)
                 restored.append([])
             self._job.bytes_restored += nbytes
             self._job.storage_bytes_wire += nbytes

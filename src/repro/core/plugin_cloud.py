@@ -232,9 +232,7 @@ class CloudDevice(Device):
                 None, "provision", provision_cluster,
                 self._provider, spec, self.clock,
                 driver_hostname=self.config.spark_driver,
-                retry_on=(ProviderError,),
-                failed="cluster provisioning failed", source="CloudPlugin",
-            )
+                retry_on=(ProviderError,), failed="cluster provisioning failed")
             self.endpoint = self._provisioned.ssh_endpoint
 
     @property
@@ -805,7 +803,9 @@ class CloudDevice(Device):
         self._recover_preempted(report)
         self.breaker.record_success()
 
-        report.spark_job_s = job_report.job_s
+        # The job's driver retries are resilience time, like the SSH
+        # connect's: counted once, in backoff_s.
+        report.spark_job_s = job_report.job_s - job_report.backoff_s
         report.computation_s = job_report.computation_s
         report.tasks_run = job_report.tasks_run
         report.tasks_recomputed = job_report.tasks_recomputed
@@ -926,9 +926,7 @@ class CloudDevice(Device):
 
         handshake = self.transfer.retry(
             report, f"ssh-{self.config.spark_driver}", connect,
-            retry_on=(SSHError,), failed="SSH connect failed",
-            source="CloudPlugin", label="ssh-backoff",
-        )
+            retry_on=(SSHError,), failed="SSH connect failed", label="ssh-backoff")
         # The handshake is wall time the user waits through; give it a span
         # so the timeline covers the makespan gap-free (the critical-path
         # profiler partitions the makespan across recorded spans).

@@ -51,10 +51,6 @@ from repro.spark.logging import SparkLog
 
 Report = Union[OffloadReport, DataEnvReport]
 Items = Sequence[tuple[Buffer, str]]
-#: The store method behind each operation name (the name the retry log, the
-#: ``Retry`` event and the backoff jitter carry).
-_OPS = {"PUT": "put", "GET": "get_bytes", "HEAD": "size_of",
-        "EXISTS": "exists", "CHECKSUM": "checksum_of"}
 
 
 @dataclass(frozen=True)
@@ -145,15 +141,24 @@ class TransferEngine:
 
     # ------------------------------------------------------ retries + backoff
     def retry(self, report: Report | None, op_name: str, fn, *args,
-              retry_on: tuple, failed: str, source: str,
-              resource: str = "host", label: str = "", **kwargs):
-        """Run ``fn`` under the retry policy, each backoff logged and charged
-        to the clock where it happens and, given a ``report``, counted there
-        and spanned on ``resource``'s row."""
+              retry_on: tuple = (TransientStorageError,), failed: str = "",
+              source: str = "CloudPlugin", resource: str = "host",
+              label: str = "", defer: bool = False, **kwargs):
+        """Run ``fn`` under the retry policy, each backoff logged by
+        ``source``.  With ``defer`` (a host staging thread) the backoff waits
+        for :meth:`charge_backoff`; otherwise it is charged to the clock where
+        it happens and, given a ``report``, counted there and spanned on
+        ``resource``'s row (the ``Retry`` event names the same resource)."""
 
         def on_retry(failure: int, delay: float, exc: BaseException) -> None:
             self.log.warn(self.clock.now, source,
-                          f"{failed} ({exc}); retrying in {delay:.1f}s")
+                          f"{failed or op_name + ' failed transiently'} "
+                          f"({exc}); retrying in {delay:.1f}s")
+            if defer:
+                with self._backoff_lock:
+                    self._pending_backoff_s += delay
+                    self._pending_retries += 1
+                return
             t0, t1 = self.clock.now, self.clock.advance(delay)
             if report is not None:
                 report.retries += 1
@@ -162,27 +167,12 @@ class TransferEngine:
                                        resource=resource, label=label)
 
         return retry_call(self.retry_policy, fn, *args, retry_on=retry_on,
-                          op_name=op_name, on_retry=on_retry,
+                          op_name=op_name, on_retry=on_retry, resource=resource,
                           now=lambda: self.clock.now, **kwargs)
 
-    def _with_retries(self, op_name: str, key: str, **kwargs):
-        """Run a host storage operation on ``key`` under the retry policy
-        (thread-safe; the backoff is charged to the simulated clock once the
-        transfer completes, via :meth:`charge_backoff`)."""
-
-        def on_retry(failure: int, delay: float, exc: BaseException) -> None:
-            with self._backoff_lock:
-                self._pending_backoff_s += delay
-                self._pending_retries += 1
-            self.log.warn(self.clock.now, "CloudPlugin",
-                          f"{op_name} failed transiently ({exc}); "
-                          f"retrying in {delay:.1f}s")
-
-        return retry_call(self.retry_policy,
-                          getattr(self.storage, _OPS[op_name]), key,
-                          retry_on=(TransientStorageError,),
-                          op_name=op_name, on_retry=on_retry,
-                          now=lambda: self.clock.now, **kwargs)
+    def _with_retries(self, op_name: str, fn, key: str, **kwargs):
+        """A host storage operation, safe on a staging thread."""
+        return self.retry(None, op_name, fn, key, defer=True, **kwargs)
 
     def charge_backoff(self, report: Report) -> None:
         """Flush accumulated backoff to the simulated clock and into the
@@ -226,7 +216,7 @@ class TransferEngine:
         with self._backoff_lock:
             before = self._pending_retries
         try:
-            found = self._with_retries("EXISTS", key)
+            found = self._with_retries("EXISTS", self.storage.exists, key)
         except TransientStorageError:
             found = False
         with self._backoff_lock:
@@ -236,7 +226,7 @@ class TransferEngine:
         """The stored object's checksum: "" when the object is gone, None
         when storage kept failing (which says nothing about the object)."""
         try:
-            return self._with_retries("CHECKSUM", key)
+            return self._with_retries("CHECKSUM", self.storage.checksum_of, key)
         except NoSuchObjectError:
             return ""
         except TransientStorageError:
@@ -272,23 +262,26 @@ class TransferEngine:
         if mode == ExecutionMode.FUNCTIONAL:
             spilled = self.spill.get(buf.name)
             data = buf.require_data() if spilled is None else spilled
-        obj = self._store(self._with_retries, key, buf, data)
+        obj = self._store(partial(self._with_retries, "PUT", self.storage.put,
+                                  credentials=self.credentials),
+                          key, buf, data)
         with self._checksum_lock:
             self._staged_checksums[key] = obj.checksum
         return obj.size
 
-    def _store(self, call, key: str, buf: Buffer,
+    def _store(self, put, key: str, buf: Buffer,
                data: np.ndarray | None) -> StoredObject:
-        """The encode-and-PUT rule of both hops: ``buf``'s values ``data``
-        gzip'd straight off a zero-copy view (storage copies on PUT), or, for
-        None (modeled), a virtual object of the modeled size."""
+        """The encode-and-PUT rule of both hops, PUT through ``put``:
+        ``buf``'s values ``data`` gzip'd straight off a zero-copy view
+        (storage copies on PUT), or, for None (modeled), a virtual object of
+        the modeled size."""
         if data is not None:
             view = memoryview(np.ascontiguousarray(data)).cast("B").toreadonly()
             body = {"data": self.codec.encode(view, buf.nbytes)}
         else:
             body = {"size": self.codec.wire_size(model_for_density(buf.density),
                                                  buf.nbytes)}
-        return call("PUT", key, credentials=self.credentials, **body)
+        return put(key, **body)
 
     # --------------------------------------------------------- storage -> host
     def download(self, items: Items, mode: ExecutionMode, report: Report, *,
@@ -302,10 +295,11 @@ class TransferEngine:
         wire: list[int] = []
         try:
             for buf, key in items:
-                wire.append(self._with_retries("HEAD", key))
+                wire.append(self._with_retries("HEAD", self.storage.size_of, key))
                 if mode == ExecutionMode.FUNCTIONAL and not buf.is_virtual:
-                    buf.require_data()[:] = self._decode(
-                        self._get(self._with_retries, key), buf)
+                    buf.require_data()[:] = self._decode(self._with_retries(
+                        "GET", self.storage.get_bytes, key,
+                        credentials=self.credentials), buf)
                     if landed is not None:
                         landed(buf, key)
         except TransientStorageError as e:
@@ -323,33 +317,37 @@ class TransferEngine:
             return False
         return True
 
-    def _get(self, call, key: str) -> bytes:
-        """GET ``key`` through ``call``; the store verifies the checksum."""
-        return call("GET", key, credentials=self.credentials)
-
     def _decode(self, payload: bytes, buf: Buffer) -> np.ndarray:
-        """``buf``'s values in its stored object (a read-only view)."""
+        """The GET-and-decode rule of both hops: ``buf``'s values in its
+        stored object, which the store checksum-verified on GET (a read-only
+        view)."""
         return np.frombuffer(self.codec.decode(payload, buf.nbytes),
                              dtype=buf.dtype)
 
     # ----------------------------------------------------- driver <-> storage
-    def driver_op(self, report: OffloadReport, op_name: str, key: str,
-                  **kwargs):
-        """One Spark-driver storage operation on ``key`` (``HEAD``: its size,
-        ``GET``: its payload, ``PUT``: the stored object), retries charged
-        on the driver row.  An exhausted budget fails only the submission,
-        never the breaker."""
-        return self.retry(report, op_name, getattr(self.storage, _OPS[op_name]),
-                          key, retry_on=(TransientStorageError,),
-                          failed=f"{op_name} failed transiently",
-                          source="HadoopRDD", resource="driver",
-                          label="storage-backoff", **kwargs)
+    def _driver(self, report: OffloadReport, op_name: str, fn, key: str, **kwargs):
+        """A Spark-driver storage operation, with the store's own credentials.
+        An exhausted budget fails only the submission, never the breaker."""
+        return self.retry(report, op_name, fn, key, source="HadoopRDD",
+                          resource="driver", label="storage-backoff", **kwargs)
+
+    def driver_size(self, report: OffloadReport, key: str) -> int:
+        """HEAD ``key`` from the driver: its stored size."""
+        return self._driver(report, "HEAD", self.storage.size_of, key)
+
+    def driver_get(self, report: OffloadReport, key: str) -> bytes:
+        """GET ``key`` from the driver: its checksum-verified payload."""
+        return self._driver(report, "GET", self.storage.get_bytes, key)
+
+    def driver_put(self, report: OffloadReport, key: str, **body) -> StoredObject:
+        """PUT ``body`` (``data=`` or ``size=``) under ``key`` from the driver."""
+        return self._driver(report, "PUT", self.storage.put, key, **body)
 
     def driver_output(self, report: OffloadReport, key: str, buf: Buffer,
                       arr: np.ndarray | None) -> StoredObject:
         """Write output ``buf`` (driver array ``arr``) by the host's rule; only
         host-staged checksums are recorded (resubmissions re-verify those)."""
-        return self._store(partial(self.driver_op, report), key, buf, arr)
+        return self._store(partial(self.driver_put, report), key, buf, arr)
 
     def keep_driver_inputs(self, items: Items) -> None:
         """Start a job's input read: forget every inflated input that is not
@@ -369,7 +367,7 @@ class TransferEngine:
         identity test, not the CRC32, stands for content; the dtype and
         length are part of the key because the staging cache hashes bytes
         only, so one object may back buffers of different types."""
-        payload = self._get(partial(self.driver_op, report), key)
+        payload = self.driver_get(report, key)
         ident = (key, buf.dtype, buf.length)
         entry = self._driver_inputs.get(ident)
         if entry is not None and entry[0] is payload:

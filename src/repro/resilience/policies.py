@@ -108,6 +108,7 @@ def retry_call(
     op_name: str = "",
     on_retry: RetryHook | None = None,
     now: Callable[[], float],
+    resource: str = "host",
     **kwargs: Any,
 ):
     """Run ``fn(*args, **kwargs)`` under ``policy``.
@@ -121,7 +122,7 @@ def retry_call(
     Every retry is also published to the process event bus as a
     :class:`~repro.obs.events.Retry`, stamped with the simulated time from
     ``now()`` — required, so no caller's retries can lose their place on
-    the run's clock.
+    the run's clock — and charged to ``resource`` (the side that waits).
     """
     last: BaseException | None = None
     backoff_total = 0.0
@@ -139,7 +140,7 @@ def retry_call(
             backoff_total += delay
             get_bus().emit(Retry(
                 time=now(),
-                resource="host",
+                resource=resource,
                 op=op_name or getattr(fn, "__name__", "op"),
                 attempt=attempt,
                 delay_s=delay,

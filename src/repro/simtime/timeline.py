@@ -98,8 +98,11 @@ _BUCKET_OF: dict[Phase, str] = {
     Phase.ENV_ENTER: BUCKET_HOST_COMM,
     Phase.ENV_EXIT: BUCKET_HOST_COMM,
     Phase.TARGET_UPDATE: BUCKET_HOST_COMM,
-    # Recovery phases: backoff is charged on the host side of the channel;
-    # resubmission/preemption handling is cluster-side overhead.
+    # Recovery phases: every backoff span is bucketed as host-target
+    # communication, whichever row it sits on -- the host's staging and SSH
+    # retries and the driver's storage retries alike (the report counts all
+    # backoff as resilience); resubmission/preemption handling is
+    # cluster-side overhead.
     Phase.RETRY_BACKOFF: BUCKET_HOST_COMM,
     Phase.RESUBMIT: BUCKET_SPARK,
     Phase.PREEMPTION: BUCKET_SPARK,

@@ -7,6 +7,7 @@ import pytest
 
 from repro.cloud.storage import TransientStorageError
 from repro.core.api import ParallelLoop, TargetRegion, offload
+from repro.obs.events import EventBus, use_bus
 from repro.simtime.timeline import Phase
 
 from tests.conftest import make_cloud_runtime
@@ -75,25 +76,57 @@ def test_download_survives_transient_get_failures(cloud_config):
     assert report.tasks_run > 0
 
 
+def _second_offload(config, gets: int):
+    """Run two offloads on a fresh device, ``gets`` input GETs of the
+    second one's driver failing transiently; its report and event stream."""
+    rt = make_cloud_runtime(config)
+    _offload(rt)
+    rt.device("CLOUD").storage.inject_failures(gets=gets)
+    bus = EventBus(keep_history=True)
+    with use_bus(bus):
+        report = _offload(rt)
+    return rt.device("CLOUD"), report, bus
+
+
 def test_driver_read_retry_counts_in_the_report(cloud_config):
     """The Spark driver reads through the device's storage client: a retried
     input GET is charged where it happens, counted in the report, spanned
     on the driver row and logged by the Hadoop client."""
-    rt = make_cloud_runtime(cloud_config)
-    dev = rt.device("CLOUD")
-    _offload(rt)
-    dev.storage.inject_failures(gets=1)  # the driver's input read
-    report = _offload(rt)
+    dev, report, bus = _second_offload(cloud_config, gets=1)
     assert (report.retries, report.backoff_s) == (1, 0.5)
     (span,) = [s for s in report.timeline.spans
                if s.phase is Phase.RETRY_BACKOFF]
     assert (span.resource, span.label, span.duration) == (
         "driver", "storage-backoff", 0.5)
+    (retry,) = bus.events_of("retry")
+    assert (retry.resource, retry.op, retry.time) == ("driver", "GET",
+                                                      span.start)
     (warning,) = [r for r in dev.sc.log.records if r.level == "WARN"]
     assert warning.component == "HadoopRDD"
     assert warning.message.startswith("GET failed transiently (")
     assert warning.message.endswith("; retrying in 0.5s")
     assert warning.time == span.start
+
+
+def test_driver_retry_wall_time_is_counted_once(cloud_config):
+    """A driver retry's backoff sits inside the Spark job's window; the
+    report moves it from the Spark time to resilience, so the offload's wall
+    time grows by the backoff alone and still matches the clock."""
+    _, clean, clean_bus = _second_offload(cloud_config, gets=0)
+    _, retried, retried_bus = _second_offload(cloud_config, gets=1)
+
+    def window(bus):
+        (begin,) = bus.events_of("target_begin")
+        (end,) = bus.events_of("target_end")
+        return end.time - begin.time
+
+    assert retried.backoff_s == 0.5
+    assert retried.spark_job_s == pytest.approx(clean.spark_job_s)
+    assert retried.full_s == pytest.approx(clean.full_s + 0.5)
+    assert (window(retried_bus) - retried.full_s
+            == pytest.approx(window(clean_bus) - clean.full_s))
+    assert sum(retried.figure5_stack().values()) == pytest.approx(
+        retried.full_s)
 
 
 def test_only_host_staged_objects_carry_a_recorded_checksum(cloud_config):

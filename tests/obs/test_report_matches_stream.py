@@ -7,7 +7,8 @@ and faulty runs, the Spark driver's own storage retries (one of them in a
 discarded submission), host runs, host fallbacks after a failed attempt, an
 unreachable device, and a chained 3MM inside ``target data`` (synchronous
 and ``nowait``-fused).  No offload's ``retry`` event predates its
-``target_begin``.
+``target_begin``, and no report's wall time exceeds the clock time between
+its ``target_begin`` and ``target_end`` on the device's clock.
 """
 
 from __future__ import annotations
@@ -315,6 +316,11 @@ def test_report_equals_the_fold_of_its_events(cloud_config, scenario,
         assert _reported(report, folded) == folded
         begin = next(e.time for e in events if e.kind == "target_begin")
         assert all(e.time >= begin for e in events if e.kind == "retry")
+        if report.device_name != "HOST":  # the host keeps no device clock
+            # Each second of the wall time is counted once: no more of it
+            # than the clock saw pass between the offload's begin and end.
+            end = next(e.time for e in events if e.kind == "target_end")
+            assert report.full_s <= end - begin + 1e-9
         if fault_free:
             slots = sum(e.duration_s for e in events if e.kind == "task_end")
             worker_time = sum(s.duration for s in report.timeline.spans
