@@ -86,16 +86,25 @@ def provision_cluster(
     """Launch and boot a 1-driver + N-worker cluster.
 
     Advances ``clock`` past the (parallel) boot of all instances, mirroring
-    cgcloud's blocking ``create-cluster`` behaviour.
+    cgcloud's blocking ``create-cluster`` behaviour.  A launch or wait that
+    fails terminates every instance already launched, then re-raises: a
+    failed attempt leaves nothing behind.
     """
     provider.authenticate()
     driver_type = spec.driver_type or spec.instance_type
     now = clock.now
-    driver = provider.launch(driver_type, now, count=1, tags={"role": "driver"})[0]
-    workers = provider.launch(
-        spec.instance_type, now, count=spec.n_workers, tags={"role": "worker"}
-    )
-    ready = provider.wait_running([driver, *workers], now)
+    launched: list[Instance] = []
+    try:
+        launched += provider.launch(driver_type, now, count=1,
+                                    tags={"role": "driver"})
+        launched += provider.launch(spec.instance_type, now,
+                                    count=spec.n_workers, tags={"role": "worker"})
+        ready = provider.wait_running(launched, now)
+    except Exception:
+        for inst in launched:
+            provider.terminate(inst.instance_id, now)
+        raise
+    driver, *workers = launched
     clock.advance_to(ready)
     endpoint = SSHEndpoint(
         hostname=driver_hostname,

@@ -78,7 +78,6 @@ class SparkJobReport:
     started_at: float
     finished_at: float
     output_keys: dict[str, str] = field(default_factory=dict)
-    output_checksums: dict[str, str] = field(default_factory=dict)
     computation_s: float = 0.0
     tasks_run: int = 0
     tasks_recomputed: int = 0
@@ -108,8 +107,9 @@ class SparkJobReport:
 class _LoopTiling:
     """One loop's tiles as arrays, derived once per loop and shared by the
     memory check, the cost synthesis and the element building: the tile
-    bounds, how each variable travels, and per partitioned variable the
-    element window ``[wlo, whi)`` every tile touches (Eq. 3)."""
+    bounds, how each variable travels, per partitioned variable the element
+    window ``[wlo, whi)`` every tile touches (Eq. 3), and each task's raw
+    and wire input/output bytes (int64)."""
 
     lo: np.ndarray
     hi: np.ndarray
@@ -119,6 +119,13 @@ class _LoopTiling:
     #: every other write ships a full partial buffer per task.
     partitioned_writes: list[str]
     windows: dict[str, tuple[np.ndarray, np.ndarray]]
+    #: Bytes of the partitioned-read windows, per task.
+    in_raw: np.ndarray
+    in_wire: np.ndarray
+    #: Bytes of the write windows, full partial arrays and reduction
+    #: buffers, per task.
+    out_raw: np.ndarray
+    out_wire: np.ndarray
 
     def __len__(self) -> int:
         return len(self.lo)
@@ -128,7 +135,9 @@ class _LoopTiling:
         return replace(
             self, lo=self.lo[keep], hi=self.hi[keep],
             windows={nm: (wlo[keep], whi[keep])
-                     for nm, (wlo, whi) in self.windows.items()})
+                     for nm, (wlo, whi) in self.windows.items()},
+            in_raw=self.in_raw[keep], in_wire=self.in_wire[keep],
+            out_raw=self.out_raw[keep], out_wire=self.out_wire[keep])
 
 
 class SparkJobGenerator:
@@ -217,8 +226,7 @@ class SparkJobGenerator:
         for ordinal, loop in enumerate(self.region.loops):
             self._run_loop(loop, ordinal)
 
-        report.output_keys, report.output_checksums = \
-            self._write_outputs(key_prefix)
+        report.output_keys = self._write_outputs(key_prefix)
         report.finished_at = clock.now
         report.backoff_s = self.report.backoff_s - backoff_before
         return report
@@ -268,10 +276,9 @@ class SparkJobGenerator:
         return (np.zeros(buf.length, dtype=buf.dtype)
                 if self.mode == ExecutionMode.FUNCTIONAL else None)
 
-    def _write_outputs(self, key_prefix: str) -> tuple[dict[str, str], dict[str, str]]:
+    def _write_outputs(self, key_prefix: str) -> dict[str, str]:
         clock, timeline = self.sc.clock, self.timeline
         out_keys: dict[str, str] = {}
-        out_checksums: dict[str, str] = {}
         for name in self.region.output_names:
             buf = self._buffer_info[name]
             key = self.transfer.codec.key(f"{key_prefix}/out/{name}", buf.nbytes)
@@ -284,8 +291,7 @@ class SparkJobGenerator:
             timeline.record(Phase.STORAGE_WRITE, clock.now, clock.advance(dt),
                             resource="driver", label=f"write-{name}")
             out_keys[name] = key
-            out_checksums[name] = obj.checksum
-        return out_keys, out_checksums
+        return out_keys
 
     # ------------------------------------------------------------- loop jobs
     def _run_loop(self, loop: ParallelLoop, ordinal: int) -> None:
@@ -481,10 +487,31 @@ class SparkJobGenerator:
             wlo, whi = partition_windows(loop.partitions[nm], lo, hi, self.scalars)
             self._check_windows(self._buffer_info[nm], wlo, whi)
             windows[nm] = (wlo, whi)
+
+        def per_task(names, windowed) -> tuple[np.ndarray, np.ndarray]:
+            """Raw and wire bytes per task over ``names``: the window of a
+            ``windowed`` variable, else the whole buffer (a full partial
+            array per task, the paper's Eq. 6-8, or a reduction buffer)."""
+            raw = np.zeros(n, dtype=np.int64)
+            wire = np.zeros(n, dtype=np.int64)
+            for nm in names:
+                buf = self._buffer_info[nm]
+                if nm in windowed:
+                    wlo, whi = windows[nm]
+                    nm_raw = (whi - wlo) * buf.itemsize
+                else:
+                    nm_raw = np.full(n, buf.nbytes, dtype=np.int64)
+                raw += nm_raw
+                wire += self._wire_bytes_vec(buf, nm_raw)
+            return raw, wire
+
+        in_raw, in_wire = per_task(partitioned_reads, partitioned_reads)
+        out_raw, out_wire = per_task(loop.writes, partitioned_writes)
         return _LoopTiling(
             lo=lo, hi=hi, partitioned_reads=partitioned_reads,
             broadcast_reads=[nm for nm in loop.reads if nm not in partitioned_reads],
-            partitioned_writes=partitioned_writes, windows=windows)
+            partitioned_writes=partitioned_writes, windows=windows,
+            in_raw=in_raw, in_wire=in_wire, out_raw=out_raw, out_wire=out_wire)
 
     def _tiles_for(self, loop: ParallelLoop, n: int, cores: int) -> list[Tile]:
         """Tiling policy: an explicit schedule chunk wins; otherwise
@@ -584,7 +611,6 @@ class SparkJobGenerator:
         slots_per_node = self.sc.cluster.executors[0].task_slots
         n_nodes = self.sc.cluster.active_worker_nodes
         n = len(tiling)
-        lo, hi, windows = tiling.lo, tiling.hi, tiling.windows
         k = min(slots_per_node, max(1, -(-n // n_nodes)))
         intensity = self.region.memory_intensity
         # Each node decompresses its copy of every broadcast once; the cost is
@@ -592,40 +618,18 @@ class SparkJobGenerator:
         bcast_raw = sum(self._buffer_info[nm].nbytes for nm in tiling.broadcast_reads)
         bcast_share = bcast_raw / k if k else 0.0
 
-        flops = loop.tile_flops(lo, hi, self.scalars)
+        flops = loop.tile_flops(tiling.lo, tiling.hi, self.scalars)
         compute_s, jni_s = self.compute_model.task_timing_vec(
             flops, tasks_on_node=k, slots_per_node=slots_per_node,
             intensity=intensity, task_indices=np.arange(n), jni_calls=1)
 
-        in_raw = np.zeros(n, dtype=np.int64)
-        in_wire = np.zeros(n, dtype=np.int64)
-        for nm in tiling.partitioned_reads:
-            buf = self._buffer_info[nm]
-            wlo, whi = windows[nm]
-            raw = (whi - wlo) * buf.itemsize
-            in_raw += raw
-            in_wire += self._wire_bytes_vec(buf, raw)
-        out_raw = np.zeros(n, dtype=np.int64)
-        out_wire = np.zeros(n, dtype=np.int64)
-        for nm in loop.writes:
-            buf = self._buffer_info[nm]
-            if nm in tiling.partitioned_writes:
-                wlo, whi = windows[nm]
-                raw = (whi - wlo) * buf.itemsize
-            else:
-                # Full partial array per task (the paper's Eq. 6-8), or a
-                # whole reduction buffer.
-                raw = np.full(n, buf.nbytes, dtype=np.int64)
-            out_raw += raw
-            out_wire += self._wire_bytes_vec(buf, raw)
-
         return TaskCostsArrays(
             compute_s=compute_s,
             jni_s=jni_s,
-            decompress_s=(in_raw + bcast_share) / self.cal.worker_byte_bps,
-            compress_s=out_raw / self.cal.worker_byte_bps,
-            input_bytes=in_wire,
-            output_bytes=out_wire,
+            decompress_s=(tiling.in_raw + bcast_share) / self.cal.worker_byte_bps,
+            compress_s=tiling.out_raw / self.cal.worker_byte_bps,
+            input_bytes=tiling.in_wire,
+            output_bytes=tiling.out_wire,
         )
 
     @staticmethod
@@ -721,19 +725,8 @@ class SparkJobGenerator:
         slots = executor.task_slots
         heap = executor.heap_bytes
         bcast = sum(self._buffer_info[nm].nbytes for nm in tiling.broadcast_reads)
-        n = len(tiling)
-        task_bytes = np.zeros(n, dtype=np.int64)
-        for nm in tiling.partitioned_reads:
-            wlo, whi = tiling.windows[nm]
-            task_bytes += (whi - wlo) * self._buffer_info[nm].itemsize
-        for nm in loop.writes:
-            buf = self._buffer_info[nm]
-            if nm in tiling.partitioned_writes:
-                wlo, whi = tiling.windows[nm]
-                task_bytes += (whi - wlo) * buf.itemsize
-            else:
-                task_bytes += buf.nbytes  # full partial / reduction buffer
-        worst_task = int(task_bytes.max()) if n else 0
+        worst_task = (int((tiling.in_raw + tiling.out_raw).max())
+                      if len(tiling) else 0)
         needed = bcast + slots * worst_task
         if needed > heap:
             raise ExecutorOOMError(

@@ -85,9 +85,9 @@ class CloudConfig:
     #: Simulated seconds the breaker stays open before a half-open probe.
     breaker_reset_s: float = 300.0
     #: Driver-loss recovery policy (docs/RESILIENCE.md): "none" falls back
-    #: to the host (PR-1 behavior), "restart" replays the journal and
-    #: resubmits the whole job on a replacement driver, "resume" also
-    #: commits per-tile checkpoints and reschedules only unfinished tiles.
+    #: to the host (PR-1 behavior), "restart" resubmits the whole job on
+    #: a replacement driver, "resume" also commits per-tile checkpoints
+    #: and reschedules only unfinished tiles.
     recovery: str = "none"
 
     def __post_init__(self) -> None:

@@ -129,21 +129,6 @@ class DataEnvironment:
     def live_entries(self) -> list[MapEntry]:
         return list(self._entries.values())
 
-    def restore(self, name: str, device_handle: str, dirty: bool = False) -> bool:
-        """Re-adopt a device copy recovered from the offload journal.
-
-        Only fills a live mapping whose handle was lost (e.g. dropped by
-        ``invalidate_data_env`` after a driver death); a mapping that still
-        has a handle, or does not exist, is left untouched.  Reference
-        counts are never altered — recovery restores *placement*, not
-        *lifetime*.  Returns whether the handle was adopted."""
-        entry = self._entries.get(name)
-        if entry is None or entry.device_handle is not None:
-            return False
-        entry.device_handle = device_handle
-        entry.dirty = dirty
-        return True
-
     def __len__(self) -> int:
         return len(self._entries)
 

@@ -29,7 +29,7 @@ from repro.cloud.ec2 import EC2Provider
 from repro.cloud.hdfs import HDFSStore
 from repro.cloud.network import NetworkModel
 from repro.cloud.private import PrivateCloudProvider
-from repro.cloud.provider import CloudProvider
+from repro.cloud.provider import CloudProvider, ProviderError
 from repro.cloud.credentials import Credentials
 from repro.cloud.provision import ClusterSpec, ProvisionedCluster, provision_cluster
 from repro.cloud.s3 import S3Store
@@ -151,11 +151,11 @@ class CloudDevice(Device):
         self._submit_faults_left = fault_plan.spark_submit_failures
         # --- Durable recovery (docs/RESILIENCE.md) ---
         #: Driver-loss recovery policy: "none" (host fallback), "restart"
-        #: (journal-driven driver replacement, full resubmission) or
+        #: (a standby driver replaces the lost one, full resubmission) or
         #: "resume" (+ per-tile checkpoints, only unfinished tiles rerun).
         self.recovery = config.recovery
-        #: Write-ahead offload journal; replayed after a driver loss to
-        #: reconstruct completed tiles and the data-environment table.
+        #: Write-ahead log of committed tile checkpoints; a standby driver
+        #: replays it under "resume" to skip the tiles that survived.
         self.journal = OffloadJournal()
         #: A standby driver took over after a loss; the dead driver's fault
         #: no longer applies to later submissions.
@@ -210,8 +210,9 @@ class CloudDevice(Device):
                                     machine_count=cfg.n_workers + 1)
 
     def _do_initialize(self) -> None:
-        # Validate credentials against the storage service up front; a failure
-        # leaves the device unavailable (host fallback) rather than raising.
+        # Validate credentials against the storage service and provision the
+        # cluster up front; a failure of either leaves the device unavailable
+        # (host fallback) rather than raising.
         try:
             self.storage.check_access(self.config.credentials)
         except StorageError:
@@ -224,15 +225,19 @@ class CloudDevice(Device):
                 n_workers=self.config.n_workers,
                 authorized_users=(self.config.spark_user,),
             )
-
-            from repro.cloud.provider import ProviderError
-
             # No report exists yet: the backoff is charged to the clock only.
-            self._provisioned = self.transfer.retry(
-                None, "provision", provision_cluster,
-                self._provider, spec, self.clock,
-                driver_hostname=self.config.spark_driver,
-                retry_on=(ProviderError,), failed="cluster provisioning failed")
+            try:
+                self._provisioned = self.transfer.retry(
+                    None, "provision", provision_cluster,
+                    self._provider, spec, self.clock,
+                    driver_hostname=self.config.spark_driver,
+                    retry_on=(ProviderError,),
+                    failed="cluster provisioning failed")
+            except ProviderError as exc:
+                self.sc.log.warn(self.clock.now, "CloudPlugin",
+                                 f"cluster provisioning failed ({exc}); "
+                                 f"the device stays unavailable")
+                return
             self.endpoint = self._provisioned.ssh_endpoint
 
     @property
@@ -246,6 +251,8 @@ class CloudDevice(Device):
     def is_available(self) -> bool:
         if not self._reachable:
             return False
+        if self.config.manage_instances and self._provisioned is None:
+            return False  # provisioning failed: no cluster to offload to
         if self.breaker.is_open(self.clock.now):
             return False
         try:
@@ -317,11 +324,6 @@ class CloudDevice(Device):
         input_keys: dict[str, str] = {}
         to_stage: list[tuple[Buffer, str]] = []
         cache_keys: list[tuple[CacheKey, str]] = []
-        if self.recovery != "none":
-            # Crash-consistent data environments: live mappings that lost
-            # their device handle re-adopt it from the journal when the
-            # recorded object still checks out, instead of re-staging.
-            self._restore_env_handles()
         for name in region.input_names:
             buf = buffers[name]
             entry = self.env.entry_or_none(name)
@@ -395,15 +397,13 @@ class CloudDevice(Device):
 
     def _flush_corruptions(self, report: OffloadReport) -> None:
         """Attribute corrupt reads the storage detected since the last flush
-        to ``report`` and journal them.  The storage layer counts every
-        failed verification (host GETs and worker-side reads alike); the
-        plugin takes deltas so each detection lands in exactly one report."""
+        to ``report``.  The storage layer counts every failed verification
+        (host GETs and worker-side reads alike); the plugin takes deltas so
+        each detection lands in exactly one report."""
         detected = self.storage.corruption_count - self._corruptions_attributed
         if detected <= 0:
             return
         self._corruptions_attributed = self.storage.corruption_count
-        self.journal.record("corruption", get_bus().current_correlation(),
-                            time=self.clock.now, count=detected)
         report.corruption_detected += detected
 
     def data_end(self, buffers: Mapping[str, Buffer], region: TargetRegion,
@@ -508,9 +508,6 @@ class CloudDevice(Device):
         for entry, key in staged:
             entry.device_handle = key
             entry.dirty = False
-            self.journal.record("env_enter", bus.current_correlation(),
-                                time=up.start, name=entry.buffer.name, key=key,
-                                checksum=self.transfer.staged_checksum(key))
 
     def exit_data(self, names: Sequence[str], mode: ExecutionMode,
                   report: DataEnvReport) -> None:
@@ -518,7 +515,6 @@ class CloudDevice(Device):
         reaching zero download their dirty outputs back into the host arrays
         and release the storage objects (logically — the simulated store has
         no delete cost worth modeling)."""
-        bus = get_bus()
         # References settle first (so a failed download cannot unbalance the
         # mapping table), transfers follow.
         released: list[MapEntry] = []
@@ -528,8 +524,6 @@ class CloudDevice(Device):
             entry = self.env.end(name)
             if entry is None:
                 continue  # still referenced by an enclosing environment
-            self.journal.record("env_exit", bus.current_correlation(),
-                                time=self.clock.now, name=name)
             # OpenMP copies `from`/`tofrom` items out unconditionally at the
             # environment's end; here that needs a device copy to exist
             # (alloc-mapped entries nothing ever wrote have none).
@@ -548,7 +542,6 @@ class CloudDevice(Device):
         device copy (``to``) or download the device copy into the host array
         (``from``).  Absent names are ignored (OpenMP 5.x motion-clause
         semantics)."""
-        bus = get_bus()
         seq = next(self._offload_seq)
         # --- host -> device -------------------------------------------------
         # Always a fresh key: the old handle may be a content-addressed
@@ -567,10 +560,6 @@ class CloudDevice(Device):
         for entry, key in staged:
             entry.device_handle = key
             entry.dirty = False
-            self.journal.record("env_update", bus.current_correlation(),
-                                time=up.start, name=entry.buffer.name, key=key,
-                                direction="to",
-                                checksum=self.transfer.staged_checksum(key))
         # --- device -> host -------------------------------------------------
         synced = [entry for name in from_names
                   if (entry := self.env.entry_or_none(name)) is not None
@@ -583,10 +572,6 @@ class CloudDevice(Device):
         report.updates_from += len(synced)
         for entry in synced:
             entry.dirty = False  # host and device agree again
-            self.journal.record("env_sync", bus.current_correlation(),
-                                time=self.clock.now,
-                                name=entry.buffer.name,
-                                key=entry.device_handle)
 
     def invalidate_data_env(self) -> None:
         """After a failed offload the staged objects can no longer be
@@ -598,56 +583,14 @@ class CloudDevice(Device):
         The sync keys on ``dirty`` alone, not the map type: once a kernel
         wrote an entry on the device, the device copy is the authoritative
         one even for ``alloc``-mapped intermediates — the host rerun would
-        otherwise compute on stale zeros.
-
-        Syncs are journal-guarded: a ``(name, key)`` pair the journal already
-        records as synced is not downloaded again, so a re-entered recovery
-        re-syncs each dirty entry exactly once.  Each handle drop is also
-        journaled (``env_exit``), so a later replay cannot resurrect a
-        device copy the environment stopped trusting — the host rerun that
-        follows a fallback makes the host arrays the authoritative ones."""
-        state = self.journal.replay()
-        now = self.clock.now
+        otherwise compute on stale zeros.  The sync drops the handle with
+        it, so each dirty entry is synced at most once."""
         for entry in self.env.live_entries():
-            name = entry.buffer.name
-            key = entry.device_handle
-            if (entry.dirty and key is not None
-                    and not entry.buffer.is_virtual
-                    and not state.already_synced(name, key)):
-                if self.transfer.sync_home(entry.buffer, key):
-                    self.journal.record("env_sync", time=now,
-                                        name=name, key=key)
-            if key is not None:
-                self.journal.record("env_exit", time=now, name=name,
-                                    reason="invalidated")
+            if (entry.dirty and entry.device_handle is not None
+                    and not entry.buffer.is_virtual):
+                self.transfer.sync_home(entry.buffer, entry.device_handle)
             entry.device_handle = None
             entry.dirty = False
-
-    def _restore_env_handles(self) -> None:
-        """Re-adopt device copies the journal proves are still durable.
-
-        Only live mappings whose handle was lost qualify, and only when the
-        recorded object still exists with its recorded checksum (a metadata
-        round, no data motion).  Reference counts are untouched — recovery
-        restores placement, not lifetime (:meth:`DataEnvironment.restore`)."""
-        missing = [e for e in self.env.live_entries()
-                   if e.device_handle is None]
-        if not missing:
-            return
-        state = self.journal.replay()
-        for entry in missing:
-            name = entry.buffer.name
-            handle = state.env_handle(name)
-            if handle is None:
-                continue
-            key, checksum = handle
-            actual = self.transfer.checksum_of(key)
-            if not actual or (checksum and actual != checksum):
-                continue  # gone, unreachable, or no longer what was journaled
-            if self.env.restore(name, key):
-                self.sc.log.warn(self.clock.now, "CloudPlugin",
-                                 f"recovered device copy of {name!r} from "
-                                 f"the journal ({key}); re-stage skipped")
 
     def _verify_staged_inputs(self, input_keys: Mapping[str, str],
                               buffers: Mapping[str, Buffer],
@@ -673,8 +616,6 @@ class CloudDevice(Device):
                 time=self.clock.now, resource=self.storage.name,
                 store=self.storage.name, op="VERIFY", key=key,
                 expected=expected, actual=actual))
-            self.journal.record("corruption", bus.current_correlation(),
-                                time=self.clock.now, key=key, op="VERIFY")
             if name in buffers:
                 restage.append((buffers[name], key))
         up = self.transfer.upload(restage, mode, report, what="re-staging inputs",
@@ -712,20 +653,11 @@ class CloudDevice(Device):
         spill: dict[str, np.ndarray] = {}
         last_error = ""
         bus = get_bus()
+        # A fused submission is ONE job: a resume replays tile_done records
+        # against this correlation, never against the member regions (which
+        # were never submitted on their own).
         corr = bus.current_correlation()
-        self.journal.record("region_submit", corr, time=self.clock.now,
-                            region=region.name, key_prefix=key_prefix,
-                            mode=mode.value, inputs=sorted(input_keys))
         fused_members: tuple[str, ...] = getattr(region, "fused_members", ())
-        if fused_members:
-            # A fused submission is ONE journaled job: a resume replays
-            # tile_done records against this correlation, never against the
-            # member regions (which were never submitted on their own).
-            self.journal.record("region_fused", corr, time=self.clock.now,
-                                region=region.name,
-                                members=list(fused_members),
-                                elided=list(getattr(region, "fused_elided", ())),
-                                key_prefix=key_prefix)
         fused_t0 = self.clock.now
         resume_tiles: Mapping[int, Mapping[int, object]] | None = None
         for submission in range(1, max_submissions + 1):
@@ -747,17 +679,14 @@ class CloudDevice(Device):
                 self._verify_staged_inputs(input_keys, buffers, mode, report)
                 if (self.recovery != "none" and not self._driver_replaced
                         and self.fault_plan.driver_lost(self.clock.now)):
-                    # Journal-driven driver replacement: a standby driver
-                    # takes over; under "resume" it replays the journal and
-                    # schedules only the tiles without committed checkpoints.
+                    # Driver replacement: a standby driver takes over; under
+                    # "resume" it replays the journal and schedules only the
+                    # tiles without committed checkpoints.
                     self._driver_replaced = True
                     report.resumes += 1
                     if self.recovery == "resume":
                         resume_tiles = self.journal.replay().completed_tiles(corr)
                     n_ckpt = sum(len(t) for t in (resume_tiles or {}).values())
-                    self.journal.record("resume", corr, time=self.clock.now,
-                                        submission=submission,
-                                        policy=self.recovery, tiles=n_ckpt)
                     self.sc.log.warn(
                         self.clock.now, "CloudPlugin",
                         f"driver {self.config.spark_driver} lost; standby "
@@ -825,10 +754,6 @@ class CloudDevice(Device):
         # Anything this job durably wrote supersedes a previous spill.
         for name in job_report.output_keys:
             self._fusion_spill.pop(name, None)
-        for name, key in job_report.output_keys.items():
-            self.journal.record(
-                "output_commit", corr, time=self.clock.now, name=name,
-                key=key, checksum=job_report.output_checksums.get(name, ""))
         if report.tiles_skipped:
             bus.emit(ResumeFromCheckpoint(
                 time=self.clock.now, resource=self.name, region=region.name,

@@ -619,8 +619,9 @@ class FusedRegion(TargetRegion):
     """A :class:`TargetRegion` assembled from a fusion group.
 
     Carries the member names (``fused_members``) and the elided
-    intermediates (``fused_elided``) so the device plugin can journal the
-    fused submission and spill elided locals for later re-staging."""
+    intermediates (``fused_elided``) so the device plugin can mark the
+    fused submission on its timeline and spill elided locals for later
+    re-staging."""
 
     def __init__(
         self,

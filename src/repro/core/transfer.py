@@ -307,15 +307,14 @@ class TransferEngine:
         return self._charge(report, items, wire, phase, codec_phase, label,
                             up=False)
 
-    def sync_home(self, buf: Buffer, key: str) -> bool:
+    def sync_home(self, buf: Buffer, key: str) -> None:
         """Best-effort copy of ``key`` into the host array: one attempt, no
         time charged; on any failure the host copy stays as-is."""
         try:
             payload = self.storage.get_bytes(key, credentials=self.credentials)
             buf.require_data()[:] = self._decode(payload, buf)
         except (StorageError, ValueError):
-            return False
-        return True
+            pass
 
     def _decode(self, payload: bytes, buf: Buffer) -> np.ndarray:
         """The GET-and-decode rule of both hops: ``buf``'s values in its

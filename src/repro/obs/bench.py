@@ -349,9 +349,8 @@ def run_chaos_recovery(
 
     * **healthy** — fault-free, ``recovery = none``: the reference chain.
     * **restart** — a driver death calibrated to land at ~50 % tile
-      completion, ``recovery = restart``: the standby driver replays the
-      journal but re-executes every tile (PR-1-shaped recovery, minus the
-      host fallback).
+      completion, ``recovery = restart``: the standby driver re-executes
+      every tile (PR-1-shaped recovery, minus the host fallback).
     * **resume** — the same death under ``recovery = resume``: committed
       tile checkpoints are skipped and only the remainder re-executes.
       This run is the instrumented one and provides the gated milestones,

@@ -9,9 +9,8 @@ package:
   end-to-end transfer verification.
 * :mod:`repro.resilience.journal` — the write-ahead offload journal with
   crash-consistent (CRC-sealed, torn-tail-tolerant) JSONL records.
-* :mod:`repro.resilience.recovery` — journal replay into the durable state
-  a replacement driver resumes from (committed tiles, live data-environment
-  handles, already-synced dirty entries).
+* :mod:`repro.resilience.recovery` — journal replay into the committed
+  tiles a replacement driver resumes from.
 * :mod:`repro.resilience.chaos` — the seeded fault-injection harness behind
   ``repro chaos`` (deterministic fault plans, oracle and invariant checks).
 

@@ -1,12 +1,10 @@
 """Write-ahead offload journal: crash-consistent records of offload progress.
 
-The journal is the durability backbone of the recovery subsystem.  The
-plugin appends a record *before or at* every state transition that recovery
-may need to replay — region submission, per-tile completion, data-environment
-enter/exit/update, dirty-entry sync, output commit — keyed by the offload's
-correlation id.  After a driver death the resubmitted job replays the journal
-(:meth:`OffloadJournal.replay`) and schedules only the tiles whose committed
-checkpoints it can still verify.
+The journal is the checkpoint log of ``recovery = "resume"``: the Spark job
+appends one ``tile_done`` record per tile output it commits to storage,
+keyed by the offload's correlation id.  After a driver death the standby
+driver replays the journal (:meth:`OffloadJournal.replay`) and schedules
+only the tiles whose committed checkpoints it can still verify.
 
 Records serialize to JSON Lines.  Each line carries a monotonically
 increasing sequence number and a CRC over its own canonical encoding, so a
@@ -28,19 +26,10 @@ import zlib
 from dataclasses import dataclass, field
 from typing import Any, Iterable, Iterator, Mapping
 
-#: Every record kind the journal accepts.  Recovery understands all of them;
-#: unknown kinds are rejected at write time so a typo fails fast.
+#: Every record kind the journal accepts: a resume replays nothing else.
+#: Unknown kinds are rejected at write time so a typo fails fast.
 RECORD_KINDS = frozenset({
-    "region_submit",   # an offload region was handed to the device
-    "region_fused",    # the submission is a fused multi-region job
     "tile_done",       # one tile's output was committed to storage
-    "output_commit",   # a region output object became authoritative
-    "env_enter",       # target data: a buffer was mapped (staged or alloc'd)
-    "env_exit",        # target data: a mapping was released
-    "env_update",      # target update / re-stage: device copy replaced
-    "env_sync",        # a dirty device copy was synced back to the host
-    "resume",          # a resubmission resumed from committed checkpoints
-    "corruption",      # a corrupt object was detected on read
 })
 
 
@@ -51,7 +40,7 @@ def _crc(payload: str) -> int:
 @dataclass(frozen=True)
 class JournalRecord:
     """One journal entry.  ``payload`` is kind-specific detail (tile bounds,
-    storage keys, checksums...); ``correlation_id`` ties the record to one
+    storage key, checksum...); ``correlation_id`` ties the record to one
     offload (``"<region>#<seq>"``, as stamped by the event bus)."""
 
     seq: int
@@ -97,9 +86,8 @@ class JournalRecord:
 class OffloadJournal:
     """Append-only, thread-safe record log for one device.
 
-    Thread-safe because buffer staging runs one thread per buffer; records
-    from concurrent uploads interleave but each append is atomic and
-    sequence numbers stay strictly increasing.
+    Thread-safe: each append is atomic and sequence numbers stay strictly
+    increasing whichever thread appends.
     """
 
     def __init__(self) -> None:

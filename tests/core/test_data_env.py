@@ -114,45 +114,6 @@ def test_end_of_unmapped_variable_raises():
         env.end("ghost")
 
 
-# -------------------------------------------------- recovery: restore()
-def test_restore_fills_only_lost_handles():
-    env = DataEnvironment("CLOUD")
-    a = np.zeros(8, dtype=np.float32)
-    entry = env.begin(Buffer("A", a), MapType.TO, persistent=True)
-    entry.device_handle = None  # lost with the driver
-    assert env.restore("A", "env/A")
-    assert entry.device_handle == "env/A"
-    assert not entry.dirty
-
-
-def test_restore_never_overwrites_a_live_handle():
-    env = DataEnvironment("CLOUD")
-    a = np.zeros(8, dtype=np.float32)
-    entry = env.begin(Buffer("A", a), MapType.TO, persistent=True)
-    entry.device_handle = "env/A.v1"
-    assert not env.restore("A", "env/A.v2")
-    assert entry.device_handle == "env/A.v1"
-
-
-def test_restore_of_unmapped_name_is_a_noop():
-    env = DataEnvironment("CLOUD")
-    assert not env.restore("ghost", "env/ghost")
-    assert not env.is_mapped("ghost")
-
-
-def test_restore_preserves_refcounts_and_can_mark_dirty():
-    env = DataEnvironment("CLOUD")
-    a = np.zeros(8, dtype=np.float32)
-    entry = env.begin(Buffer("A", a), MapType.TOFROM, persistent=True)
-    env.begin(Buffer("A", a), MapType.TO)
-    assert env.ref_count("A") == 2
-    entry.device_handle = None
-    assert env.restore("A", "env/A", dirty=True)
-    # Recovery restores *placement*, not *lifetime*.
-    assert env.ref_count("A") == 2
-    assert entry.dirty
-
-
 # ------------------------------------------------------ runtime: target data
 def test_target_data_presence_and_nested_refcounts(cloud_config):
     rt = make_cloud_runtime(cloud_config)

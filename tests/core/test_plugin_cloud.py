@@ -152,6 +152,37 @@ def test_instance_management_starts_and_stops(cloud_config):
     assert report.billed_usd > 0  # pay-as-you-go: billed for the offload hour
 
 
+def test_failed_provisioning_falls_back_to_host_and_leaks_no_instance(
+        cloud_config):
+    """Provisioning that exhausts its retries (80 workers over EC2's
+    64-instance limit) leaves the device unavailable: gemm runs on the host
+    behind a ``fallback`` event, and every instance a failed attempt
+    launched is terminated."""
+    from repro.obs.events import EventBus, use_bus
+    from repro.workloads import WORKLOADS
+
+    spec = WORKLOADS["gemm"]
+    scalars = spec.scalars(spec.test_size)
+    arrays = spec.inputs(spec.test_size, density=1.0, seed=0)
+    expected = spec.reference({k: v.copy() for k, v in arrays.items()},
+                              scalars)
+    rt = make_cloud_runtime(replace(cloud_config, manage_instances=True,
+                                    n_workers=80))
+    dev = rt.device("CLOUD")
+    bus = EventBus(keep_history=True)
+    with use_bus(bus):
+        report = offload(spec.build_region("CLOUD"), arrays=arrays,
+                         scalars=scalars, runtime=rt)
+    assert report.fell_back_to_host
+    assert bus.counts()["fallback"] == 1
+    assert not dev.is_available()
+    launched = dev._provider.instances()
+    assert launched
+    assert {inst.state.value for inst in launched} == {"terminated"}
+    for name, want in expected.items():
+        assert np.allclose(arrays[name], want, rtol=3e-5, atol=1e-4), name
+
+
 def test_successive_offloads_reuse_device(cloud_config):
     rt = make_cloud_runtime(cloud_config)
     _run(rt)
@@ -410,13 +441,13 @@ def _without_host_accounting(events, out):
 @pytest.mark.parametrize(
     "mode,expected,expected_modulo_host_accounting,expected_modulo_spans", [
         (ExecutionMode.MODELED,
-         "b7369830c95d36a1e0a6ee3b13bcc805310c8486e6bb034a30905e0cd869cb23",
-         "5f0f9dc43f9b2abe47c831e1cf6dbc68227b319098a67b2d84bdab8e07ac69cf",
-         "111f19848e604bdfcf9a87ab690d45c5c26a41b906f4d170cfdaa7bfef2e94a4"),
+         "6146f5f2bfde1dabee99aba971bd5e4a5aee5415ec028f79dd491167714d3a5b",
+         "2f52c6825c4ed83311e78cf3c4bf5bd640190d279c3ce4d444483eb42b88ae59",
+         "a77258d31fc110831a4b2abca0ef3e882dbe56993b2db2fc752a9331a993adbd"),
         (ExecutionMode.FUNCTIONAL,
-         "f726d81ed49e38d5d091470b2a9057555ef7ddc6787e648250fcec78fea38d82",
-         "3246b11984234c739a4fd515ddd4965fd30ac3a05c5e34ff51bccdc14e399fda",
-         "60a919b0d18868c9c6a0c06e8b5e363c7b6f2f4ac8d045d7af3ef27e7efee024"),
+         "70bbe5d70d44187d986a4fe3467d6f5c28ba03a1d5bb180543f6ee2fa46feb03",
+         "cc7e95f3baf296fc740c59de013ce068c1b1b14da95640b540de39e0ad002ddb",
+         "3070fe9b6bbaf0a6f588c22155dcd564f7d012625458c267e1c6a2b0aa45aa79"),
     ], ids=["modeled", "functional"])
 def test_golden_transfer_trace(cloud_config, mode, expected,
                                expected_modulo_host_accounting,
@@ -451,7 +482,13 @@ def test_golden_transfer_trace(cloud_config, mode, expected,
     report), where it used to carry every earlier offload's cluster spans
     on the same device.  Only the recorded spans moved: the third digest,
     taken with ``out["spans"]`` blanked, is the value the commit before
-    this change produces too."""
+    this change produces too.
+
+    Re-pinned a fifth time, for one reason: the journal keeps only the
+    ``tile_done`` records a resume replays.  Only ``out["journals"]``
+    moved: the commit before this change reproduces all three digests
+    once each of its journals is cut to its ``tile_done`` records,
+    renumbered from 1."""
     functional = mode == ExecutionMode.FUNCTIONAL
     trace, events = _golden_transfer_trace(cloud_config, mode)
     assert len(trace["errors"]) == 3

@@ -13,6 +13,7 @@ import pytest
 
 from repro.core.api import ParallelLoop, RegionError, TargetRegion, offload
 from repro.core.taskgraph import GraphNode, build_plan, depend
+from repro.obs.events import EventBus, use_bus
 from repro.spark.faults import FaultPlan
 from repro.workloads.polybench import mm3_chain_regions, mm3_inputs
 
@@ -64,8 +65,10 @@ def test_fused_chain_is_bit_identical_and_shares_one_report(cloud_config):
 
     fused_arrays = _chain_inputs()
     rt = make_cloud_runtime(cloud_config)
-    handles, reports = _run_chain(rt, fused_arrays, nowait=True,
-                                  explicit_depend=True)
+    bus = EventBus(keep_history=True)
+    with use_bus(bus):
+        handles, reports = _run_chain(rt, fused_arrays, nowait=True,
+                                      explicit_depend=True)
 
     for name in serial:
         assert np.array_equal(serial[name], fused_arrays[name]), name
@@ -78,10 +81,9 @@ def test_fused_chain_is_bit_identical_and_shares_one_report(cloud_config):
     assert fused.fusion_wire_bytes_saved > 0
     assert handles[0].fused_into == handles[2].fused_into is not None
 
-    journal = rt.device("CLOUD").journal
-    (rec,) = journal.records("region_fused")
-    assert sorted(rec.payload["members"]) == ["3mm_e", "3mm_f", "3mm_g"]
-    assert sorted(rec.payload["elided"]) == ["E", "F"]
+    (event,) = [e for e in bus.events if e.kind == "region_fused"]
+    assert sorted(event.members) == ["3mm_e", "3mm_f", "3mm_g"]
+    assert sorted(event.elided) == ["E", "F"]
 
 
 def test_inferred_dataflow_orders_clauseless_chain(cloud_config):
@@ -385,9 +387,9 @@ def test_strict_members_still_fuse_when_verification_passes(cloud_config):
 # ------------------------------------------------------ fused-job durability
 def test_driver_death_mid_fused_job_resumes_tile_granular(cloud_config):
     """A driver death halfway through the fused chain's tile wave under
-    ``recovery = resume`` replays the journal against the *fused* job (one
-    ``region_fused`` record, one correlation) and re-executes only the
-    missing tiles — bit-identical to the healthy fused run."""
+    ``recovery = resume`` replays the journal against the *fused* job (every
+    ``tile_done`` record carries its one correlation) and re-executes only
+    the missing tiles — bit-identical to the healthy fused run."""
     cfg = replace(cloud_config, recovery="resume")
 
     healthy = _chain_inputs()
@@ -408,6 +410,9 @@ def test_driver_death_mid_fused_job_resumes_tile_granular(cloud_config):
     assert report.resumes == 1
     assert report.tiles_skipped > 0
     assert report.tiles_checkpointed > 0
-    assert len(rt.device("CLOUD").journal.records("region_fused")) == 1
+    commits = rt.device("CLOUD").journal.records("tile_done")
+    (corr,) = {r.correlation_id for r in commits}
+    assert {r.payload["region"] for r in commits} == {report.region_name}
+    assert rt.device("CLOUD").journal.replay().completed_tiles(corr)
     for name in healthy:
         assert np.array_equal(healthy[name], arrays[name]), name

@@ -8,7 +8,7 @@ same JSON shape as ``repro lint --json`` / ``repro validate --json``.
 import json
 
 from repro.cli import main
-from repro.resilience import chaos_faults, run_chaos
+from repro.resilience import OffloadJournal, chaos_faults, run_chaos
 
 
 def test_chaos_faults_is_deterministic_and_bounded():
@@ -44,8 +44,22 @@ def test_run_chaos_restart_policy_never_skips_tiles(tmp_path):
                        journal_dir=str(tmp_path))
     assert result.ok, result.failures
     assert result.tiles_skipped == 0
+    # Only "resume" commits tile checkpoints, so the journal is empty.
     dumped = tmp_path / "journal_gemm_seed0.jsonl"
-    assert dumped.exists() and dumped.read_text().strip()
+    assert dumped.exists() and dumped.read_text() == ""
+
+
+def test_chaos_journals_hold_only_tile_commits(tmp_path):
+    """The journal is the checkpoint log a resume replays: under "resume" it
+    holds tile_done records alone, under "none" and "restart" nothing."""
+    for policy in ("resume", "none", "restart"):
+        run_chaos("gemm", 0, recovery=policy, journal_dir=str(tmp_path / policy))
+        lines = (tmp_path / policy / "journal_gemm_seed0.jsonl").read_text(
+            ).splitlines()
+        journal = OffloadJournal.from_lines(lines)
+        assert len(journal) == len(lines)
+        assert {r.kind for r in journal} == (
+            {"tile_done"} if policy == "resume" else set())
 
 
 def test_run_chaos_without_recovery_falls_back_to_host():

@@ -54,8 +54,8 @@ def test_resume_restores_each_loops_own_tiles(cloud_config, name):
         FaultPlan(driver_dies_at=ends[int(0.8 * len(ends))]))
     assert rep.resumes == 1 and rep.tiles_skipped > 0
     assert not rep.fell_back_to_host
-    restored = dev.journal.replay().completed_tiles(
-        dev.journal.records("resume")[0].correlation_id)
+    (corr,) = {r.correlation_id for r in dev.journal.records("tile_done")}
+    restored = dev.journal.replay().completed_tiles(corr)
     assert len(restored) == len(spec.build_region("CLOUD").loops)
     for out, want in expected.items():
         assert np.allclose(arrays[out], want, **TOLERANCE), out

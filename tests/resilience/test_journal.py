@@ -2,7 +2,7 @@
 
 A journal truncated or bit-flipped mid-write must yield the longest valid
 prefix — a consistent (if shorter) history, never a corrupted one — and
-replaying the same journal must always fold to the same recovery state.
+replaying the same journal must always fold to the same committed tiles.
 """
 
 import threading
@@ -20,20 +20,24 @@ from repro.resilience import (
 
 
 def _sample_journal() -> OffloadJournal:
+    """Tile commits of two loops of ``mm#1`` (the first without a ``loop``
+    field) interleaved with one of another offload."""
     j = OffloadJournal()
-    j.record("region_submit", "mm#1", time=0.1, region="mm")
-    j.record("env_enter", "mm#1", time=0.2, name="A", key="in/A",
-             checksum="crc32:deadbeef")
-    j.record("tile_done", "mm#1", time=1.0, region="mm", loop_var="i",
+    j.record("tile_done", "mm#1", time=0.1, region="mm", loop_var="i",
              tile=0, lo=0, hi=64, key="out/C/t0", checksum="crc32:00000001",
-             nbytes=256, end=1.0)
-    j.record("tile_done", "mm#1", time=1.2, region="mm", loop_var="i",
+             nbytes=256, end=0.1)
+    j.record("tile_done", "mm#1", time=0.2, region="mm", loop_var="i",
              tile=1, lo=64, hi=128, key="out/C/t1", checksum="crc32:00000002",
-             nbytes=256, end=1.2)
-    j.record("output_commit", "mm#1", time=1.5, name="C", key="out/C",
-             checksum="crc32:cafef00d")
-    j.record("env_sync", "mm#1", time=1.6, name="C", key="out/C")
-    j.record("env_exit", "mm#1", time=1.7, name="A")
+             nbytes=256, end=0.2)
+    j.record("tile_done", "mm#1", time=1.0, region="mm", loop=1,
+             loop_var="i", tile=0, lo=0, hi=64, key="out/D/t0",
+             checksum="crc32:00000003", nbytes=256, end=1.0)
+    j.record("tile_done", "mv#2", time=1.2, region="mv", loop=0,
+             loop_var="j", tile=0, lo=0, hi=32, key="out/y/t0",
+             checksum="crc32:00000004", nbytes=128, end=1.2)
+    j.record("tile_done", "mm#1", time=1.5, region="mm", loop=1,
+             loop_var="i", tile=1, lo=64, hi=128, key="out/D/t1",
+             checksum="crc32:00000005", nbytes=256, end=1.5)
     return j
 
 
@@ -51,7 +55,7 @@ def test_sequence_numbers_strictly_increase_across_threads():
 
     def hammer():
         for _ in range(200):
-            j.record("corruption", "mm#1")
+            j.record("tile_done", "mm#1")
 
     threads = [threading.Thread(target=hammer) for _ in range(4)]
     for t in threads:
@@ -112,8 +116,7 @@ def test_torn_tail_is_dropped():
     lines = _sample_journal().lines()
     lines[-1] = lines[-1][: len(lines[-1]) // 2]  # crash mid-write
     back = OffloadJournal.from_lines(lines)
-    assert len(back) == len(lines) - 1
-    assert back.records()[-1].kind == "env_sync"
+    assert back.records() == _sample_journal().records()[:-1]
 
 
 def test_bitflip_in_the_middle_truncates_from_there():
@@ -122,7 +125,7 @@ def test_bitflip_in_the_middle_truncates_from_there():
     back = OffloadJournal.from_lines(lines)
     assert lines[2] != _sample_journal().lines()[2]
     assert len(back) == 2  # everything from the damaged record on is gone
-    assert [r.kind for r in back] == ["region_submit", "env_enter"]
+    assert [r.seq for r in back] == [1, 2]
 
 
 def test_sequence_regression_marks_the_tail():
@@ -136,7 +139,7 @@ def test_sequence_regression_marks_the_tail():
 
 def test_from_lines_resumes_numbering_after_the_kept_prefix():
     back = OffloadJournal.from_lines(_sample_journal().lines()[:3])
-    rec = back.record("resume", "mm#1")
+    rec = back.record("tile_done", "mm#1")
     assert rec.seq == 4
 
 
@@ -151,31 +154,20 @@ def test_from_lines_skips_blank_lines():
 def test_replay_is_idempotent_and_pure():
     j = _sample_journal()
     s1, s2 = j.replay(), j.replay()
-    assert s1.completed_tiles("mm#1") == s2.completed_tiles("mm#1")
-    assert s1.submissions == s2.submissions
-    assert s1.output_commits == s2.output_commits
+    for corr in ("mm#1", "mv#2"):
+        assert s1.completed_tiles(corr) == s2.completed_tiles(corr)
 
 
 def test_replay_folds_tiles_and_commits():
     state = _sample_journal().replay()
     tiles = state.completed_tiles("mm#1")
-    assert set(tiles) == {0}  # keyed by loop ordinal (absent = first loop)
-    assert set(tiles[0]) == {0, 1}
+    assert set(tiles) == {0, 1}  # keyed by loop ordinal (absent = first loop)
+    assert set(tiles[0]) == {0, 1} and set(tiles[1]) == {0, 1}
     ckpt = tiles[0][1]
     assert (ckpt.lo, ckpt.hi, ckpt.key) == (64, 128, "out/C/t1")
+    assert tiles[1][1].key == "out/D/t1"
+    assert set(state.completed_tiles("mv#2")) == {0}
     assert state.completed_tiles("other#9") == {}
-    assert state.output_commits["mm#1"] == {"C": "out/C"}
-    assert state.submissions == {"mm#1": 1}
-
-
-def test_replay_tracks_env_handles_and_syncs():
-    state = _sample_journal().replay()
-    # A was entered then exited; C's committed output is its device copy.
-    assert state.env_handle("A") is None
-    assert state.env_handle("C") == ("out/C", "crc32:cafef00d")
-    assert state.live_env_names() == frozenset({"C"})
-    assert state.already_synced("C", "out/C")
-    assert not state.already_synced("C", "out/other")
 
 
 def test_replay_ignores_unverifiable_tile_records():
@@ -185,18 +177,9 @@ def test_replay_ignores_unverifiable_tile_records():
     assert j.replay().completed_tiles("mm#1") == {}
 
 
-def test_replay_counts_resumes_and_corruptions():
-    j = _sample_journal()
-    j.record("resume", "mm#1", submission=2, policy="resume", tiles=2)
-    j.record("corruption", "mm#1", count=3)
-    state = j.replay()
-    assert state.resumes == 1
-    assert state.corruptions == 1
-
-
 def test_record_kinds_catalogue_is_closed():
     j = _sample_journal()
-    assert {r.kind for r in j} <= RECORD_KINDS
+    assert {r.kind for r in j} <= RECORD_KINDS == {"tile_done"}
 
 
 # ---------------------------------------------------------------- integrity

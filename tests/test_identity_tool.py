@@ -38,3 +38,15 @@ def test_the_manifest_pins_every_policy_and_its_versions():
         journals = [name for name in manifest["artifacts"]
                     if name.startswith(f"journals-{policy}/")]
         assert len(journals) == len(identity.BENCHMARKS) * identity.SEEDS
+
+
+def test_repin_prints_old_and_new_digest_of_each_moved_artifact():
+    pinned = {"a": _entry(b"1"), "b": _entry(b"2"), "c": _entry(b"3")}
+    fresh = {"a": _entry(b"1"), "b": _entry(b"22"), "d": _entry(b"4")}
+    sha = {data: _entry(data)["sha256"] for data in (b"2", b"22", b"3", b"4")}
+    assert identity.repinned(pinned, fresh) == [
+        f"- `b`: `{sha[b'2']}` -> `{sha[b'22']}`",
+        f"- `c`: `{sha[b'3']}` -> `none`",
+        f"- `d`: `none` -> `{sha[b'4']}`",
+    ]
+    assert identity.repinned(pinned, dict(pinned)) == []

@@ -9,7 +9,8 @@ that produced them.  A refactor that claims "no observable moved" proves it
 with ``--check``::
 
     python tools/identity.py --check            # exit 1 naming every moved artifact
-    python tools/identity.py --repin "reason"   # rewrite the manifest
+    python tools/identity.py --repin "reason"   # rewrite the manifest, print
+                                                # each moved old -> new sha256
 
 Everything the sweep does is simulated time and stable hashing, so the
 artifacts depend only on the source tree and the three versions recorded.
@@ -85,6 +86,19 @@ def moved(pinned: dict[str, dict[str, object]],
     return out
 
 
+def repinned(pinned: dict[str, dict[str, object]],
+             fresh: dict[str, dict[str, object]]) -> list[str]:
+    """One line per moved artifact, old -> new sha256 in full, ready to
+    paste into CHANGES.md; "none" stands for an absent side."""
+    out = []
+    for name in sorted(pinned.keys() | fresh.keys()):
+        old = pinned.get(name, {}).get("sha256", "none")
+        new = fresh.get(name, {}).get("sha256", "none")
+        if old != new:
+            out.append(f"- `{name}`: `{old}` -> `{new}`")
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     action = parser.add_mutually_exclusive_group(required=True)
@@ -95,14 +109,19 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     fresh = generate()
+    manifest = (json.loads(MANIFEST.read_text()) if MANIFEST.exists()
+                else {"artifacts": {}})
     if args.repin is not None:
         MANIFEST.write_text(json.dumps(
             {"reason": args.repin, "versions": versions(),
              "artifacts": fresh}, indent=2, sort_keys=True) + "\n")
-        print(f"pinned {len(fresh)} artifacts in {MANIFEST.name}")
+        lines = repinned(manifest["artifacts"], fresh)
+        print(f"pinned {len(fresh)} artifacts in {MANIFEST.name}; "
+              f"{len(lines)} moved")
+        for line in lines:
+            print(line)
         return 0
 
-    manifest = json.loads(MANIFEST.read_text())
     lines = moved(manifest["artifacts"], fresh)
     if not lines:
         print(f"identical: {len(fresh)} artifacts match {MANIFEST.name}")
