@@ -18,7 +18,8 @@ builds the same job directly against the Spark substrate:
 Every storage access of the driver (input read, output write, checkpoint
 commit and restore) goes through the device's
 :class:`~repro.core.transfer.TransferEngine`, the same client the host
-stages with; its retries are counted in the submitting offload's report.
+stages with, which also charges its seconds; its retries are counted in the
+submitting offload's report.
 
 The generator runs in both execution modes: functional (real ndarrays, the
 body really executes on the substrate) and modeled (virtual buffers, task
@@ -27,7 +28,6 @@ durations from the performance model).
 
 from __future__ import annotations
 
-import pickle
 from dataclasses import dataclass, field, replace
 from typing import Any, Mapping, Sequence, Union
 
@@ -233,31 +233,18 @@ class SparkJobGenerator:
 
     # --------------------------------------------------------------- staging
     def _read_inputs(self, buffers, input_keys) -> None:
-        clock, timeline = self.sc.clock, self.timeline
-        functional = self.mode == ExecutionMode.FUNCTIONAL
-        if functional:
-            self.transfer.keep_driver_inputs(
-                [(buffers[nm], input_keys[nm]) for nm in self.region.input_names])
-            # Only these get a private writable copy of the shared read-only
-            # inflated input; every other input is read in place.
-            written = set(self.region.output_names).union(
-                *(loop.writes for loop in self.region.loops),
-                *(loop.reduction_vars for loop in self.region.loops))
-        for name in self.region.input_names:
-            buf = buffers[name]
-            key = input_keys[name]
-            wire = self.transfer.driver_size(self.report, key)
-            self._job.storage_bytes_wire += wire
-            dt = self.transfer.storage.cluster_read_time(wire)
-            if self.transfer.codec.compresses(buf.nbytes):
-                dt += self._codec_for(buf).decompress_time(buf.nbytes)
-            timeline.record(Phase.STORAGE_READ, clock.now, clock.advance(dt),
-                            resource="driver", label=f"read-{name}")
-            if functional:
-                arr = self.transfer.driver_input(self.report, key, buf)
-                self._driver_arrays[name] = arr.copy() if name in written else arr
-            else:
-                self._driver_arrays[name] = None
+        # Only these get a private writable copy of the shared read-only
+        # inflated input; every other input is read in place.
+        written = set(self.region.output_names).union(
+            *(loop.writes for loop in self.region.loops),
+            *(loop.reduction_vars for loop in self.region.loops))
+        names = self.region.input_names
+        arrays, wire = self.transfer.driver_read(
+            self.report, self.mode, [(buffers[nm], input_keys[nm]) for nm in names])
+        self._job.storage_bytes_wire += wire
+        for name, arr in zip(names, arrays):
+            self._driver_arrays[name] = (arr.copy() if arr is not None and name in written
+                                         else arr)
         # Output-only variables exist on the driver but carry no uploaded
         # payload; allocate them for reconstruction.
         for name in self.region.output_names:
@@ -277,20 +264,12 @@ class SparkJobGenerator:
                 if self.mode == ExecutionMode.FUNCTIONAL else None)
 
     def _write_outputs(self, key_prefix: str) -> dict[str, str]:
-        clock, timeline = self.sc.clock, self.timeline
         out_keys: dict[str, str] = {}
         for name in self.region.output_names:
-            buf = self._buffer_info[name]
-            key = self.transfer.codec.key(f"{key_prefix}/out/{name}", buf.nbytes)
-            obj = self.transfer.driver_output(self.report, key, buf,
-                                              self._driver_arrays[name])
-            self._job.storage_bytes_wire += obj.size
-            dt = (self._codec_for(buf).compress_time(buf.nbytes)
-                  if self.transfer.codec.compresses(buf.nbytes) else 0.0)
-            dt += self.transfer.storage.cluster_write_time(obj.size)
-            timeline.record(Phase.STORAGE_WRITE, clock.now, clock.advance(dt),
-                            resource="driver", label=f"write-{name}")
-            out_keys[name] = key
+            out_keys[name], wire = self.transfer.driver_write(
+                self.report, self.mode, f"{key_prefix}/out/{name}",
+                self._buffer_info[name], self._driver_arrays[name])
+            self._job.storage_bytes_wire += wire
         return out_keys
 
     # ------------------------------------------------------------- loop jobs
@@ -417,11 +396,10 @@ class SparkJobGenerator:
             if self.death_at is not None and tres.end >= self.death_at:
                 continue  # completed after the driver was already gone
             key = f"{self._key_prefix}/ckpt/{ordinal}/{tile.index}.bin"
-            body = ({"data": pickle.dumps(job.partitions[split])}
-                    if self.mode == ExecutionMode.FUNCTIONAL
-                    else {"size": int(costs.output_bytes[split])})
-            obj = self.transfer.driver_put(self.report, key, **body)
-            write_s += self.transfer.storage.cluster_write_time(obj.size)
+            obj, seconds = self.transfer.driver_commit(
+                self.report, self.mode, key, job.partitions[split],
+                int(costs.output_bytes[split]))
+            write_s += seconds
             self._job.storage_bytes_wire += obj.size
             self.journal.record(
                 "tile_done", get_bus().current_correlation(), clock.now,
@@ -448,23 +426,14 @@ class SparkJobGenerator:
         """Read committed tile outputs back onto the replacement driver: the
         partitions to merge into reconstruction.  Every read is
         checksum-verified by the store itself."""
-        clock, timeline = self.sc.clock, self.timeline
         restored: list[list[Any]] = []
         for i in sorted(completed):
-            key = completed[i].key
-            if self.mode == ExecutionMode.FUNCTIONAL:
-                payload = self.transfer.driver_get(self.report, key)
-                restored.append(pickle.loads(payload))
-                nbytes = len(payload)
-            else:
-                nbytes = self.transfer.driver_size(self.report, key)
-                restored.append([])
-            self._job.bytes_restored += nbytes
-            self._job.storage_bytes_wire += nbytes
-            dt = self.transfer.storage.cluster_read_time(nbytes)
-            timeline.record(Phase.STORAGE_READ, clock.now, clock.advance(dt),
-                            resource="driver",
-                            label=f"restore-{loop.loop_var}-{i}")
+            partition, wire = self.transfer.driver_restore(
+                self.report, self.mode, completed[i].key,
+                f"restore-{loop.loop_var}-{i}")
+            restored.append(partition)
+            self._job.bytes_restored += wire
+            self._job.storage_bytes_wire += wire
         return restored
 
     def _tiling_for(self, loop: ParallelLoop, tiles: list[Tile]) -> _LoopTiling:

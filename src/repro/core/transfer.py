@@ -8,13 +8,18 @@ of the cloud plugin that moves mapped data goes through the one
 below; docs/DATA_ENV.md ("How bytes move") describes the path and what each
 construct keeps to itself.  The Spark driver, on the other side of storage,
 reads and writes through the same engine: its input read, output write,
-checkpoint commit and restore share the host's encode-and-PUT and
-GET-and-decode rules, and their retries are charged by the one
-:meth:`TransferEngine.retry` hook the SSH connect uses too.
+checkpoint commit and restore (:meth:`TransferEngine.driver_read`,
+``driver_write``, ``driver_commit``, ``driver_restore``) share the host's
+encode-and-PUT and GET-and-decode rules, and the engine charges their
+seconds too — the store's cluster read/write time plus the codec time — so
+the Spark job generator does no storage arithmetic.  Their retries are
+charged by the one :meth:`TransferEngine.retry` hook the SSH connect uses
+too.
 """
 
 from __future__ import annotations
 
+import pickle
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -77,6 +82,13 @@ class StagingCodec:
         above the threshold, else the view itself (storage copies on PUT)."""
         return gzip_compress(view) if self.compresses(nbytes) else view
 
+    def seconds(self, model: CompressionModel, nbytes: int, *, up: bool) -> float:
+        """Modeled deflate (``up``) or inflate time of an ``nbytes`` buffer:
+        none below the threshold."""
+        if not self.compresses(nbytes):
+            return 0.0
+        return model.compress_time(nbytes) if up else model.decompress_time(nbytes)
+
     def decode(self, payload: bytes, nbytes: int) -> bytes:
         """The raw bytes of an ``nbytes`` buffer's stored object."""
         return gzip_decompress(payload) if self.compresses(nbytes) else payload
@@ -99,7 +111,7 @@ class TransferEngine:
     """The one storage client of a cloud device, for both hops: the host's
     side of host<->storage and the Spark driver's side of driver<->storage,
     with the driver's memo of the inputs it inflated for the device's most
-    recent job (:meth:`driver_input`)."""
+    recent job (:meth:`driver_read`)."""
 
     storage: ObjectStore
     credentials: Credentials
@@ -330,35 +342,37 @@ class TransferEngine:
         return self.retry(report, op_name, fn, key, source="HadoopRDD",
                           resource="driver", label="storage-backoff", **kwargs)
 
-    def driver_size(self, report: OffloadReport, key: str) -> int:
-        """HEAD ``key`` from the driver: its stored size."""
-        return self._driver(report, "HEAD", self.storage.size_of, key)
+    def _driver_span(self, report: OffloadReport, phase: Phase, seconds: float,
+                     label: str) -> None:
+        report.timeline.record(phase, self.clock.now, self.clock.advance(seconds),
+                               resource="driver", label=label)
 
-    def driver_get(self, report: OffloadReport, key: str) -> bytes:
-        """GET ``key`` from the driver: its checksum-verified payload."""
-        return self._driver(report, "GET", self.storage.get_bytes, key)
+    def driver_read(self, report: OffloadReport, mode: ExecutionMode,
+                    items: Items) -> tuple[list[np.ndarray | None], int]:
+        """Read a job's staged inputs onto the driver: per ``(buffer, key)``,
+        HEAD the key for its wire size, charge the cluster read plus the
+        inflate, then (functional) GET it.  Returns each input's read-only
+        array (None when modeled) and the wire bytes.  The memo of inflated
+        inputs is first cut to this job's inputs, so it never outgrows a
+        job."""
+        functional = mode == ExecutionMode.FUNCTIONAL
+        if functional:
+            wanted = {(key, buf.dtype, buf.length) for buf, key in items}
+            self._driver_inputs = {ident: entry
+                                   for ident, entry in self._driver_inputs.items()
+                                   if ident in wanted}
+        arrays: list[np.ndarray | None] = []
+        total = 0
+        for buf, key in items:
+            wire = self._driver(report, "HEAD", self.storage.size_of, key)
+            self._driver_span(report, Phase.STORAGE_READ,
+                              self.storage.cluster_read_time(wire)
+                              + self._codec_s(buf, up=False), f"read-{buf.name}")
+            arrays.append(self._inflate(report, key, buf) if functional else None)
+            total += wire
+        return arrays, total
 
-    def driver_put(self, report: OffloadReport, key: str, **body) -> StoredObject:
-        """PUT ``body`` (``data=`` or ``size=``) under ``key`` from the driver."""
-        return self._driver(report, "PUT", self.storage.put, key, **body)
-
-    def driver_output(self, report: OffloadReport, key: str, buf: Buffer,
-                      arr: np.ndarray | None) -> StoredObject:
-        """Write output ``buf`` (driver array ``arr``) by the host's rule; only
-        host-staged checksums are recorded (resubmissions re-verify those)."""
-        return self._store(partial(self.driver_put, report), key, buf, arr)
-
-    def keep_driver_inputs(self, items: Items) -> None:
-        """Start a job's input read: forget every inflated input that is not
-        one of this job's ``(buffer, key)`` inputs, so the memo never
-        outgrows a job."""
-        wanted = {(key, buf.dtype, buf.length) for buf, key in items}
-        self._driver_inputs = {ident: entry
-                               for ident, entry in self._driver_inputs.items()
-                               if ident in wanted}
-
-    def driver_input(self, report: OffloadReport, key: str,
-                     buf: Buffer) -> np.ndarray:
+    def _inflate(self, report: OffloadReport, key: str, buf: Buffer) -> np.ndarray:
         """GET input ``key`` from the driver; its read-only array.  The
         checksum-verified payload is inflated once per stored object and
         dtype: a later job whose GET returns the very same object (a cache
@@ -366,7 +380,7 @@ class TransferEngine:
         identity test, not the CRC32, stands for content; the dtype and
         length are part of the key because the staging cache hashes bytes
         only, so one object may back buffers of different types."""
-        payload = self.driver_get(report, key)
+        payload = self._driver(report, "GET", self.storage.get_bytes, key)
         ident = (key, buf.dtype, buf.length)
         entry = self._driver_inputs.get(ident)
         if entry is not None and entry[0] is payload:
@@ -376,7 +390,51 @@ class TransferEngine:
         self._driver_inputs[ident] = (payload, arr)
         return arr
 
+    def driver_write(self, report: OffloadReport, mode: ExecutionMode, stem: str,
+                     buf: Buffer, arr: np.ndarray | None) -> tuple[str, int]:
+        """Write output ``buf`` (driver array ``arr``) under ``stem`` by the
+        host's encode-and-PUT rule, then charge the deflate plus the cluster
+        write.  Returns the key and the wire bytes.  Only host-staged
+        checksums are recorded (resubmissions re-verify those)."""
+        key = self.codec.key(stem, buf.nbytes)
+        obj = self._store(partial(self._driver, report, "PUT", self.storage.put),
+                          key, buf, arr if mode == ExecutionMode.FUNCTIONAL else None)
+        self._driver_span(report, Phase.STORAGE_WRITE,
+                          self._codec_s(buf, up=True)
+                          + self.storage.cluster_write_time(obj.size),
+                          f"write-{buf.name}")
+        return key, obj.size
+
+    def driver_commit(self, report: OffloadReport, mode: ExecutionMode, key: str,
+                      partition: list, nbytes: int) -> tuple[StoredObject, float]:
+        """PUT one tile's output ``partition`` under ``key`` from the driver:
+        pickled (functional) or ``nbytes`` (modeled).  Returns the stored
+        object and the cluster-write seconds it costs; the caller charges
+        the commits of a stage together."""
+        body = ({"data": pickle.dumps(partition)} if mode == ExecutionMode.FUNCTIONAL
+                else {"size": nbytes})
+        obj = self._driver(report, "PUT", self.storage.put, key, **body)
+        return obj, self.storage.cluster_write_time(obj.size)
+
+    def driver_restore(self, report: OffloadReport, mode: ExecutionMode, key: str,
+                       label: str) -> tuple[list, int]:
+        """Read one committed tile checkpoint back onto the driver: GET and
+        unpickle it (functional) or HEAD its size (modeled), then charge the
+        cluster read.  Returns the partition ([] when modeled) and the wire
+        bytes."""
+        if mode == ExecutionMode.FUNCTIONAL:
+            payload = self._driver(report, "GET", self.storage.get_bytes, key)
+            partition, wire = pickle.loads(payload), len(payload)
+        else:
+            partition, wire = [], self._driver(report, "HEAD", self.storage.size_of, key)
+        self._driver_span(report, Phase.STORAGE_READ,
+                          self.storage.cluster_read_time(wire), label)
+        return partition, wire
+
     # ------------------------------------------------------ simulated seconds
+    def _codec_s(self, buf: Buffer, *, up: bool) -> float:
+        return self.codec.seconds(model_for_density(buf.density), buf.nbytes, up=up)
+
     def _charge(self, report: Report, items: Items, wire: list[int],
                 phase: Phase, codec_phase: Phase | None, label: str, *,
                 up: bool) -> Charged:

@@ -1,4 +1,10 @@
-"""Every tunable constant of the performance model, in one frozen record.
+"""The performance model's calibrated constants, in one frozen record.
+
+Three families live with the classes that use them instead: each object
+store's cluster read/write rates and per-request latency
+(:class:`~repro.cloud.storage.ObjectStore`), the dense and sparse gzip fits
+(:data:`~repro.perfmodel.compression.DENSE_MODEL`, ``SPARSE_MODEL``) and each
+provider's boot/stop delays (:class:`~repro.cloud.provider.CloudProvider`).
 
 The values below were calibrated once, jointly, against the paper's reported
 observations (see EXPERIMENTS.md for the paper-vs-measured table):
@@ -75,20 +81,7 @@ class Calibration:
     lan_capacity_bps: float = 1.25e9
     lan_latency_s: float = 0.0005
 
-    # --------------------------------------------------------------- storage
-    #: Sustained cloud-storage throughput seen from cluster nodes.
-    storage_read_bps: float = 250e6
-    storage_write_bps: float = 200e6
-
     # ----------------------------------------------------------- compression
-    #: gzip ratio (compressed/raw) and throughput for dense float32 noise.
-    dense_ratio: float = 0.92
-    dense_compress_bps: float = 60e6
-    dense_decompress_bps: float = 250e6
-    #: ... and for sparse matrices ("compressed faster with better rate").
-    sparse_ratio: float = 0.08
-    sparse_compress_bps: float = 200e6
-    sparse_decompress_bps: float = 500e6
     #: Buffers below this size are sent uncompressed (plugin threshold).
     min_compress_size: int = 1 << 20
 
@@ -97,11 +90,6 @@ class Calibration:
     worker_vcpus: int = 32
     #: vCPUs reserved per Spark task (paper: spark.task.cpus=2).
     task_cpus: int = 2
-
-    # ------------------------------------------------------------- lifecycle
-    #: EC2 boot / stop latencies for the on-the-fly instance management path.
-    instance_boot_s: float = 60.0
-    instance_stop_s: float = 25.0
 
     # ----------------------------------------------------------- conveniences
     def wan_link(self) -> Link:

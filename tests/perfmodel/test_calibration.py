@@ -4,7 +4,13 @@ import dataclasses
 
 import pytest
 
+from repro.cloud.azure_storage import AzureBlobStore
+from repro.cloud.ec2 import EC2Provider
+from repro.cloud.hdfs import HDFSStore
+from repro.cloud.s3 import S3Store
+from repro.cloud.storage import ObjectStore
 from repro.perfmodel.calibration import Calibration, DEFAULT_CALIBRATION
+from repro.perfmodel.compression import DENSE_MODEL, SPARSE_MODEL
 
 
 def test_default_is_frozen():
@@ -29,10 +35,9 @@ def test_links_build_and_are_ordered():
 
 
 def test_compression_regimes_ordered():
-    cal = DEFAULT_CALIBRATION
-    assert cal.sparse_ratio < cal.dense_ratio
-    assert cal.sparse_compress_bps > cal.dense_compress_bps
-    assert cal.sparse_decompress_bps > cal.dense_decompress_bps
+    assert SPARSE_MODEL.ratio < DENSE_MODEL.ratio
+    assert SPARSE_MODEL.compress_bps > DENSE_MODEL.compress_bps
+    assert SPARSE_MODEL.decompress_bps > DENSE_MODEL.decompress_bps
 
 
 def test_jni_loss_matches_paper_scale():
@@ -44,7 +49,8 @@ def test_worker_path_is_slowest_byte_path():
     # JVM per-task byte churn < driver ByteArray handling < storage streams.
     cal = DEFAULT_CALIBRATION
     assert cal.worker_byte_bps < cal.driver_byte_bps
-    assert cal.driver_byte_bps < cal.storage_read_bps * 2
+    for store in (ObjectStore, S3Store, HDFSStore, AzureBlobStore):
+        assert cal.driver_byte_bps < store.cluster_read_bps * 2
 
 
 def test_custom_calibration_overrides():
@@ -58,6 +64,7 @@ def test_custom_calibration_overrides():
 
 def test_overhead_constants_positive():
     cal = DEFAULT_CALIBRATION
-    for field in ("task_launch_s", "job_setup_s", "jni_call_s",
-                  "instance_boot_s", "instance_stop_s"):
+    for field in ("task_launch_s", "job_setup_s", "jni_call_s"):
         assert getattr(cal, field) > 0
+    assert EC2Provider.boot_delay_s > 0
+    assert EC2Provider.stop_delay_s > 0
