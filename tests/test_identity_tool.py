@@ -1,5 +1,7 @@
 """tools/identity.py names every artifact that moved, appeared or vanished."""
 
+import json
+
 import importlib.util
 from pathlib import Path
 
@@ -29,8 +31,6 @@ def test_every_moved_missing_and_new_artifact_is_named():
 
 
 def test_the_manifest_pins_every_policy_and_its_versions():
-    import json
-
     manifest = json.loads(identity.MANIFEST.read_text())
     assert set(manifest["versions"]) == {"python", "numpy", "zlib"}
     for policy in identity.POLICIES:
@@ -50,3 +50,20 @@ def test_repin_prints_old_and_new_digest_of_each_moved_artifact():
         f"- `d`: `none` -> `{sha[b'4']}`",
     ]
     assert identity.repinned(pinned, dict(pinned)) == []
+
+
+def test_a_family_names_each_file_of_its_directory(tmp_path):
+    (tmp_path / "BENCH_b.json").write_bytes(b"2")
+    (tmp_path / "BENCH_a.json").write_bytes(b"1")
+    assert identity.files("bench", tmp_path) == {
+        "bench/BENCH_a.json": _entry(b"1"), "bench/BENCH_b.json": _entry(b"2")}
+
+
+def test_the_bench_family_pins_the_committed_baselines():
+    """``bench all --quick`` reproduces ``benchmarks/baselines`` byte for
+    byte, so the bench family is exactly those files under ``bench/``."""
+    manifest = json.loads(identity.MANIFEST.read_text())
+    bench = {name: entry for name, entry in manifest["artifacts"].items()
+             if name.startswith("bench/")}
+    assert len(bench) == 15
+    assert bench == identity.files("bench", identity.REPO / "benchmarks" / "baselines")

@@ -1,11 +1,17 @@
-"""Byte-identity manifest of the chaos sweep.
+"""Byte-identity manifest of the chaos sweep and the quick bench payloads.
 
-Regenerates ``repro chaos gemm matmul 2mm 3mm --seeds 5 --json
---journal-dir DIR`` under each recovery policy (``resume``, ``none``,
-``restart``), capturing the JSON it prints and every offload journal it
-dumps, and pins the sha256 and size of each artifact in ``IDENTITY.json``
-(next to this script), together with the Python, NumPy and zlib versions
-that produced them.  A refactor that claims "no observable moved" proves it
+Regenerates two families of artifacts:
+
+* chaos — ``repro chaos gemm matmul 2mm 3mm --seeds 5 --json --journal-dir
+  DIR`` under each recovery policy (``resume``, ``none``, ``restart``): the
+  JSON it prints (``chaos-<policy>.json``) and every offload journal it
+  dumps (``journals-<policy>/<file>``);
+* bench — ``repro bench all --quick --out DIR``: the 15 ``BENCH_*.json``
+  payloads it writes (``bench/<file>``);
+
+and pins the sha256 and size of each artifact in ``IDENTITY.json`` (next to
+this script), together with the Python, NumPy and zlib versions that
+produced them.  A refactor that claims "no observable moved" proves it
 with ``--check``::
 
     python tools/identity.py --check            # exit 1 naming every moved artifact
@@ -47,25 +53,36 @@ def _digest(data: bytes) -> dict[str, object]:
     return {"sha256": hashlib.sha256(data).hexdigest(), "size": len(data)}
 
 
+def files(family: str, directory: Path) -> dict[str, dict[str, object]]:
+    """{``family/<file name>``: sha256 + size} of every file in
+    ``directory``."""
+    return {f"{family}/{path.name}": _digest(path.read_bytes())
+            for path in sorted(directory.iterdir())}
+
+
+def _repro(*args: str) -> bytes:
+    """Run ``python -m repro *args`` on this tree; its stdout."""
+    run = subprocess.run([sys.executable, "-m", "repro", *args], cwd=REPO,
+                         env=dict(os.environ, PYTHONPATH=str(REPO / "src")),
+                         capture_output=True, check=False)
+    if run.returncode != 0:
+        sys.stderr.write(run.stderr.decode(errors="replace"))
+        raise SystemExit(f"repro {' '.join(args)} exited {run.returncode}")
+    return run.stdout
+
+
 def generate() -> dict[str, dict[str, object]]:
-    """Run the sweep under every policy; {artifact name: sha256 + size}."""
-    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    """Run both families; {artifact name: sha256 + size}."""
     artifacts: dict[str, dict[str, object]] = {}
     for policy in POLICIES:
         with tempfile.TemporaryDirectory() as journals:
-            run = subprocess.run(
-                [sys.executable, "-m", "repro", "chaos", *BENCHMARKS,
-                 "--seeds", str(SEEDS), "--recovery", policy, "--json",
-                 "--journal-dir", journals],
-                cwd=REPO, env=env, capture_output=True, check=False)
-            if run.returncode != 0:
-                sys.stderr.write(run.stderr.decode(errors="replace"))
-                raise SystemExit(f"chaos sweep under {policy!r} exited "
-                                 f"{run.returncode}")
-            artifacts[f"chaos-{policy}.json"] = _digest(run.stdout)
-            for path in sorted(Path(journals).iterdir()):
-                artifacts[f"journals-{policy}/{path.name}"] = \
-                    _digest(path.read_bytes())
+            artifacts[f"chaos-{policy}.json"] = _digest(_repro(
+                "chaos", *BENCHMARKS, "--seeds", str(SEEDS), "--recovery",
+                policy, "--json", "--journal-dir", journals))
+            artifacts.update(files(f"journals-{policy}", Path(journals)))
+    with tempfile.TemporaryDirectory() as out:
+        _repro("bench", "all", "--quick", "--out", out)
+        artifacts.update(files("bench", Path(out)))
     return artifacts
 
 
