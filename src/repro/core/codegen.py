@@ -42,7 +42,7 @@ from repro.core.tiling import (Tile, drop_empty_tiles, tile_by_chunk,
                                tile_iterations, tile_weighted, untiled)
 from repro.core.transfer import TransferEngine
 from repro.perfmodel.calibration import Calibration
-from repro.perfmodel.compression import CompressionModel, model_for_density
+from repro.perfmodel.compression import model_for_density
 # Not called here since StagingCodec does both ends of the hop; kept bound
 # because perf/tests/test_trace.py:90,96 asserts the name is bound here.
 from repro.perfmodel.compression import gzip_compress  # noqa: F401
@@ -328,7 +328,7 @@ class SparkJobGenerator:
             dt = buf.nbytes / self.cal.broadcast_serialize_bps
             timeline.record(Phase.BROADCAST, clock.now, clock.advance(dt),
                             resource="driver", label=f"serialize-{nm}")
-            wire = self._wire_bytes(buf, buf.nbytes)
+            wire = model_for_density(buf.density).compressed_size(buf.nbytes)
             value = self._driver_arrays[nm] if self.mode == ExecutionMode.FUNCTIONAL else None
             handles[nm] = self.sc.broadcast(value, nbytes=wire)
 
@@ -610,12 +610,12 @@ class SparkJobGenerator:
             buf._check_range(int(lo[j]), int(hi[j]))  # raises the scalar IndexError
 
     def _wire_bytes_vec(self, buf: Buffer, raw: np.ndarray) -> np.ndarray:
-        """Vectorized :meth:`_wire_bytes`: same threshold-0 gzip rounding.
+        """Per-task wire bytes of ``raw``: threshold-0 gzip rounding.
 
         ``int(round(x))`` and ``np.rint`` both round half to even, so each
         element matches ``CompressionModel.compressed_size(raw_j, 0)``.
         """
-        ratio = self._codec_for(buf).ratio
+        ratio = model_for_density(buf.density).ratio
         return np.rint(raw * ratio).astype(np.int64)
 
     # ------------------------------------------------------------ reconstruct
@@ -681,12 +681,6 @@ class SparkJobGenerator:
             target[:] = acc
 
     # -------------------------------------------------------------- utilities
-    def _codec_for(self, buf: Buffer) -> CompressionModel:
-        return model_for_density(buf.density)
-
-    def _wire_bytes(self, buf: Buffer, raw: int) -> int:
-        return self._codec_for(buf).compressed_size(raw, 0)
-
     def _check_executor_memory(self, loop: ParallelLoop, tiling: _LoopTiling) -> None:
         """Worst-case resident bytes on one executor: every broadcast block
         plus one input window and one output buffer per concurrent task."""

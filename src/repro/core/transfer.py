@@ -43,12 +43,8 @@ from repro.core.report import OffloadReport
 from repro.obs.events import (BreakerOpen, MapDownload, MapUpload,
                               TargetUpdate, get_bus)
 from repro.perfmodel.comm import HostCommModel, TransferPlan
-from repro.perfmodel.compression import (
-    CompressionModel,
-    gzip_compress,
-    gzip_decompress,
-    model_for_density,
-)
+from repro.perfmodel.compression import (gzip_compress, gzip_decompress,
+                                         model_for_density)
 from repro.resilience import CircuitBreaker, RetryPolicy, retry_call
 from repro.simtime.clock import SimClock
 from repro.simtime.timeline import Phase
@@ -73,21 +69,24 @@ class StagingCodec:
     def key(self, stem: str, nbytes: int) -> str:
         return f"{stem}.bin" + (".gz" if self.compresses(nbytes) else "")
 
-    def wire_size(self, model: CompressionModel, nbytes: int) -> int:
-        """Modeled object size of an ``nbytes`` buffer."""
-        return model.compressed_size(nbytes) if self.compresses(nbytes) else nbytes
+    def wire_size(self, buf: Buffer) -> int:
+        """Modeled object size of ``buf``."""
+        if not self.compresses(buf.nbytes):
+            return buf.nbytes
+        return model_for_density(buf.density).compressed_size(buf.nbytes)
 
     def encode(self, view: memoryview, nbytes: int) -> "bytes | memoryview":
         """The object to store for an ``nbytes`` buffer's raw bytes: gzip'd
         above the threshold, else the view itself (storage copies on PUT)."""
         return gzip_compress(view) if self.compresses(nbytes) else view
 
-    def seconds(self, model: CompressionModel, nbytes: int, *, up: bool) -> float:
-        """Modeled deflate (``up``) or inflate time of an ``nbytes`` buffer:
-        none below the threshold."""
-        if not self.compresses(nbytes):
+    def seconds(self, buf: Buffer, *, up: bool) -> float:
+        """Modeled deflate (``up``) or inflate time of ``buf``: none below
+        the threshold, on either hop."""
+        if not self.compresses(buf.nbytes):
             return 0.0
-        return model.compress_time(nbytes) if up else model.decompress_time(nbytes)
+        model = model_for_density(buf.density)
+        return model.compress_time(buf.nbytes) if up else model.decompress_time(buf.nbytes)
 
     def decode(self, payload: bytes, nbytes: int) -> bytes:
         """The raw bytes of an ``nbytes`` buffer's stored object."""
@@ -291,8 +290,7 @@ class TransferEngine:
             view = memoryview(np.ascontiguousarray(data)).cast("B").toreadonly()
             body = {"data": self.codec.encode(view, buf.nbytes)}
         else:
-            body = {"size": self.codec.wire_size(model_for_density(buf.density),
-                                                 buf.nbytes)}
+            body = {"size": self.codec.wire_size(buf)}
         return put(key, **body)
 
     # --------------------------------------------------------- storage -> host
@@ -349,12 +347,10 @@ class TransferEngine:
 
     def driver_read(self, report: OffloadReport, mode: ExecutionMode,
                     items: Items) -> tuple[list[np.ndarray | None], int]:
-        """Read a job's staged inputs onto the driver: per ``(buffer, key)``,
-        HEAD the key for its wire size, charge the cluster read plus the
-        inflate, then (functional) GET it.  Returns each input's read-only
-        array (None when modeled) and the wire bytes.  The memo of inflated
-        inputs is first cut to this job's inputs, so it never outgrows a
-        job."""
+        """Read a job's ``(buffer, key)`` inputs onto the driver: HEAD each,
+        charge the cluster read plus the inflate, then (functional) GET it.
+        Returns the read-only arrays (None when modeled) and the wire bytes.
+        The memo is first cut to this job's inputs, so it never outgrows one."""
         functional = mode == ExecutionMode.FUNCTIONAL
         if functional:
             wanted = {(key, buf.dtype, buf.length) for buf, key in items}
@@ -367,19 +363,17 @@ class TransferEngine:
             wire = self._driver(report, "HEAD", self.storage.size_of, key)
             self._driver_span(report, Phase.STORAGE_READ,
                               self.storage.cluster_read_time(wire)
-                              + self._codec_s(buf, up=False), f"read-{buf.name}")
+                              + self.codec.seconds(buf, up=False), f"read-{buf.name}")
             arrays.append(self._inflate(report, key, buf) if functional else None)
             total += wire
         return arrays, total
 
     def _inflate(self, report: OffloadReport, key: str, buf: Buffer) -> np.ndarray:
-        """GET input ``key`` from the driver; its read-only array.  The
-        checksum-verified payload is inflated once per stored object and
-        dtype: a later job whose GET returns the very same object (a cache
-        hit, a resident mapping, a resubmission) reuses the array.  The
-        identity test, not the CRC32, stands for content; the dtype and
-        length are part of the key because the staging cache hashes bytes
-        only, so one object may back buffers of different types."""
+        """GET input ``key``; its read-only array, inflated once per stored
+        object: a later GET that returns the very same object (a cache hit, a
+        resident mapping, a resubmission) reuses it.  Identity, not the CRC32,
+        stands for content; dtype and length are in the key because one
+        object may back buffers of different types."""
         payload = self._driver(report, "GET", self.storage.get_bytes, key)
         ident = (key, buf.dtype, buf.length)
         entry = self._driver_inputs.get(ident)
@@ -392,25 +386,24 @@ class TransferEngine:
 
     def driver_write(self, report: OffloadReport, mode: ExecutionMode, stem: str,
                      buf: Buffer, arr: np.ndarray | None) -> tuple[str, int]:
-        """Write output ``buf`` (driver array ``arr``) under ``stem`` by the
-        host's encode-and-PUT rule, then charge the deflate plus the cluster
-        write.  Returns the key and the wire bytes.  Only host-staged
-        checksums are recorded (resubmissions re-verify those)."""
+        """PUT output ``buf`` (driver array ``arr``) under ``stem`` by the
+        host's encode rule, then charge the deflate plus the cluster write;
+        the key and the wire bytes.  Its checksum is not recorded: only
+        host-staged objects are what a resubmission re-verifies."""
         key = self.codec.key(stem, buf.nbytes)
         obj = self._store(partial(self._driver, report, "PUT", self.storage.put),
                           key, buf, arr if mode == ExecutionMode.FUNCTIONAL else None)
         self._driver_span(report, Phase.STORAGE_WRITE,
-                          self._codec_s(buf, up=True)
+                          self.codec.seconds(buf, up=True)
                           + self.storage.cluster_write_time(obj.size),
                           f"write-{buf.name}")
         return key, obj.size
 
     def driver_commit(self, report: OffloadReport, mode: ExecutionMode, key: str,
                       partition: list, nbytes: int) -> tuple[StoredObject, float]:
-        """PUT one tile's output ``partition`` under ``key`` from the driver:
-        pickled (functional) or ``nbytes`` (modeled).  Returns the stored
-        object and the cluster-write seconds it costs; the caller charges
-        the commits of a stage together."""
+        """PUT one tile's output ``partition`` under ``key``, pickled (or, when
+        modeled, ``nbytes`` long); the stored object and its cluster-write
+        seconds, which the caller charges per stage."""
         body = ({"data": pickle.dumps(partition)} if mode == ExecutionMode.FUNCTIONAL
                 else {"size": nbytes})
         obj = self._driver(report, "PUT", self.storage.put, key, **body)
@@ -418,10 +411,9 @@ class TransferEngine:
 
     def driver_restore(self, report: OffloadReport, mode: ExecutionMode, key: str,
                        label: str) -> tuple[list, int]:
-        """Read one committed tile checkpoint back onto the driver: GET and
-        unpickle it (functional) or HEAD its size (modeled), then charge the
-        cluster read.  Returns the partition ([] when modeled) and the wire
-        bytes."""
+        """GET and unpickle one committed tile (when modeled, HEAD its size),
+        then charge the cluster read; the partition ([] when modeled) and the
+        wire bytes."""
         if mode == ExecutionMode.FUNCTIONAL:
             payload = self._driver(report, "GET", self.storage.get_bytes, key)
             partition, wire = pickle.loads(payload), len(payload)
@@ -432,9 +424,6 @@ class TransferEngine:
         return partition, wire
 
     # ------------------------------------------------------ simulated seconds
-    def _codec_s(self, buf: Buffer, *, up: bool) -> float:
-        return self.codec.seconds(model_for_density(buf.density), buf.nbytes, up=up)
-
     def _charge(self, report: Report, items: Items, wire: list[int],
                 phase: Phase, codec_phase: Phase | None, label: str, *,
                 up: bool) -> Charged:

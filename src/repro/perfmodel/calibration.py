@@ -1,10 +1,8 @@
 """The performance model's calibrated constants, in one frozen record.
 
-Three families live with the classes that use them instead: each object
-store's cluster read/write rates and per-request latency
-(:class:`~repro.cloud.storage.ObjectStore`), the dense and sparse gzip fits
-(:data:`~repro.perfmodel.compression.DENSE_MODEL`, ``SPARSE_MODEL``) and each
-provider's boot/stop delays (:class:`~repro.cloud.provider.CloudProvider`).
+Three families live with their classes instead: the stores' cluster rates
+and request latency (``ObjectStore``), the gzip fits (``DENSE_MODEL``,
+``SPARSE_MODEL``) and the providers' boot/stop delays (``CloudProvider``).
 
 The values below were calibrated once, jointly, against the paper's reported
 observations (see EXPERIMENTS.md for the paper-vs-measured table):
