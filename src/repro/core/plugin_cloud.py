@@ -62,7 +62,6 @@ from repro.obs.events import (
 from repro.core.staging_cache import CacheKey, StagingCache
 from repro.core.transfer import StagingCodec, TransferEngine
 from repro.perfmodel.calibration import Calibration, DEFAULT_CALIBRATION
-from repro.perfmodel.comm import HostCommModel
 # Not used here since compression moved to repro.core.transfer; kept bound
 # because perf/tests/test_trace.py (frozen with the benchmark) checks that
 # the tracer re-binds by-name imports of it in this module.
@@ -169,8 +168,7 @@ class CloudDevice(Device):
         self.transfer = TransferEngine(
             storage=self.storage, credentials=config.credentials,
             codec=StagingCodec(config.compression, config.min_compress_size),
-            comm=HostCommModel(calibration, network=self.network,
-                               compress=config.compression),
+            network=self.network,
             clock=self.clock, device_name=self.name, colocated=colocated,
             retry_policy=config.retry_policy(), breaker=self.breaker,
             log=self.sc.log, spill=self._fusion_spill,

@@ -29,6 +29,7 @@ from typing import Callable, Mapping, NamedTuple, Sequence, Union
 import numpy as np
 
 from repro.cloud.credentials import Credentials
+from repro.cloud.network import NetworkModel
 from repro.cloud.storage import (
     NoSuchObjectError,
     ObjectStore,
@@ -42,7 +43,6 @@ from repro.core.device import DeviceError
 from repro.core.report import OffloadReport
 from repro.obs.events import (BreakerOpen, MapDownload, MapUpload,
                               TargetUpdate, get_bus)
-from repro.perfmodel.comm import HostCommModel, TransferPlan
 from repro.perfmodel.compression import (gzip_compress, gzip_decompress,
                                          model_for_density)
 from repro.resilience import CircuitBreaker, RetryPolicy, retry_call
@@ -115,7 +115,7 @@ class TransferEngine:
     storage: ObjectStore
     credentials: Credentials
     codec: StagingCodec
-    comm: HostCommModel
+    network: NetworkModel
     clock: SimClock
     device_name: str
     #: A colocated host moves data over the cluster fabric, not the WAN.
@@ -132,8 +132,7 @@ class TransferEngine:
     spill: Mapping[str, np.ndarray]
 
     def __post_init__(self) -> None:
-        network = self.comm.network
-        self.link = network.lan if self.colocated else network.wan
+        self.link = self.network.lan if self.colocated else self.network.wan
         # Backoff accumulated by concurrent staging threads, flushed to the
         # simulated clock once staging completes.
         self._pending_backoff_s = 0.0
@@ -433,10 +432,9 @@ class TransferEngine:
         self.charge_backoff(report)
         if not items:
             return Charged()
-        plans = [TransferPlan(buf.name, buf.nbytes, model_for_density(buf.density))
-                 for buf, _ in items]
-        codec_s = (self.comm.upload(plans).compress_s if up
-                   else self.comm.download(plans).decompress_s)
+        # One host thread per buffer: the codec phase lasts as long as the
+        # slowest buffer.
+        codec_s = max(self.codec.seconds(buf, up=up) for buf, _ in items)
         # Wire sizes are the *actual* staged sizes (real gzip output in
         # functional mode), not the model's estimate.
         wire_s = self.link.parallel_transfer_time(wire)
@@ -456,7 +454,7 @@ class TransferEngine:
         if not up and codec_s > 0:
             span(codec_phase, codec_s)
         end = clock.now
-        raw = sum(p.nbytes for p in plans)
+        raw = sum(buf.nbytes for buf, _ in items)
         if up:
             report.bytes_up_raw += raw
             report.bytes_up_wire += sum(wire)
@@ -464,16 +462,16 @@ class TransferEngine:
             report.bytes_down_raw += raw
             report.bytes_down_wire += sum(wire)
         bus = get_bus()
-        for plan, sent in zip(plans, wire):
+        for (buf, _), sent in zip(items, wire):
             if phase is Phase.TARGET_UPDATE:
                 bus.emit(TargetUpdate(
                     time=end, resource=self.device_name,
-                    device=self.device_name, buffer=plan.name,
+                    device=self.device_name, buffer=buf.name,
                     direction="to" if up else "from",
-                    bytes_raw=plan.nbytes, bytes_wire=sent))
+                    bytes_raw=buf.nbytes, bytes_wire=sent))
             else:
                 bus.emit((MapUpload if up else MapDownload)(
-                    time=end, resource="host", buffer=plan.name,
-                    bytes_raw=plan.nbytes, bytes_wire=sent,
+                    time=end, resource="host", buffer=buf.name,
+                    bytes_raw=buf.nbytes, bytes_wire=sent,
                     start=wire_start, end=end))
         return Charged(start, end)

@@ -14,6 +14,7 @@ from repro.core.api import ParallelLoop, TargetRegion, offload
 from repro.core.buffers import ExecutionMode
 from repro.core.plugin_cloud import CloudDevice
 from repro.core.runtime import OffloadRuntime
+from repro.perfmodel.compression import DENSE_MODEL
 from repro.simtime import Phase
 from repro.spark.serialization import JavaArrayLimitError
 
@@ -86,6 +87,25 @@ def test_compression_disabled_by_config(cloud_config):
     offload(_copy_region(), arrays={"A": a, "C": c}, scalars={"N": 1024}, runtime=rt)
     key = next(k for k in dev.storage.list_keys() if "in/A" in k)
     assert dev.storage.size_of(key) == 4096
+
+
+def test_host_hop_prices_gzip_by_the_device_threshold(cloud_config):
+    """The host's deflate and inflate seconds follow the device's
+    ``min_compress_size`` (256 B in the fixture), the threshold that decides
+    which objects are gzip'd, not the 1 MiB default."""
+    rt = make_cloud_runtime(cloud_config)
+    a = np.arange(1024, dtype=np.float32)
+    c = np.zeros(1024, dtype=np.float32)
+    report = offload(_copy_region(), arrays={"A": a, "C": c},
+                     scalars={"N": 1024}, runtime=rt)
+    keys = list(rt.device("CLOUD").storage.list_keys())
+    assert any(k.endswith("in/A.bin.gz") for k in keys)
+    assert any(k.endswith("out/C.bin.gz") for k in keys)
+    codec_s = {s.phase: s.duration for s in report.timeline.spans
+               if s.phase in (Phase.HOST_COMPRESS, Phase.HOST_DECOMPRESS)}
+    assert codec_s == {
+        Phase.HOST_COMPRESS: pytest.approx(DENSE_MODEL.compress_time(4096)),
+        Phase.HOST_DECOMPRESS: pytest.approx(DENSE_MODEL.decompress_time(4096))}
 
 
 def test_report_milestones_consistent(cloud_config):
@@ -441,13 +461,13 @@ def _without_host_accounting(events, out):
 @pytest.mark.parametrize(
     "mode,expected,expected_modulo_host_accounting,expected_modulo_spans", [
         (ExecutionMode.MODELED,
-         "6146f5f2bfde1dabee99aba971bd5e4a5aee5415ec028f79dd491167714d3a5b",
-         "2f52c6825c4ed83311e78cf3c4bf5bd640190d279c3ce4d444483eb42b88ae59",
-         "a77258d31fc110831a4b2abca0ef3e882dbe56993b2db2fc752a9331a993adbd"),
+         "76eb296ebd754e2d33fc316c1c854bd5e602322f9e0e15cb851ed8a69b6e46a7",
+         "9c2932bf49d94cfe72df2785e999f78515d1b21eb8c8a68ded03d09733cc7ba8",
+         "e9b813c3daf5b90092e3099587938865ea411a491f8018a42c97dbc540929831"),
         (ExecutionMode.FUNCTIONAL,
-         "70bbe5d70d44187d986a4fe3467d6f5c28ba03a1d5bb180543f6ee2fa46feb03",
-         "cc7e95f3baf296fc740c59de013ce068c1b1b14da95640b540de39e0ad002ddb",
-         "3070fe9b6bbaf0a6f588c22155dcd564f7d012625458c267e1c6a2b0aa45aa79"),
+         "7baa63baf908b37e2c03d9f03fdbf3947956163ad20871c004c265e73a574fa3",
+         "ad1fb30807ccd644a4d2f4efa6d4241df84da4f8cfbc69fd1b6ed9b3b053bd67",
+         "5869171d97891a2ea538c50dfc1987d1028fcaaaec9381e60995f31134d47eb3"),
     ], ids=["modeled", "functional"])
 def test_golden_transfer_trace(cloud_config, mode, expected,
                                expected_modulo_host_accounting,
@@ -488,7 +508,15 @@ def test_golden_transfer_trace(cloud_config, mode, expected,
     ``tile_done`` records a resume replays.  Only ``out["journals"]``
     moved: the commit before this change reproduces all three digests
     once each of its journals is cut to its ``tile_done`` records,
-    renumbered from 1."""
+    renumbered from 1.
+
+    Re-pinned a sixth time, for one reason: the host prices its deflate and
+    inflate by the device's ``min_compress_size`` (256 B here), the threshold
+    that already decided which objects were gzip'd, where it used to apply
+    the 1 MiB calibration default and charge none.  The gzip'd transfers
+    gained their ``host_compress``/``host_decompress`` spans and every later
+    time moved; with every float field blanked, the commit before this
+    change produces the same trace apart from those added spans."""
     functional = mode == ExecutionMode.FUNCTIONAL
     trace, events = _golden_transfer_trace(cloud_config, mode)
     assert len(trace["errors"]) == 3

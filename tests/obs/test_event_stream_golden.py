@@ -102,7 +102,13 @@ def test_functional_gemm_resumes_after_driver_death(cloud_config):
     The staging threads race for span ids and emission order, so the whole
     stream is compared order-free and without ``span_id``; the deterministic
     part — first ``ssh_connect`` to last ``spark_submit``, i.e. both jobs —
-    is compared in order, span ids rebased to its first event."""
+    is compared in order, span ids rebased to its first event.
+
+    Re-pinned once, for one reason: the host prices its deflate and
+    inflate by the device's ``min_compress_size`` (256 B here) instead of
+    the 1 MiB calibration default, so every time after the first upload
+    moved.  With every float field blanked, both digests are the values the
+    commit before this change produces too."""
     spec = WORKLOADS["gemm"]
     config = replace(cloud_config, recovery="resume")
 
@@ -133,14 +139,18 @@ def test_functional_gemm_resumes_after_driver_death(cloud_config):
     for e in events:
         del e["span_id"]
     assert _sha(_lines(window)) == (
-        "fa3ece9d485f58a637295c6a5f1192ff9448e63bb35eaf84d3e4da4d5c02ae3e")
+        "fcf175e597bccabed11b9391c6eb3e7fa7d0aad723e0b5b669032eceec3b8088")
     assert _sha(sorted(_lines(events))) == (
-        "ddd8e50443e531b8b02cf2a874e413cf0339f4a286a154d3f21f2368a556e2da")
+        "8caf95379941bbe46b654a9ca335f50486d5c27588bd665565cc43b1389584af")
 
 
 def test_modeled_fused_chained_3mm(cloud_config):
     """Three ``nowait`` regions fused into one Spark job inside a
-    ``target data`` environment: three labelled map stages, one job."""
+    ``target data`` environment: three labelled map stages, one job.
+
+    Re-pinned once, for the reason given in
+    :func:`test_functional_gemm_resumes_after_driver_death`; only float
+    (time) fields moved."""
     n = WORKLOADS["3mm"].test_size
     names = "ABCDEFG"
     rt = OffloadRuntime()
@@ -159,4 +169,4 @@ def test_modeled_fused_chained_3mm(cloud_config):
     assert reports[0].fused_regions == 3
     assert bus.counts()["region_fused"] == 1
     assert _ordered_digest(bus) == (
-        "2ed69ca1359da8984256632167c5533c37654a88be9bb5ff8fdab91989bd21eb")
+        "1c13021c77fbebb3259643c47c651d35ce821802b3aaf2934ce514cd9f73d990")
