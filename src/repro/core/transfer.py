@@ -7,14 +7,13 @@ of the cloud plugin that moves mapped data goes through the one
 :meth:`TransferEngine.upload` or the one :meth:`TransferEngine.download`
 below; docs/DATA_ENV.md ("How bytes move") describes the path and what each
 construct keeps to itself.  The Spark driver, on the other side of storage,
-reads and writes through the same engine: its input read, output write,
-checkpoint commit and restore (:meth:`TransferEngine.driver_read`,
-``driver_write``, ``driver_commit``, ``driver_restore``) share the host's
-encode-and-PUT and GET-and-decode rules, and the engine charges their
-seconds too — the store's cluster read/write time plus the codec time — so
-the Spark job generator does no storage arithmetic.  Their retries are
-charged by the one :meth:`TransferEngine.retry` hook the SSH connect uses
-too.
+reads and writes through the same engine (:meth:`TransferEngine.driver_read`,
+``driver_write``, ``driver_commit``, ``driver_restore``), by the host's
+encode-and-PUT and GET-and-decode rules and the one :class:`StagingCodec`
+threshold (the device's ``min_compress_size``) for which objects are gzip'd
+and pay codec time; the engine charges their seconds too, so the Spark job
+generator does no storage arithmetic.  Their retries are charged by the one
+:meth:`TransferEngine.retry` hook the SSH connect uses too.
 """
 
 from __future__ import annotations
@@ -56,9 +55,9 @@ Items = Sequence[tuple[Buffer, str]]
 
 @dataclass(frozen=True)
 class StagingCodec:
-    """Which staged buffers are gzip'd, and what their objects are called —
-    the one rule both ends of the storage hop apply (the host plugin here,
-    the Spark driver in :class:`~repro.core.codegen.SparkJobGenerator`)."""
+    """Which staged buffers are gzip'd, what their objects are called and
+    what the codec costs: the one rule both ends of the storage hop apply
+    (the host's upload and download, the Spark driver's ``driver_*``)."""
 
     enabled: bool
     min_size: int
