@@ -67,3 +67,15 @@ def test_the_bench_family_pins_the_committed_baselines():
              if name.startswith("bench/")}
     assert len(bench) == 15
     assert bench == identity.files("bench", identity.REPO / "benchmarks" / "baselines")
+
+
+def test_the_profile_family_pins_each_shipped_workload_and_the_chain():
+    """One ``profile/<W>.json`` per workload ``repro profile`` accepts, and
+    nothing else under ``profile/``."""
+    from repro.workloads import WORKLOADS
+
+    assert identity.PROFILED == (*sorted(WORKLOADS), "chained_3mm")
+    manifest = json.loads(identity.MANIFEST.read_text())
+    profiles = sorted(name for name in manifest["artifacts"]
+                      if name.startswith("profile/"))
+    assert profiles == sorted(f"profile/{w}.json" for w in identity.PROFILED)

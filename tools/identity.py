@@ -1,6 +1,7 @@
-"""Byte-identity manifest of the chaos sweep and the quick bench payloads.
+"""Byte-identity manifest of the chaos sweep, the quick bench payloads and
+the quick profiles.
 
-Regenerates two families of artifacts:
+Regenerates three families of artifacts:
 
 * chaos — ``repro chaos gemm matmul 2mm 3mm --seeds 5 --json --journal-dir
   DIR`` under each recovery policy (``resume``, ``none``, ``restart``): the
@@ -8,6 +9,8 @@ Regenerates two families of artifacts:
   dumps (``journals-<policy>/<file>``);
 * bench — ``repro bench all --quick --out DIR``: the 15 ``BENCH_*.json``
   payloads it writes (``bench/<file>``);
+* profile — ``repro profile W --quick --json`` for each shipped workload and
+  ``chained_3mm``: the JSON it prints (``profile/<W>.json``);
 
 and pins the sha256 and size of each artifact in ``IDENTITY.json`` (next to
 this script), together with the Python, NumPy and zlib versions that
@@ -42,6 +45,8 @@ MANIFEST = Path(__file__).resolve().with_name("IDENTITY.json")
 BENCHMARKS = ("gemm", "matmul", "2mm", "3mm")
 POLICIES = ("resume", "none", "restart")
 SEEDS = 5
+PROFILED = ("2mm", "3mm", "collinear", "covar", "gemm", "matmul", "syr2k",
+            "syrk", "chained_3mm")
 
 
 def versions() -> dict[str, str]:
@@ -72,7 +77,7 @@ def _repro(*args: str) -> bytes:
 
 
 def generate() -> dict[str, dict[str, object]]:
-    """Run both families; {artifact name: sha256 + size}."""
+    """Run the three families; {artifact name: sha256 + size}."""
     artifacts: dict[str, dict[str, object]] = {}
     for policy in POLICIES:
         with tempfile.TemporaryDirectory() as journals:
@@ -83,6 +88,9 @@ def generate() -> dict[str, dict[str, object]]:
     with tempfile.TemporaryDirectory() as out:
         _repro("bench", "all", "--quick", "--out", out)
         artifacts.update(files("bench", Path(out)))
+    for workload in PROFILED:
+        artifacts[f"profile/{workload}.json"] = _digest(_repro(
+            "profile", workload, "--quick", "--json"))
     return artifacts
 
 
