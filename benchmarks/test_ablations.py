@@ -18,14 +18,13 @@ import pytest
 
 from repro.cloud.network import NetworkModel
 from repro.core.api import ParallelLoop, TargetRegion, offload
-from repro.core.buffers import ExecutionMode
+from repro.core.buffers import Buffer, ExecutionMode
 from repro.core.plugin_cloud import CloudDevice
 from repro.core.runtime import OffloadRuntime
+from repro.core.transfer import StagingCodec
 from repro.metrics.figures import demo_config
 from repro.metrics.tables import format_table
 from repro.perfmodel.calibration import DEFAULT_CALIBRATION
-from repro.perfmodel.comm import HostCommModel, TransferPlan
-from repro.perfmodel.compression import DENSE_MODEL, SPARSE_MODEL
 from repro.workloads import WORKLOADS
 
 from benchmarks.conftest import emit
@@ -58,14 +57,35 @@ def test_ablation_tiling(benchmark, out_dir):
 
 
 # ------------------------------------------------------------- 2: compression
+def _buffers(k, density=1.0):
+    """``k`` virtual 1 GiB float32 buffers."""
+    return [Buffer(f"m{i}", length=GB // 4, density=density) for i in range(k)]
+
+
+def _codec(enabled=True):
+    return StagingCodec(enabled, demo_config().min_compress_size)
+
+
+def _deflate_s(codec, buffers):
+    """Host deflate time of an upload: one thread per buffer, so the
+    slowest buffer's."""
+    return max(codec.seconds(b, up=True) for b in buffers)
+
+
 def test_ablation_compression(benchmark, out_dir):
+    wan = DEFAULT_CALIBRATION.wan_link()
+
     def run():
         rows = []
-        for label, model in (("dense", DENSE_MODEL), ("sparse", SPARSE_MODEL)):
-            plans = [TransferPlan(f"m{i}", GB, model) for i in range(2)]
-            on = HostCommModel(DEFAULT_CALIBRATION, compress=True).upload(plans)
-            off = HostCommModel(DEFAULT_CALIBRATION, compress=False).upload(plans)
-            rows.append([label, on.total_s, off.total_s, on.wire_bytes / off.wire_bytes])
+        for label, density in (("dense", 1.0), ("sparse", 0.05)):
+            buffers = _buffers(2, density)
+            on, off = _codec(True), _codec(False)
+            wire_on = [on.wire_size(b) for b in buffers]
+            wire_off = [off.wire_size(b) for b in buffers]
+            rows.append([label,
+                         _deflate_s(on, buffers) + wan.parallel_transfer_time(wire_on),
+                         _deflate_s(off, buffers) + wan.parallel_transfer_time(wire_off),
+                         sum(wire_on) / sum(wire_off)])
         return rows
 
     rows = benchmark(run)
@@ -85,21 +105,21 @@ def test_ablation_compression(benchmark, out_dir):
 
 # -------------------------------------------------------- 3: parallel streams
 def test_ablation_parallel_streams(benchmark, out_dir):
-    plans = [TransferPlan(f"m{i}", GB, DENSE_MODEL) for i in range(4)]
+    wan = DEFAULT_CALIBRATION.wan_link()
+    codec = _codec()
+    wire = [codec.wire_size(b) for b in _buffers(4)]
 
     def run():
-        par = HostCommModel(DEFAULT_CALIBRATION, parallel_streams=True).upload(plans)
-        ser = HostCommModel(DEFAULT_CALIBRATION, parallel_streams=False).upload(plans)
-        return par, ser
+        return wan.parallel_transfer_time(wire), wan.serial_transfer_time(wire)
 
     par, ser = benchmark(run)
     emit(out_dir, "ablation_parallel_streams.txt", format_table(
         ["variant", "transfer s"],
-        [["one thread per buffer", par.transfer_s], ["single stream", ser.transfer_s]],
+        [["one thread per buffer", par], ["single stream", ser]],
         title="Ablation 3: parallel upload streams (4 x 1 GiB)",
     ))
     # 4 streams saturate the path; one stream is capped per-TCP-connection.
-    assert par.transfer_s < 0.5 * ser.transfer_s
+    assert par < 0.5 * ser
 
 
 # ------------------------------------------------------------- 4: BitTorrent

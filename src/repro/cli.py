@@ -35,7 +35,6 @@ import sys
 import numpy as np
 
 from repro.core.api import offload
-from repro.core.buffers import ExecutionMode
 from repro.core.config import write_example_config
 from repro.core.plugin_cloud import CloudDevice
 from repro.core.runtime import OffloadRuntime
@@ -208,17 +207,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_run(args) -> int:
     spec = WORKLOADS[args.benchmark]
-    runtime = OffloadRuntime()
-    runtime.register(CloudDevice(demo_config(n_workers=args.workers),
-                                 physical_cores=args.cores))
+    config = demo_config(n_workers=args.workers)
     if args.modeled:
+        from repro.obs.bench import _offload
+
         size = args.size if args.size is not None else spec.paper_size
-        region = spec.build_region("CLOUD")
-        densities = {i.name: args.density for c in region.maps for i in c.items}
-        report = offload(region, scalars=spec.scalars(size),
-                         runtime=runtime, mode=ExecutionMode.MODELED,
-                         densities=densities)
+        _, report = _offload(spec.build_region("CLOUD"), spec.scalars(size),
+                             config, args.density, physical_cores=args.cores)
     else:
+        runtime = OffloadRuntime()
+        runtime.register(CloudDevice(config, physical_cores=args.cores))
         size = args.size if args.size is not None else spec.test_size
         scalars = spec.scalars(size)
         arrays = spec.inputs(size, density=args.density, seed=0)
@@ -453,71 +451,51 @@ def _cmd_infer(args) -> int:
 
 
 def _cmd_profile(args) -> int:
-    import dataclasses as _dc
     import json
 
     from repro.analysis import json_report
+    from repro.obs.bench import _config, _offload, run_mm3_chain
     from repro.obs.events import EventBus, use_bus
-    from repro.obs.profile import (
-        WhatIf,
-        inferred_upload_scale,
-        profile_offloads,
-    )
-    from repro.simtime.timeline import Phase
+    from repro.obs.profile import WhatIf, profile_offloads, profile_report
 
     bus = EventBus(keep_history=True)
     # Manage the instances so the billing ledger has real line items for the
     # dollar attribution (the profiler's whole point).
-    config = _dc.replace(demo_config(n_workers=args.workers),
-                         manage_instances=True)
+    config = _config(args.workers, manage_instances=True)
 
-    reports = []
-    infer_target = None  # (region, scalars) for the inferred-minimal what-if
     spec = WORKLOADS["3mm" if args.benchmark == "chained_3mm"
                      else args.benchmark]
     n = args.size if args.size is not None else (
         spec.test_size if args.quick else spec.paper_size)
+    twin = None
     if args.benchmark == "chained_3mm":
-        from repro.obs.bench import run_mm3_chain
-
         with use_bus(bus):
             dev, reports, _ = run_mm3_chain(n, args.density, config=config,
                                             physical_cores=args.cores)
     else:
-        rt = OffloadRuntime()
-        dev = CloudDevice(config, physical_cores=args.cores)
-        rt.register(dev)
-        region = spec.build_region("CLOUD")
-        scalars = spec.scalars(n)
-        densities = {i.name: args.density
-                     for c in region.maps for i in c.items}
+        region, scalars = spec.build_region("CLOUD"), spec.scalars(n)
         with use_bus(bus):
-            reports.append(offload(region, scalars=scalars, runtime=rt,
-                                   mode=ExecutionMode.MODELED,
-                                   densities=densities))
-        infer_target = (region, scalars)
+            dev, report = _offload(region, scalars, config, args.density,
+                                   physical_cores=args.cores)
+        reports = [report]
+        # The inferred-minimal what-if is applied, not estimated: the same
+        # offload again with inference's provably minimal map clauses.
+        _, twin = _offload(region, scalars, config, args.density,
+                           infer_maps=True, physical_cores=args.cores)
 
     profiles = profile_offloads(bus, reports, ledger=dev.billing_ledger)
+    extra = [] if twin is None else [WhatIf(
+        "inferred_minimal_upload", profile_report(twin).wall_s,
+        profiles[0].wall_s)]
     ok = True
     items = []
-    extras: list[list[WhatIf]] = []
     for prof in profiles:
         item = prof.to_item()
-        extra: list[WhatIf] = []
-        if infer_target is not None:
-            scale = inferred_upload_scale(infer_target[0], infer_target[1],
-                                          prof, bus.events)
-            if scale is not None:
-                extra.append(WhatIf(
-                    "inferred_minimal_upload",
-                    prof.scaled_phases({Phase.HOST_UPLOAD: scale}),
-                    prof.wall_s))
         item["what_if"].extend(w.to_dict() for w in extra)
         total = sum(prof.phase_self_s.values())
         ok = (ok and prof.critical_s <= prof.wall_s + prof.graph.eps
               and abs(total - prof.wall_s) <= 0.01 * max(prof.wall_s, 1e-9))
         items.append(item)
-        extras.append(extra)
 
     if args.json:
         print(json.dumps(json_report("profile", ok, items), indent=2))
@@ -526,7 +504,7 @@ def _cmd_profile(args) -> int:
             if i:
                 print()
             print(prof.render())
-            for w in extras[i]:
+            for w in extra:
                 print(f"    {w.name:<15} {w.estimate_s:10.3f} s  "
                       f"(-{w.saved_s:.3f} s, -{w.saved_pct:.1f}%)")
 

@@ -89,33 +89,14 @@ class NetworkModel:
     def __init__(self, wan: Link, lan: Link) -> None:
         self.wan = wan
         self.lan = lan
-        self.bytes_over_wan = 0
-        self.bytes_over_lan = 0
         # (nbytes, streams) -> seconds.  Link.transfer_time is pure, and the
         # scheduler asks for the same handful of payload sizes millions of
         # times per large job; bounded so pathological size diversity cannot
         # grow it without limit.
         self._lan_memo: dict[tuple[int, int], float] = {}
 
-    # ------------------------------------------------------------------ WAN
-    def upload_time(self, sizes: list[int], parallel: bool = True) -> float:
-        """Host -> cloud-storage time for the given buffer sizes."""
-        self.bytes_over_wan += sum(sizes)
-        if parallel:
-            return self.wan.parallel_transfer_time(sizes)
-        return self.wan.serial_transfer_time(sizes)
-
-    def download_time(self, sizes: list[int], parallel: bool = True) -> float:
-        """Cloud-storage -> host time (symmetric link model)."""
-        self.bytes_over_wan += sum(sizes)
-        if parallel:
-            return self.wan.parallel_transfer_time(sizes)
-        return self.wan.serial_transfer_time(sizes)
-
-    # ------------------------------------------------------------------ LAN
     def lan_transfer_time(self, nbytes: int, streams: int = 1) -> float:
         """Point-to-point transfer inside the cluster."""
-        self.bytes_over_lan += nbytes
         memo = self._lan_memo
         key = (nbytes, streams)
         t = memo.get(key)
@@ -124,17 +105,6 @@ class NetworkModel:
                 memo.clear()
             t = memo[key] = self.lan.transfer_time(nbytes, streams=streams)
         return t
-
-    def scatter_time(self, total_bytes: int, n_nodes: int) -> float:
-        """Driver scatters disjoint chunks of ``total_bytes`` to ``n_nodes``.
-
-        The driver's NIC is the bottleneck: all chunks leave through one link,
-        so the cost is one full traversal of the data plus per-node latency.
-        """
-        if n_nodes < 1:
-            raise ValueError(f"need at least one node, got {n_nodes}")
-        self.bytes_over_lan += total_bytes
-        return n_nodes * self.lan.latency_s + total_bytes / self.lan.capacity_bps
 
     def broadcast_time(self, nbytes: int, n_nodes: int, bittorrent: bool = True) -> float:
         """Send one ``nbytes`` variable to every node.
@@ -145,33 +115,9 @@ class NetworkModel:
         """
         if n_nodes < 1:
             raise ValueError(f"need at least one node, got {n_nodes}")
-        if n_nodes == 0 or nbytes == 0:
+        if nbytes == 0:
             return 0.0
         if bittorrent:
-            self.bytes_over_lan += nbytes  # driver sends ~one copy; peers re-seed
             depth = math.ceil(math.log2(n_nodes + 1))
             return depth * self.lan.latency_s + nbytes / self.lan.capacity_bps
-        self.bytes_over_lan += nbytes * n_nodes
         return n_nodes * (self.lan.latency_s + nbytes / self.lan.capacity_bps)
-
-    def gather_time(self, total_bytes: int, n_nodes: int) -> float:
-        """Workers send disjoint results back to the driver (collect)."""
-        if n_nodes < 1:
-            raise ValueError(f"need at least one node, got {n_nodes}")
-        self.bytes_over_lan += total_bytes
-        return n_nodes * self.lan.latency_s + total_bytes / self.lan.capacity_bps
-
-
-def default_wan() -> Link:
-    """A realistic long-haul residential/campus uplink (calibration default).
-
-    ~400 Mbit/s aggregate, 60 ms latency, single TCP stream limited to
-    ~100 Mbit/s — values in line with the paper's 'laptop far from the
-    data-center' setup once compression is taken into account.
-    """
-    return Link(capacity_bps=50e6, latency_s=0.060, stream_cap_bps=12.5e6)
-
-
-def default_lan() -> Link:
-    """Intra-cluster 10 GbE with sub-millisecond latency."""
-    return Link(capacity_bps=1.25e9, latency_s=0.0005)

@@ -34,7 +34,6 @@ from repro.obs.profile import (
     SpanGraph,
     StragglerStats,
     WhatIf,
-    inferred_upload_scale,
     profile_offloads,
     profile_report,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "StragglerStats",
     "WhatIf",
     "folded_stacks",
-    "inferred_upload_scale",
     "profile_offloads",
     "profile_report",
     "MetricsSubscriber",

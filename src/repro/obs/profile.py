@@ -25,9 +25,10 @@ builds an :class:`OffloadProfile`:
   gaps per worker, and the calibrated lognormal model's *expected* skew for
   the same tile count (:meth:`~repro.perfmodel.compute.ComputeModel.straggler_noise`);
 * a **what-if estimator**: forward re-timing of the dependency graph under
-  adjusted span durations ("if upload were free / cached / inferred-minimal,
-  end-to-end shrinks X%"), first-order but model-consistent because the
-  communication model is linear in bytes.
+  adjusted span durations ("if upload were free / cached, end-to-end shrinks
+  X%"), first-order but model-consistent because the communication model is
+  linear in bytes.  (``repro profile``'s ``inferred_minimal_upload`` is not
+  estimated: it reruns the offload with ``infer_maps=True``.)
 
 Surfaces: ``repro profile <benchmark>`` (tree view / ``--json`` /
 ``--folded`` flamegraph via :mod:`repro.obs.flamegraph`), the Perfetto
@@ -691,51 +692,3 @@ def profile_offloads(bus: Any, reports: Sequence[OffloadReport],
                                   correlation_id=corr,
                                   calibration=calibration))
     return out
-
-
-def inferred_upload_scale(region: Any, scalars: Mapping[str, float] | None,
-                          profile: OffloadProfile,
-                          events: Iterable[Any] = (),
-                          calibration: Calibration = DEFAULT_CALIBRATION,
-                          ) -> float | None:
-    """Upload-seconds multiplier if the region's map clauses were replaced
-    by inference's provably minimal ones (docs/ANALYSIS.md).
-
-    Buffer-level: maps whose inferred direction no longer includes ``to``
-    stop uploading entirely; both byte volumes are priced through the
-    calibrated :class:`~repro.perfmodel.comm.HostCommModel`, so the ratio is
-    model-consistent.  Section narrowing inside a still-uploaded buffer is
-    not re-priced here (``repro infer`` reports those exactly).  Returns
-    None when inference degrades or there is nothing to scale.
-    """
-    from repro.analysis.infer import infer_region
-    from repro.perfmodel.comm import HostCommModel, TransferPlan
-    from repro.perfmodel.compression import model_for_density
-
-    rep = infer_region(region, scalars)
-    if rep.degraded:
-        return None
-    uploaded: dict[str, int] = {}
-    for e in events:
-        if getattr(e, "kind", "") == "map_upload" and (
-                not profile.correlation_id
-                or e.correlation_id == profile.correlation_id):
-            uploaded[e.buffer] = uploaded.get(e.buffer, 0) + e.bytes_raw
-    if not uploaded:
-        return None
-
-    def to_names(r: Any) -> set[str]:
-        return {i.name for c in r.maps if c.map_type.is_input
-                for i in c.items}
-
-    keep = to_names(rep.region)
-    comm = HostCommModel(calibration)
-    plan_all = [TransferPlan(n, b, model_for_density(1.0))
-                for n, b in sorted(uploaded.items())]
-    plan_kept = [p for p in plan_all if p.name in keep]
-    base = comm.upload(plan_all).total_s
-    if base <= 0.0:
-        return None
-    if not plan_kept:
-        return 0.0
-    return comm.upload(plan_kept).total_s / base

@@ -4,10 +4,10 @@ The reproduction runs on a laptop, not a 256-core EC2 cluster, so task
 durations, compression times and transfer times are *modelled*.  This package
 holds all the constants in one place (:mod:`~repro.perfmodel.calibration`),
 the compute-time model with per-node memory contention and straggler noise
-(:mod:`~repro.perfmodel.compute`), the host-target communication model
-(:mod:`~repro.perfmodel.comm`) and the gzip compressibility model — which
+(:mod:`~repro.perfmodel.compute`) and the gzip compressibility model — which
 also provides the *real* zlib round-trip used in functional mode
-(:mod:`~repro.perfmodel.compression`).
+(:mod:`~repro.perfmodel.compression`).  The host-target communication is
+priced by the cloud device itself (:mod:`repro.core.transfer`).
 
 Calibration targets are the paper's headline observations, recorded in
 EXPERIMENTS.md; no constant is chosen per-figure after the fact — one global
@@ -25,7 +25,6 @@ from repro.perfmodel.compression import (
     model_for_density,
 )
 from repro.perfmodel.compute import ComputeModel, TaskTiming
-from repro.perfmodel.comm import HostCommModel, TransferPlan, TransferCost
 
 __all__ = [
     "Calibration",
@@ -39,7 +38,4 @@ __all__ = [
     "model_for_density",
     "ComputeModel",
     "TaskTiming",
-    "HostCommModel",
-    "TransferPlan",
-    "TransferCost",
 ]

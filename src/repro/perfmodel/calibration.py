@@ -1,8 +1,10 @@
 """The performance model's calibrated constants, in one frozen record.
 
-Three families live with their classes instead: the stores' cluster rates
+Four families live with their classes instead: the stores' cluster rates
 and request latency (``ObjectStore``), the gzip fits (``DENSE_MODEL``,
-``SPARSE_MODEL``) and the providers' boot/stop delays (``CloudProvider``).
+``SPARSE_MODEL``), the gzip threshold (the device config's
+``min_compress_size``) and the providers' boot/stop delays
+(``CloudProvider``).
 
 The values below were calibrated once, jointly, against the paper's reported
 observations (see EXPERIMENTS.md for the paper-vs-measured table):
@@ -78,10 +80,6 @@ class Calibration:
     #: Intra-cluster 10 GbE.
     lan_capacity_bps: float = 1.25e9
     lan_latency_s: float = 0.0005
-
-    # ----------------------------------------------------------- compression
-    #: Buffers below this size are sent uncompressed (plugin threshold).
-    min_compress_size: int = 1 << 20
 
     # ---------------------------------------------------------- cluster shape
     #: vCPUs per worker node (c3.8xlarge).

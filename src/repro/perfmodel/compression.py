@@ -40,8 +40,8 @@ class CompressionModel:
     """Analytic stand-in for gzip on one class of data.
 
     ``ratio`` is compressed/raw; throughputs are raw bytes per second on one
-    core.  ``applies_to(nbytes, threshold)`` mirrors the plugin's minimal-
-    compression-size rule.
+    core.  Which buffers are gzip'd at all is the staging codec's
+    minimal-compression-size rule (:class:`repro.core.transfer.StagingCodec`).
     """
 
     name: str
@@ -55,23 +55,17 @@ class CompressionModel:
         if self.compress_bps <= 0 or self.decompress_bps <= 0:
             raise ValueError("throughputs must be positive")
 
-    def compressed_size(self, nbytes: int, threshold: int = 0) -> int:
-        """Wire size of an ``nbytes`` buffer under the threshold rule."""
+    def compressed_size(self, nbytes: int) -> int:
+        """Wire size of an ``nbytes`` buffer once gzip'd."""
         if nbytes < 0:
             raise ValueError(f"negative size {nbytes!r}")
-        if nbytes < threshold:
-            return nbytes
         return int(round(nbytes * self.ratio))
 
-    def compress_time(self, nbytes: int, threshold: int = 0) -> float:
-        """Seconds to compress (0 when below the threshold: sent raw)."""
-        if nbytes < threshold:
-            return 0.0
+    def compress_time(self, nbytes: int) -> float:
+        """Seconds to compress ``nbytes`` on one core."""
         return nbytes / self.compress_bps
 
-    def decompress_time(self, nbytes: int, threshold: int = 0) -> float:
-        if nbytes < threshold:
-            return 0.0
+    def decompress_time(self, nbytes: int) -> float:
         return nbytes / self.decompress_bps
 
 

@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.cloud.network import NetworkModel, default_lan, default_wan
+from repro.cloud.network import NetworkModel
+from repro.perfmodel.calibration import DEFAULT_CALIBRATION
 from repro.simtime.clock import SimClock
 from repro.spark.conf import SparkConf
 from repro.spark.executor import Executor
@@ -47,7 +48,8 @@ class SparkCluster:
             raise ValueError(f"need at least one worker, got {n_workers}")
         self.shape = shape if shape is not None else WorkerShape()
         self.conf = conf if conf is not None else SparkConf()
-        self.network = network if network is not None else NetworkModel(default_wan(), default_lan())
+        self.network = network if network is not None else NetworkModel(
+            DEFAULT_CALIBRATION.wan_link(), DEFAULT_CALIBRATION.lan_link())
         self.clock = clock if clock is not None else SimClock()
         self.n_workers = n_workers
         #: Relative per-core throughput per worker index; workers past the

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.cloud.network import Link, NetworkModel, default_lan, default_wan
+from repro.cloud.network import Link, NetworkModel
+from repro.perfmodel.calibration import DEFAULT_CALIBRATION
+from repro.spark.cluster import SparkCluster
 
 
 @pytest.fixture
@@ -100,11 +102,6 @@ def net() -> NetworkModel:
     )
 
 
-def test_upload_accounts_wan_bytes(net):
-    net.upload_time([100, 200])
-    assert net.bytes_over_wan == 300
-
-
 def test_bittorrent_broadcast_scales_logarithmically(net):
     t4 = net.broadcast_time(1000, 4)
     t16 = net.broadcast_time(1000, 16)
@@ -127,27 +124,16 @@ def test_broadcast_zero_bytes_free(net):
     assert net.broadcast_time(0, 8) == 0.0
 
 
-def test_scatter_bound_by_driver_nic(net):
-    t = net.scatter_time(10_000, 4)
-    assert t == pytest.approx(4 * 0.01 + 10_000 / 1000.0)
-
-
-def test_gather_accounts_lan_bytes(net):
-    before = net.bytes_over_lan
-    net.gather_time(500, 2)
-    assert net.bytes_over_lan - before == 500
-
-
 def test_invalid_node_counts(net):
     with pytest.raises(ValueError):
         net.broadcast_time(10, 0)
-    with pytest.raises(ValueError):
-        net.scatter_time(10, 0)
-    with pytest.raises(ValueError):
-        net.gather_time(10, 0)
 
 
 def test_default_links_are_sane():
-    wan, lan = default_wan(), default_lan()
-    assert lan.capacity_bps > wan.capacity_bps
-    assert lan.latency_s < wan.latency_s
+    """A cluster built without a network falls back to the calibrated
+    links, the ones a cloud device prices its transfers with."""
+    net = SparkCluster(n_workers=1).network
+    assert net.wan == DEFAULT_CALIBRATION.wan_link()
+    assert net.lan == DEFAULT_CALIBRATION.lan_link()
+    assert net.lan.capacity_bps > net.wan.capacity_bps
+    assert net.lan.latency_s < net.wan.latency_s

@@ -119,6 +119,34 @@ def test_modeled_run_respects_density(capsys):
     assert wire_mb(sparse_out) < wire_mb(dense_out) / 2
 
 
+def test_profile_applies_the_inferred_what_if(capsys):
+    """``profile``'s inferred-minimal estimate is the wall clock of the same
+    offload rerun with ``infer_maps=True``, in the JSON and the text view."""
+    import json
+
+    from repro.obs.bench import _config, _offload
+    from repro.obs.profile import profile_report
+    from repro.workloads import WORKLOADS
+
+    assert main(["profile", "gemm", "--quick", "--json"]) == 0
+    out = capsys.readouterr().out
+    report = json.loads(out[out.index("{"):])
+    assert report["tool"] == "profile" and report["ok"]
+    (item,) = report["items"]
+    estimate = {w["name"]: w["estimate_s"] for w in item["what_if"]}
+    spec = WORKLOADS["gemm"]
+    _, twin = _offload(spec.build_region("CLOUD"),
+                       spec.scalars(spec.test_size),
+                       _config(16, manage_instances=True), 1.0,
+                       infer_maps=True, physical_cores=32)
+    assert estimate["inferred_minimal_upload"] == profile_report(twin).wall_s
+
+    assert main(["profile", "gemm", "--quick"]) == 0
+    out = capsys.readouterr().out
+    assert "critical path" in out
+    assert "inferred_minimal_upload" in out
+
+
 def test_graph_chained_3mm_shows_fused_plan(capsys):
     assert main(["graph", "chained_3mm"]) == 0
     out = capsys.readouterr().out

@@ -108,6 +108,42 @@ def test_host_hop_prices_gzip_by_the_device_threshold(cloud_config):
         Phase.HOST_DECOMPRESS: pytest.approx(DENSE_MODEL.decompress_time(4096))}
 
 
+def _sum_region(k):
+    """C = A0 + ... + A(k-1): ``k`` mapped inputs of N floats each."""
+    names = [f"A{i}" for i in range(k)]
+    return TargetRegion(
+        name=f"sum{k}",
+        pragmas=["omp target device(CLOUD)",
+                 "omp map(to: " + ", ".join(f"{a}[:N]" for a in names)
+                 + ") map(from: C[:N])"],
+        loops=[ParallelLoop(pragma="omp parallel for", loop_var="i",
+                            trip_count="N", reads=tuple(names), writes=("C",),
+                            flops_per_iter=float(k))],
+    )
+
+
+def test_host_upload_deflates_one_thread_per_buffer_by_density(cloud_config):
+    """Modeled: each mapped buffer gets its own host thread, so 1 and 4
+    equal 2 MiB inputs pay the same ``host_compress`` span; sparse inputs
+    deflate faster and ship fewer bytes, so their host upload is shorter."""
+    n = 1 << 19  # 2 MiB of float32
+
+    def upload_spans(k, density):
+        report = offload(_sum_region(k), scalars={"N": n},
+                         runtime=make_cloud_runtime(cloud_config),
+                         mode=ExecutionMode.MODELED,
+                         densities={f"A{i}": density for i in range(k)})
+        return {s.phase: s.duration for s in report.timeline.spans
+                if s.phase in (Phase.HOST_COMPRESS, Phase.HOST_UPLOAD)}
+
+    one, four = upload_spans(1, 1.0), upload_spans(4, 1.0)
+    assert one[Phase.HOST_COMPRESS] == pytest.approx(
+        DENSE_MODEL.compress_time(4 * n))
+    assert four[Phase.HOST_COMPRESS] == one[Phase.HOST_COMPRESS]
+    sparse = upload_spans(1, 0.05)
+    assert sum(sparse.values()) < sum(one.values())
+
+
 def test_report_milestones_consistent(cloud_config):
     rt = make_cloud_runtime(cloud_config)
     _, _, report = _run(rt)

@@ -18,7 +18,6 @@ from repro.obs.profile import (
     SpanGraph,
     _critical_chain,
     _eps_for,
-    inferred_upload_scale,
     profile_offloads,
     profile_report,
 )
@@ -330,28 +329,19 @@ def test_folded_rejects_unknown_mode():
 
 
 # ------------------------------------------------------- inferred what-if
-def test_inferred_upload_scale_is_a_sane_ratio():
+def test_inferred_twin_of_a_naive_region_moves_fewer_bytes():
+    """The inferred-minimal what-if is an applied twin: the naive all-tofrom
+    region offloaded again with ``infer_maps=True`` moves fewer bytes and
+    finishes no later."""
     from repro.analysis.infer import naive_tofrom_region
+    from repro.obs.bench import _config, _offload
 
     spec = WORKLOADS["gemm"]
     naive = naive_tofrom_region(spec.build_region("CLOUD"))
     scalars = spec.scalars(spec.test_size)
-    bus = EventBus(keep_history=True)
-    rt = OffloadRuntime()
-    rt.register(CloudDevice(demo_config(4), physical_cores=32))
-    with use_bus(bus):
-        rep = offload(naive, scalars=scalars, runtime=rt,
-                      mode=ExecutionMode.MODELED)
-    p = profile_offloads(bus, [rep])[0]
-    scale = inferred_upload_scale(naive, scalars, p, bus.events)
-    assert scale is not None
-    assert 0.0 <= scale <= 1.0
-
-
-def test_inferred_upload_scale_without_events_is_none():
-    rep, _, _ = run_gemm()
-    spec = WORKLOADS["gemm"]
-    p = profile_report(rep)  # no events passed
-    scale = inferred_upload_scale(spec.build_region("CLOUD"),
-                                  spec.scalars(spec.test_size), p, events=())
-    assert scale is None
+    _, rep = _offload(naive, scalars, _config(4), physical_cores=32)
+    _, twin = _offload(naive, scalars, _config(4), infer_maps=True,
+                       physical_cores=32)
+    assert (twin.bytes_up_raw + twin.bytes_down_raw
+            < rep.bytes_up_raw + rep.bytes_down_raw)
+    assert profile_report(twin).wall_s <= profile_report(rep).wall_s

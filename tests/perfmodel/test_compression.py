@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.core.buffers import Buffer
+from repro.core.transfer import StagingCodec
 from repro.perfmodel.compression import (
     DENSE_MODEL,
     SPARSE_MODEL,
@@ -45,17 +47,22 @@ def test_empty_input_ratio_is_one():
 
 
 def test_model_threshold_sends_small_buffers_raw():
-    m = DENSE_MODEL
-    assert m.compressed_size(100, threshold=1000) == 100
-    assert m.compress_time(100, threshold=1000) == 0.0
-    assert m.decompress_time(100, threshold=1000) == 0.0
+    """The staging codec holds the one threshold: below it a buffer is
+    stored raw and pays no codec time."""
+    codec, small = StagingCodec(True, 1000), Buffer("s", length=25)
+    assert codec.wire_size(small) == 100
+    assert codec.seconds(small, up=True) == 0.0
+    assert codec.seconds(small, up=False) == 0.0
 
 
 def test_model_compresses_above_threshold():
     m = CompressionModel("half", ratio=0.5, compress_bps=100.0, decompress_bps=200.0)
-    assert m.compressed_size(1000, threshold=10) == 500
-    assert m.compress_time(1000, threshold=10) == pytest.approx(10.0)
-    assert m.decompress_time(1000, threshold=10) == pytest.approx(5.0)
+    assert m.compressed_size(1000) == 500
+    assert m.compress_time(1000) == pytest.approx(10.0)
+    assert m.decompress_time(1000) == pytest.approx(5.0)
+    codec, large = StagingCodec(True, 10), Buffer("l", length=250)
+    assert codec.wire_size(large) == DENSE_MODEL.compressed_size(1000)
+    assert codec.seconds(large, up=True) == DENSE_MODEL.compress_time(1000)
 
 
 def test_model_validation():

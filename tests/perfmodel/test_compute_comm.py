@@ -1,10 +1,11 @@
-"""Compute and host-communication models."""
+"""Compute model and the host-communication price."""
 
 import pytest
 
+from repro.core.buffers import Buffer
+from repro.core.transfer import StagingCodec
 from repro.perfmodel.calibration import Calibration, DEFAULT_CALIBRATION
-from repro.perfmodel.comm import HostCommModel, TransferPlan
-from repro.perfmodel.compression import DENSE_MODEL, SPARSE_MODEL
+from repro.perfmodel.compression import DENSE_MODEL
 from repro.perfmodel.compute import ComputeModel
 
 
@@ -91,74 +92,80 @@ def test_omp_thread_validation(cm):
 
 
 # --------------------------------------------------------------------- comm
-def _plans(nbytes=100 * 2**20, model=DENSE_MODEL, k=2):
-    return [TransferPlan(f"b{i}", nbytes, model) for i in range(k)]
+# The host hop's one price, as the cloud device charges it: the staging codec
+# decides and times the gzip, the calibrated WAN link moves the wire bytes.
+WAN = DEFAULT_CALIBRATION.wan_link()
+
+
+def _buffers(nbytes=100 * 2**20, density=1.0, k=2):
+    return [Buffer(f"b{i}", length=nbytes // 4, density=density)
+            for i in range(k)]
+
+
+def _codec(enabled=True):
+    return StagingCodec(enabled, 1 << 20)  # the device's default threshold
+
+
+def _upload_s(buffers, codec):
+    """Slowest buffer's deflate (one thread each), then one stream each."""
+    return (max(codec.seconds(b, up=True) for b in buffers)
+            + WAN.parallel_transfer_time([codec.wire_size(b) for b in buffers]))
 
 
 def test_upload_compresses_then_transfers():
-    comm = HostCommModel(DEFAULT_CALIBRATION)
-    cost = comm.upload(_plans())
-    assert cost.compress_s > 0
-    assert cost.transfer_s > 0
-    assert cost.decompress_s == 0.0
-    assert cost.wire_bytes < cost.raw_bytes
+    codec, buffers = _codec(), _buffers()
+    wire = [codec.wire_size(b) for b in buffers]
+    assert all(codec.seconds(b, up=True) > 0 for b in buffers)
+    assert WAN.parallel_transfer_time(wire) > 0
+    assert sum(wire) < sum(b.nbytes for b in buffers)
 
 
 def test_download_mirrors_upload():
-    comm = HostCommModel(DEFAULT_CALIBRATION)
-    cost = comm.download(_plans())
-    assert cost.decompress_s > 0
-    assert cost.compress_s == 0.0
+    codec = _codec()
+    for b in _buffers():
+        assert 0 < codec.seconds(b, up=False) < codec.seconds(b, up=True)
 
 
 def test_sparse_data_cheaper_than_dense():
-    comm = HostCommModel(DEFAULT_CALIBRATION)
-    dense = comm.upload(_plans(model=DENSE_MODEL))
-    sparse = comm.upload(_plans(model=SPARSE_MODEL))
-    assert sparse.total_s < dense.total_s / 2
-    assert sparse.wire_bytes < dense.wire_bytes
+    codec = _codec()
+    dense, sparse = _buffers(density=1.0), _buffers(density=0.05)
+    assert _upload_s(sparse, codec) < _upload_s(dense, codec) / 2
+    assert (sum(codec.wire_size(b) for b in sparse)
+            < sum(codec.wire_size(b) for b in dense))
 
 
 def test_compression_disabled_sends_raw():
-    comm = HostCommModel(DEFAULT_CALIBRATION, compress=False)
-    cost = comm.upload(_plans())
-    assert cost.wire_bytes == cost.raw_bytes
-    assert cost.compress_s == 0.0
+    codec = _codec(enabled=False)
+    for b in _buffers():
+        assert codec.wire_size(b) == b.nbytes
+        assert codec.seconds(b, up=True) == 0.0
 
 
 def test_parallel_streams_beat_serial():
-    fast = HostCommModel(DEFAULT_CALIBRATION, parallel_streams=True)
-    slow = HostCommModel(DEFAULT_CALIBRATION, parallel_streams=False)
-    assert fast.upload(_plans(k=4)).transfer_s < slow.upload(_plans(k=4)).transfer_s
-
-
-def test_compression_phase_is_parallel_across_buffers():
-    comm = HostCommModel(DEFAULT_CALIBRATION)
-    one = comm.upload(_plans(k=1)).compress_s
-    four = comm.upload(_plans(k=4)).compress_s
-    assert four == pytest.approx(one)  # one thread per buffer
+    codec = _codec()
+    wire = [codec.wire_size(b) for b in _buffers(k=4)]
+    assert WAN.parallel_transfer_time(wire) < WAN.serial_transfer_time(wire)
 
 
 def test_small_buffers_skip_the_codec():
-    comm = HostCommModel(DEFAULT_CALIBRATION)
-    tiny = [TransferPlan("t", 1024, DENSE_MODEL)]
-    cost = comm.upload(tiny)
-    assert cost.wire_bytes == 1024
-    assert cost.compress_s == 0.0
+    codec = _codec()
+    tiny = Buffer("t", length=256)
+    assert codec.wire_size(tiny) == 1024
+    assert codec.seconds(tiny, up=True) == 0.0
+    assert codec.key("in/t", tiny.nbytes) == "in/t.bin"
 
 
 def test_empty_upload_is_free():
-    comm = HostCommModel(DEFAULT_CALIBRATION)
-    cost = comm.upload([])
-    assert cost.total_s == 0.0
+    assert WAN.parallel_transfer_time([]) == 0.0
 
 
 def test_negative_plan_rejected():
     with pytest.raises(ValueError):
-        TransferPlan("x", -1, DENSE_MODEL)
+        Buffer("x", length=-1)
 
 
 def test_compression_ratio_property():
-    comm = HostCommModel(DEFAULT_CALIBRATION)
-    cost = comm.upload(_plans())
-    assert cost.compression_ratio == pytest.approx(DENSE_MODEL.ratio, rel=0.01)
+    codec, buffers = _codec(), _buffers()
+    wire = sum(codec.wire_size(b) for b in buffers)
+    assert wire / sum(b.nbytes for b in buffers) == pytest.approx(
+        DENSE_MODEL.ratio, rel=0.01)
