@@ -18,6 +18,11 @@ from repro.cloud.billing import BillingLedger
 from repro.cloud.credentials import Credentials
 
 
+def billed_hours(seconds: float) -> float:
+    """EC2-2017-style billing: whole hours, rounded up, minimum one hour."""
+    return max(1.0, float(-(-int(seconds) // 3600)))
+
+
 class ProviderError(Exception):
     """Lifecycle or capacity errors from a compute provider."""
 
@@ -171,10 +176,10 @@ class CloudProvider(abc.ABC):
 
     # ------------------------------------------------------------- accounting
     def _bill(self, inst: Instance, start: float, end: float) -> None:
-        """EC2-2017-style billing: whole hours, rounded up, minimum one hour."""
+        """Bill ``inst`` for ``start..end`` by :func:`billed_hours`."""
         if end < start:
             raise ValueError(f"billing interval ends before it starts ({start}..{end})")
-        hours = max(1.0, float(-(-int(end - start) // 3600)))
+        hours = billed_hours(end - start)
         inst.billed_hours += hours
         self.ledger.charge(
             sku=inst.itype.name,

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.cloud.ec2 import EC2_INSTANCE_TYPES
+from repro.cloud.provider import billed_hours
 
 
 @dataclass(frozen=True)
@@ -36,11 +37,12 @@ def experiment_cost(
     instance_type: str = "c3.8xlarge",
     include_driver: bool = True,
 ) -> CostEstimate:
-    """EC2-2017 billing: whole hours, rounded up, minimum one hour."""
+    """Cost of ``duration_s`` of cluster time, billed by
+    :func:`~repro.cloud.provider.billed_hours`."""
     if duration_s < 0:
         raise ValueError(f"negative duration {duration_s!r}")
     itype = EC2_INSTANCE_TYPES[instance_type]
-    hours = max(1.0, float(-(-int(duration_s) // 3600)))
+    hours = billed_hours(duration_s)
     n = n_workers + (1 if include_driver else 0)
     return CostEstimate(
         instance_type=instance_type,

@@ -6,7 +6,9 @@ from repro.cloud.azure import AzureProvider
 from repro.cloud.credentials import CredentialError, Credentials
 from repro.cloud.ec2 import EC2_INSTANCE_TYPES, EC2Provider
 from repro.cloud.private import PrivateCloudProvider
-from repro.cloud.provider import InstanceState, InstanceType, ProviderError
+from repro.cloud.provider import (InstanceState, InstanceType, ProviderError,
+                                  billed_hours)
+from repro.metrics.costs import experiment_cost
 
 
 @pytest.fixture
@@ -54,6 +56,15 @@ def test_stop_bills_whole_hours_rounded_up(ec2):
     ec2.stop(inst.instance_id, now=inst.running_since + 3700.0)  # 1h02
     assert inst.billed_hours == 2.0
     assert ec2.ledger.total_usd() == pytest.approx(2 * 1.68)
+
+
+def test_one_billing_rule_for_instances_and_estimates():
+    """Whole seconds, rounded up to whole hours, at least one: the rule the
+    provider bills by and the cost estimate charges."""
+    assert [billed_hours(s) for s in (0.0, 3600.9, 3601.0, 7200.0, 7201.0)] == [
+        1.0, 1.0, 2.0, 2.0, 3.0]
+    for seconds in (0.0, 3700.0, 9000.5):
+        assert experiment_cost(seconds).hours_billed == billed_hours(seconds)
 
 
 def test_minimum_billing_is_one_hour(ec2):
