@@ -57,6 +57,9 @@ def test_ablation_tiling(benchmark, out_dir):
 
 
 # ------------------------------------------------------------- 2: compression
+WAN = DEFAULT_CALIBRATION.wan_link()
+
+
 def _buffers(k, density=1.0):
     """``k`` virtual 1 GiB float32 buffers."""
     return [Buffer(f"m{i}", length=GB // 4, density=density) for i in range(k)]
@@ -66,26 +69,23 @@ def _codec(enabled=True):
     return StagingCodec(enabled, demo_config().min_compress_size)
 
 
-def _deflate_s(codec, buffers):
-    """Host deflate time of an upload: one thread per buffer, so the
-    slowest buffer's."""
-    return max(codec.seconds(b, up=True) for b in buffers)
+def _upload_s(codec, buffers):
+    """Host upload seconds as the device charges them: the slowest buffer's
+    deflate (one thread per buffer), then one WAN stream per buffer."""
+    wire = [codec.wire_size(b) for b in buffers]
+    return (max(codec.seconds(b, up=True) for b in buffers)
+            + WAN.parallel_transfer_time(wire))
 
 
 def test_ablation_compression(benchmark, out_dir):
-    wan = DEFAULT_CALIBRATION.wan_link()
-
     def run():
         rows = []
         for label, density in (("dense", 1.0), ("sparse", 0.05)):
             buffers = _buffers(2, density)
             on, off = _codec(True), _codec(False)
-            wire_on = [on.wire_size(b) for b in buffers]
-            wire_off = [off.wire_size(b) for b in buffers]
-            rows.append([label,
-                         _deflate_s(on, buffers) + wan.parallel_transfer_time(wire_on),
-                         _deflate_s(off, buffers) + wan.parallel_transfer_time(wire_off),
-                         sum(wire_on) / sum(wire_off)])
+            rows.append([label, _upload_s(on, buffers), _upload_s(off, buffers),
+                         sum(on.wire_size(b) for b in buffers)
+                         / sum(b.nbytes for b in buffers)])
         return rows
 
     rows = benchmark(run)
@@ -105,12 +105,11 @@ def test_ablation_compression(benchmark, out_dir):
 
 # -------------------------------------------------------- 3: parallel streams
 def test_ablation_parallel_streams(benchmark, out_dir):
-    wan = DEFAULT_CALIBRATION.wan_link()
     codec = _codec()
     wire = [codec.wire_size(b) for b in _buffers(4)]
 
     def run():
-        return wan.parallel_transfer_time(wire), wan.serial_transfer_time(wire)
+        return WAN.parallel_transfer_time(wire), WAN.serial_transfer_time(wire)
 
     par, ser = benchmark(run)
     emit(out_dir, "ablation_parallel_streams.txt", format_table(

@@ -106,7 +106,7 @@ def _codec(enabled=True):
     return StagingCodec(enabled, 1 << 20)  # the device's default threshold
 
 
-def _upload_s(buffers, codec):
+def _upload_s(codec, buffers):
     """Slowest buffer's deflate (one thread each), then one stream each."""
     return (max(codec.seconds(b, up=True) for b in buffers)
             + WAN.parallel_transfer_time([codec.wire_size(b) for b in buffers]))
@@ -129,7 +129,7 @@ def test_download_mirrors_upload():
 def test_sparse_data_cheaper_than_dense():
     codec = _codec()
     dense, sparse = _buffers(density=1.0), _buffers(density=0.05)
-    assert _upload_s(sparse, codec) < _upload_s(dense, codec) / 2
+    assert _upload_s(codec, sparse) < _upload_s(codec, dense) / 2
     assert (sum(codec.wire_size(b) for b in sparse)
             < sum(codec.wire_size(b) for b in dense))
 
