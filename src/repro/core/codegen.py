@@ -486,16 +486,17 @@ class SparkJobGenerator:
         """Tiling policy: an explicit schedule chunk wins; otherwise
         Algorithm 1 — or its capacity-weighted variant under schedule mode
         ``weighted`` — or per-iteration tasks when tiling is disabled.
-        Empty tiles are values, never tasks: they are dropped here."""
+        Empty tiles are values, never tasks: they are dropped here
+        (``tile_by_chunk`` never makes one)."""
         if not self.tiling:
             return drop_empty_tiles(untiled(n))
         sched = loop.parallel_for.schedule
         if sched is not None and sched.chunk:
-            return drop_empty_tiles(tile_by_chunk(n, sched.chunk))
+            return tile_by_chunk(n, sched.chunk)
         if sched is not None and sched.kind in ("dynamic", "guided"):
             # No chunk given: OpenMP's dynamic default is fine-grained; use
             # 4 waves per core as a Spark-friendly compromise.
-            return drop_empty_tiles(tile_by_chunk(n, max(1, n // (cores * 4))))
+            return tile_by_chunk(n, max(1, n // (cores * 4)))
         # With no live slot left there is nothing to weigh: tile as Algorithm
         # 1 does and let the scheduler fail the job.
         caps = self.sc.cluster.slot_capacities() if self.schedule.weighted else []

@@ -182,6 +182,8 @@ def tile_by_chunk(n: int, chunk: int) -> list[Tile]:
 
     OpenMP's chunked schedules override Algorithm 1's cluster-size width: the
     programmer trades per-task overhead for finer-grained load balancing.
+    The tiles are contiguous, non-empty and indexed from 0, so they need no
+    :func:`drop_empty_tiles` pass.
     """
     if n < 0:
         raise ValueError(f"negative trip count {n!r}")

@@ -9,7 +9,7 @@ work-queue scheduler (like Spark's) converges to for independent tasks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
@@ -18,8 +18,6 @@ class Slot:
 
     index: int
     free_at: float = 0.0
-    busy_time: float = 0.0
-    tasks_run: int = 0
 
 
 @dataclass
@@ -80,14 +78,8 @@ class SlotPool:
         start = chosen.free_at if chosen.free_at > ready_at else ready_at
         end = start + duration
         chosen.free_at = end
-        chosen.busy_time += duration
-        chosen.tasks_run += 1
         self._earliest = None
         return Reservation(slot=chosen, start=start, end=end)
-
-    def makespan(self) -> float:
-        """Time at which the last slot becomes idle."""
-        return max(s.free_at for s in self.slots)
 
     def earliest_free(self) -> float:
         """Time at which the first slot becomes idle (cached between acquires)."""
@@ -107,41 +99,9 @@ class SlotPool:
         """Call after mutating ``slot.free_at`` directly (e.g. worker death)."""
         self._earliest = None
 
-    def utilization(self, horizon: float | None = None) -> float:
-        """Fraction of slot-seconds spent busy over ``horizon`` (default: makespan)."""
-        horizon = self.makespan() if horizon is None else horizon
-        if horizon <= 0.0:
-            return 0.0
-        busy = sum(s.busy_time for s in self.slots)
-        return busy / (horizon * len(self.slots))
-
     def reset(self, at: float = 0.0) -> None:
-        """Release all slots at time ``at`` and clear statistics."""
+        """Release all slots at time ``at``."""
         for s in self.slots:
             s.free_at = at
-            s.busy_time = 0.0
-            s.tasks_run = 0
         self._earliest = at
 
-
-@dataclass
-class Meter:
-    """Simple accumulating counter (bytes moved, tasks launched, dollars)."""
-
-    name: str
-    total: float = 0.0
-    samples: int = 0
-    _max: float = field(default=0.0, repr=False)
-
-    def add(self, amount: float) -> None:
-        self.total += amount
-        self.samples += 1
-        self._max = max(self._max, amount)
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.samples if self.samples else 0.0
-
-    @property
-    def peak(self) -> float:
-        return self._max

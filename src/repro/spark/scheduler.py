@@ -24,9 +24,12 @@ the phases Figure 5 of the paper stacks.
 
 Scale notes (docs/PERFORMANCE.md): every job, functional or modeled, is one
 columnar :class:`~repro.spark.tasktable.TaskTable` (plain scalars in the hot
-loop, no per-task object).  The loop picks executors through the
-amortized-O(log n) :class:`~repro.spark.exindex.ExecutorIndex`, orders
-collects with one ``np.lexsort``, materializes :class:`TaskResult` objects
+loop, no per-task object).  A job with no fault plan and no speculation
+places its tasks in ``_JobRun._run_static``, one O(log S) heap over the
+cluster's S live slots; any other job goes row by row through ``_run_one``,
+which picks the same slot through the amortized-O(log n)
+:class:`~repro.spark.exindex.ExecutorIndex` and ``SlotPool.acquire``.  Every
+job orders collects with one ``np.lexsort``, materializes :class:`TaskResult` objects
 lazily, reports each completed task to the event bus as one plain row
 (``EventBus.task_done``; the bus batches them, docs/OBSERVABILITY.md), and
 hands the timeline its task spans as one
@@ -37,6 +40,7 @@ pinned bit for bit by the committed baselines and golden event streams.
 
 from __future__ import annotations
 
+import heapq
 from array import array
 from dataclasses import dataclass
 from typing import Any, Sequence
@@ -217,33 +221,40 @@ class _JobRun:
         launch_s = self.costs.task_launch_s
         lan_time = network.lan_transfer_time
         in_b, out_b = self.in_b, self.out_b
-        driver_cursor = ready0
-        nic_cursor = ready0
-        scatter_start, scatter_end = array("d"), array("d")
-        for row in range(n):
-            driver_cursor += launch_s
-            ready = driver_cursor
-            if in_b[row] > 0:
-                x0 = ready if ready > nic_cursor else nic_cursor
-                nic_cursor = x0 + lan_time(in_b[row])
-                scatter_start.append(x0)
-                scatter_end.append(nic_cursor)
-                ready = nic_cursor
-            self._run_one(row, ready)
+        if (self.no_faults and not self.schedule.speculation
+                and len(self.pos_of) == len(self.executors)):
+            scatter_start, scatter_end, nic_cursor = self._run_static(ready0)
+        else:
+            driver_cursor = ready0
+            nic_cursor = ready0
+            scatter_start, scatter_end = array("d"), array("d")
+            for row in range(n):
+                driver_cursor += launch_s
+                ready = driver_cursor
+                if in_b[row] > 0:
+                    x0 = ready if ready > nic_cursor else nic_cursor
+                    nic_cursor = x0 + lan_time(in_b[row])
+                    scatter_start.append(x0)
+                    scatter_end.append(nic_cursor)
+                    ready = nic_cursor
+                self._run_one(row, ready)
 
         # ---------------------------------------------------------- collect
         collect_cursor = nic_cursor
         order = np.lexsort((table.task_id, np.array(self.r_end)))
         collect_start = array("d")
+        r_end, r_collected = self.r_end, self.r_collected
+        lan_out = {b: lan_time(b) for b in set(out_b) if b > 0}
         for row in order.tolist():
-            if out_b[row] > 0:
-                end = self.r_end[row]
+            b = out_b[row]
+            if b > 0:
+                end = r_end[row]
                 c0 = end if end > collect_cursor else collect_cursor
-                collect_cursor = c0 + lan_time(out_b[row])
+                collect_cursor = c0 + lan_out[b]
                 collect_start.append(c0)
-                self.r_collected[row] = collect_cursor
+                r_collected[row] = collect_cursor
             else:
-                self.r_collected[row] = self.r_end[row]
+                r_collected[row] = r_end[row]
 
         timeline.add_tasks(TaskSpans(
             stage=table.stage, task_id=table.task_id, ready0=ready0,
@@ -285,6 +296,108 @@ class _JobRun:
         )
 
     # ------------------------------------------------------------ internals
+    def _run_static(self, ready0: float) -> tuple[array, array, float]:
+        """Launch, scatter and place every row of a job with no fault plan
+        and no speculation; returns the scatter columns and the NIC cursor.
+
+        The reference is ``_run_one`` (docs/PERFORMANCE.md, "The bit-identity
+        guarantee"), and this loop places every row on the slot it picks.
+        ``ExecutorIndex`` picks the lowest-position executor with a slot free
+        at ``ready``, or else the minimal ``(earliest_free, position)``;
+        ``SlotPool.acquire`` then takes that executor's lowest-index free
+        slot, or else its minimal ``(free_at, index)``.  Together that is
+        the minimum over all live slots of ``(max(free_at, ready), position,
+        index)``.  Here the live slots are flattened in (position, index)
+        order, so the key is ``(max(free_at, ready), flat index)``: a
+        min-heap of flat indices free at the high-water ``ready`` and a heap
+        of ``(free_at, flat)`` for the busy ones, ``ExecutorIndex``'s two
+        heaps one level down.  Entries are revalidated against ``free_at``
+        when popped, so stale ones are skipped.  A row whose ``ready`` is
+        below the high-water mark (no input bytes, after a row that waited
+        on the NIC) takes the exact scan, as ``ExecutorIndex.pick`` does.
+
+        Only a dead executor raises ``ExecutorLostError``, and no executor
+        dies in such a job, so each row takes one attempt.  The slots'
+        ``free_at`` are written back at the end, also when a closure raises,
+        so later jobs see the pools ``_run_one`` would leave.
+        """
+        executors = self.executors
+        live = [i for i, ex in enumerate(executors) if not ex.is_dead]
+        slots = [s for i in live for s in executors[i].pool.slots]
+        slot_pos = [i for i in live for _ in executors[i].pool.slots]
+        slot_ex = [executors[i] for i in slot_pos]
+        slot_speed = [self.speeds[i] for i in slot_pos]
+        slot_worker = [self.worker_ids[i] for i in slot_pos]
+        free_at = [s.free_at for s in slots]
+        busy = [(f, k) for k, f in enumerate(free_at)]
+        heapq.heapify(busy)
+        free: list[int] = []
+        heappush, heappop = heapq.heappush, heapq.heappop
+        hw = float("-inf")
+
+        lan_time = self.network.lan_transfer_time
+        lan_in = {b: lan_time(b) for b in set(self.in_b) if b > 0}
+        launch_s = self.costs.task_launch_s
+        dur, in_b, tid = self.dur, self.in_b, self.tid
+        r_start, r_end, r_worker = self.r_start, self.r_end, self.r_worker
+        values = self.values
+        closures = self.table.closures if self.functional else None
+        task_done = self.bus.task_done if self.bus.is_active else None
+        driver_cursor = nic_cursor = ready0
+        scatter_start, scatter_end = array("d"), array("d")
+        try:
+            for row in range(len(dur)):
+                driver_cursor += launch_s
+                ready = driver_cursor
+                b = in_b[row]
+                if b > 0:
+                    x0 = ready if ready > nic_cursor else nic_cursor
+                    nic_cursor = x0 + lan_in[b]
+                    scatter_start.append(x0)
+                    scatter_end.append(nic_cursor)
+                    ready = nic_cursor
+                if ready >= hw:
+                    hw = ready
+                    while busy and busy[0][0] <= ready:
+                        heappush(free, heappop(busy)[1])
+                    while free:
+                        k = heappop(free)
+                        if free_at[k] <= ready:
+                            start = ready
+                            break
+                    else:
+                        f, k = heappop(busy)
+                        while free_at[k] != f:
+                            f, k = heappop(busy)
+                        start = f
+                else:
+                    best = float("inf")
+                    for j, f in enumerate(free_at):
+                        if f <= ready:
+                            k, start = j, ready
+                            break
+                        if f < best:
+                            k, best = j, f
+                    else:
+                        start = best
+                d = dur[row] / slot_speed[k]
+                end = start + d
+                free_at[k] = end
+                heappush(busy, (end, k))
+                if closures is not None and closures[row] is not None:
+                    values[row] = slot_ex[k].run_closure(closures[row])
+                if task_done is not None:
+                    task_done(tid[row], slot_worker[k], start, end, d, 1)
+                r_start[row] = start
+                r_end[row] = end
+                r_worker[row] = slot_pos[k]
+        finally:
+            for s, f in zip(slots, free_at):
+                s.free_at = f
+            for i in live:
+                executors[i].pool.invalidate_cache()
+        return scatter_start, scatter_end, nic_cursor
+
     def _run_one(self, row: int, ready: float) -> None:
         fault_plan = self.fault_plan
         no_faults = self.no_faults

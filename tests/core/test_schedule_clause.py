@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.api import ParallelLoop, TargetRegion, offload
-from repro.core.tiling import tile_by_chunk, tiles_cover
+from repro.core.tiling import drop_empty_tiles, tile_by_chunk, tiles_cover
 
 from tests.conftest import make_cloud_runtime
 
@@ -45,6 +45,15 @@ def test_tile_by_chunk_covers_any_shape():
     for n in (1, 7, 100):
         for chunk in (1, 3, 7, 200):
             assert tiles_cover(tile_by_chunk(n, chunk), n)
+
+
+def test_tile_by_chunk_needs_no_empty_tile_pass():
+    """The job generator hands chunked tiles to the scheduler as they are:
+    they are already non-empty and numbered 0, 1, ... in order."""
+    for n in range(258):
+        for chunk in range(1, 18):
+            tiles = tile_by_chunk(n, chunk)
+            assert tiles == drop_empty_tiles(tiles)
 
 
 def test_tile_by_chunk_validation():
