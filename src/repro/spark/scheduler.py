@@ -221,8 +221,7 @@ class _JobRun:
         launch_s = self.costs.task_launch_s
         lan_time = network.lan_transfer_time
         in_b, out_b = self.in_b, self.out_b
-        if (self.no_faults and not self.schedule.speculation
-                and len(self.pos_of) == len(self.executors)):
+        if self.no_faults and not self.schedule.speculation:
             scatter_start, scatter_end, nic_cursor = self._run_static(ready0)
         else:
             driver_cursor = ready0

@@ -74,6 +74,9 @@ def test_aa_interval_covers_one(tmp_path):
     wall = w["metrics"]["wall_s"]
     assert wall["lo"] <= 1.0 <= wall["hi"]
     assert wall["pairs"] == 11
+    for side in ("parent", "change"):
+        q1, median, q3 = wall[side]
+        assert 0.95 <= q1 <= median <= q3 <= 1.05
     assert status == 0 and w["identical"] and w["failed"] == [0, 0]
     assert any(line.startswith("w wall_s: change/parent median") for line in said)
     assert w["layer_shares"] == {"scheduler": 0.75, "codegen": 0.25}

@@ -87,10 +87,20 @@ def bootstrap_median(ratios: list[float], seed: int) -> tuple[float, float]:
     return stats.percentile(medians, 2.5), stats.percentile(medians, 97.5)
 
 
+def quartiles(values: list[float]) -> list[float]:
+    """[Q1, median, Q3] of ``values``, the quartiles
+    ``stats.quartile_spread`` takes its spread from."""
+    if len(values) < 2:
+        return [values[0]] * 3
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return [q1, statistics.median(values), q3]
+
+
 def summarize(results: list[tuple[dict, dict]], spec: dict,
               seed: int) -> dict[str, dict]:
     """Per end-to-end metric: median change/parent ratio, its interval, the
-    pairs the change won and the parent's quartile spread."""
+    pairs the change won, each side's quartiles and the parent's quartile
+    spread."""
     out: dict[str, dict] = {}
     for m in spec["end_to_end"]:
         name = m["name"]
@@ -107,6 +117,8 @@ def summarize(results: list[tuple[dict, dict]], spec: dict,
             "ratio": statistics.median(ratios), "lo": lo, "hi": hi,
             "wins": sum((r < 1.0) if lower else (r > 1.0) for r in ratios),
             "pairs": len(ratios),
+            "parent": quartiles([a for a, _ in vals]),
+            "change": quartiles([b for _, b in vals]),
             "parent_spread": stats.quartile_spread([a for a, _ in vals]),
         }
     return out
@@ -115,9 +127,12 @@ def summarize(results: list[tuple[dict, dict]], spec: dict,
 def verdict_line(workload: str, name: str, s: dict) -> str:
     spread = s["parent_spread"]
     noise = "n/a" if spread is None else f"{spread:.1%}"
+    pq, cq = s["parent"], s["change"]
     return (f"{workload} {name}: change/parent median {s['ratio']:.3f} "
             f"[95% CI {s['lo']:.3f}-{s['hi']:.3f}], change better in "
-            f"{s['wins']}/{s['pairs']} pairs, parent IQR {noise}")
+            f"{s['wins']}/{s['pairs']} pairs; parent {pq[1]:.4g} "
+            f"(Q1-Q3 {pq[0]:.4g}-{pq[2]:.4g}, IQR {noise}), change {cq[1]:.4g} "
+            f"(Q1-Q3 {cq[0]:.4g}-{cq[2]:.4g})")
 
 
 def identity_keys(metrics: dict) -> dict:
