@@ -104,4 +104,3 @@ class SlotPool:
         for s in self.slots:
             s.free_at = at
         self._earliest = at
-

@@ -124,13 +124,22 @@ def test_main_checks_out_the_parent_and_appends_one_trajectory_line(tmp_path):
     _git(repo, "commit", "-qm", "parent")
     parent = _git(repo, "rev-parse", "HEAD").strip()
     _configure(repo, "tree", log, 2.0, "d0")
+    trajectory = repo / "tools" / "trajectory.jsonl"
+    trajectory.parent.mkdir()
+    trajectory.touch()
+    _git(repo, "add", "tools")
     _git(repo, "commit", "-qam", "slower")
-    trajectory = tmp_path / "trajectory.jsonl"
-    assert ab.main(["HEAD~1", "--pairs", "3"], root=repo,
-                   trajectory=trajectory) == 0
-    (line,) = trajectory.read_text().splitlines()
-    record = json.loads(line)
-    assert record["parent"] == parent and not record["dirty"]
-    assert record["workloads"]["w"]["metrics"]["wall_s"]["ratio"] > 1.5
+    for pairs in ("3", "1"):
+        assert ab.main(["HEAD~1", "--pairs", pairs], root=repo,
+                       trajectory=trajectory) == 0
+    first, second = map(json.loads, trajectory.read_text().splitlines())
+    assert first["parent"] == parent
+    assert first["workloads"]["w"]["metrics"]["wall_s"]["ratio"] > 1.5
+    # The line the first run appended does not make the tree dirty; an
+    # uncommitted edit to the program does.
+    assert not first["dirty"] and not second["dirty"]
+    _configure(repo, "tree", log, 1.0, "d0")
+    ab.main(["HEAD~1", "--pairs", "1"], root=repo, trajectory=trajectory)
+    assert json.loads(trajectory.read_text().splitlines()[-1])["dirty"]
     # The parent's worktree is gone again.
     assert len(_git(repo, "worktree", "list").splitlines()) == 1

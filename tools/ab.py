@@ -240,7 +240,9 @@ def main(argv: list[str], root: Path = REPO,
     record = {
         "time": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "commit": _git(root, "rev-parse", "HEAD"),
-        "dirty": bool(_git(root, "status", "--porcelain", "--untracked-files=no")),
+        # The trajectory file a previous run appended to does not count.
+        "dirty": any(name != "tools/trajectory.jsonl" for name in _git(
+            root, "diff", "--name-only", "HEAD").splitlines()),
         "parent": parent_commit, "seed": args.seed, "machine": machine(),
         **record,
     }
