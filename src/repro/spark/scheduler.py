@@ -28,11 +28,11 @@ loop, no per-task object).  A job with no fault plan and no speculation
 places its tasks in ``_JobRun._run_static``, one O(log S) heap over the
 cluster's S live slots; any other job goes row by row through ``_run_one``,
 which picks the same slot through the amortized-O(log n)
-:class:`~repro.spark.exindex.ExecutorIndex` and ``SlotPool.acquire``.  Every
-job orders collects with one ``np.lexsort``, materializes :class:`TaskResult` objects
-lazily, reports each completed task to the event bus as one plain row
-(``EventBus.task_done``; the bus batches them, docs/OBSERVABILITY.md), and
-hands the timeline its task spans as one
+:class:`~repro.spark.exindex.ExecutorIndex` and ``SlotPool.acquire``.
+Every job orders collects with one ``np.lexsort``, materializes
+:class:`TaskResult` objects lazily, reports each completed task to the event
+bus as one plain row (``EventBus.task_done``; the bus batches them,
+docs/OBSERVABILITY.md), and hands the timeline its task spans as one
 :class:`~repro.simtime.timeline.TaskSpans` block of columns.
 Scheduling order is observable through reports, journals and traces, so it is
 pinned bit for bit by the committed baselines and golden event streams.

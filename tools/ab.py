@@ -26,8 +26,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
-import platform
 import random
 import shutil
 import statistics
@@ -43,6 +41,7 @@ TRAJECTORY = Path(__file__).resolve().with_name("trajectory.jsonl")
 sys.path.insert(0, str(REPO))
 
 from perf import stats  # noqa: E402
+from perf.run import machine_stamp  # noqa: E402
 
 #: Bootstrap resamples of the pair ratios.
 RESAMPLES = 2000
@@ -196,19 +195,6 @@ def _git(root: Path, *args: str) -> str:
                           stdout=subprocess.PIPE).stdout.strip()
 
 
-def machine() -> dict:
-    cpu = ""
-    try:
-        for line in Path("/proc/cpuinfo").read_text().splitlines():
-            if line.startswith("model name"):
-                cpu = line.split(":", 1)[1].strip()
-                break
-    except OSError:
-        pass
-    return {"nproc": os.cpu_count(), "cpu_model": cpu,
-            "platform": platform.platform(), "python": platform.python_version()}
-
-
 def main(argv: list[str], root: Path = REPO,
          trajectory: Path = TRAJECTORY) -> int:
     spec = load_spec(root)
@@ -243,7 +229,8 @@ def main(argv: list[str], root: Path = REPO,
         # The trajectory file a previous run appended to does not count.
         "dirty": any(name != "tools/trajectory.jsonl" for name in _git(
             root, "diff", "--name-only", "HEAD").splitlines()),
-        "parent": parent_commit, "seed": args.seed, "machine": machine(),
+        "parent": parent_commit, "seed": args.seed,
+        "machine": machine_stamp(args.seed, args.seconds or spec["run_seconds"]),
         **record,
     }
     with trajectory.open("a") as fh:
