@@ -152,7 +152,8 @@ class _JobRun:
         self.fault_plan = fault_plan
         self.functional = functional
         self.schedule = schedule
-        self.index = ExecutorIndex(executors)
+        #: Built by ``run`` for the row-by-row path only.
+        self.index: ExecutorIndex | None = None
         #: Fault bookkeeping is all dict probes; an empty plan (the common
         #: case) skips them entirely.
         self.no_faults = fault_plan is NO_FAULTS or fault_plan.empty
@@ -217,32 +218,21 @@ class _JobRun:
         # phases, is a function of the columns below; the job adds them to
         # the timeline as one TaskSpans block.
         table = self.table
-        n = len(table)
         launch_s = self.costs.task_launch_s
         lan_time = network.lan_transfer_time
-        in_b, out_b = self.in_b, self.out_b
+        ready, scatter_start, scatter_end, nic_cursor = self._launch(ready0)
         if self.no_faults and not self.schedule.speculation:
-            scatter_start, scatter_end, nic_cursor = self._run_static(ready0)
+            self._run_static(ready)
         else:
-            driver_cursor = ready0
-            nic_cursor = ready0
-            scatter_start, scatter_end = array("d"), array("d")
-            for row in range(n):
-                driver_cursor += launch_s
-                ready = driver_cursor
-                if in_b[row] > 0:
-                    x0 = ready if ready > nic_cursor else nic_cursor
-                    nic_cursor = x0 + lan_time(in_b[row])
-                    scatter_start.append(x0)
-                    scatter_end.append(nic_cursor)
-                    ready = nic_cursor
-                self._run_one(row, ready)
+            self.index = ExecutorIndex(self.executors)
+            for row, r in enumerate(ready):
+                self._run_one(row, r)
 
         # ---------------------------------------------------------- collect
         collect_cursor = nic_cursor
         order = np.lexsort((table.task_id, np.array(self.r_end)))
         collect_start = array("d")
-        r_end, r_collected = self.r_end, self.r_collected
+        r_end, r_collected, out_b = self.r_end, self.r_collected, self.out_b
         lan_out = {b: lan_time(b) for b in set(out_b) if b > 0}
         for row in order.tolist():
             b = out_b[row]
@@ -295,9 +285,33 @@ class _JobRun:
         )
 
     # ------------------------------------------------------------ internals
-    def _run_static(self, ready0: float) -> tuple[array, array, float]:
-        """Launch, scatter and place every row of a job with no fault plan
-        and no speculation; returns the scatter columns and the NIC cursor.
+    def _launch(self, ready0: float) -> tuple[array, array, array, float]:
+        """Each row's ready time, the scatter columns and the NIC cursor.
+
+        The driver serializes every launch, and a row with input bytes then
+        waits for the driver NIC, a serial resource.  Neither cursor depends
+        on where a row runs, so both paths of ``run`` read the same column.
+        """
+        launch_s = self.costs.task_launch_s
+        lan_time = self.network.lan_transfer_time
+        lan_in = {b: lan_time(b) for b in set(self.in_b) if b > 0}
+        ready = array("d")
+        scatter_start, scatter_end = array("d"), array("d")
+        driver_cursor = nic_cursor = ready0
+        for b in self.in_b:
+            driver_cursor += launch_s
+            r = driver_cursor
+            if b > 0:
+                x0 = r if r > nic_cursor else nic_cursor
+                nic_cursor = x0 + lan_in[b]
+                scatter_start.append(x0)
+                scatter_end.append(nic_cursor)
+                r = nic_cursor
+            ready.append(r)
+        return ready, scatter_start, scatter_end, nic_cursor
+
+    def _run_static(self, ready_col: array) -> None:
+        """Place every row of a job with no fault plan and no speculation.
 
         The reference is ``_run_one`` (docs/PERFORMANCE.md, "The bit-identity
         guarantee"), and this loop places every row on the slot it picks.
@@ -334,27 +348,13 @@ class _JobRun:
         heappush, heappop = heapq.heappush, heapq.heappop
         hw = float("-inf")
 
-        lan_time = self.network.lan_transfer_time
-        lan_in = {b: lan_time(b) for b in set(self.in_b) if b > 0}
-        launch_s = self.costs.task_launch_s
-        dur, in_b, tid = self.dur, self.in_b, self.tid
+        dur, tid = self.dur, self.tid
         r_start, r_end, r_worker = self.r_start, self.r_end, self.r_worker
         values = self.values
         closures = self.table.closures if self.functional else None
         task_done = self.bus.task_done if self.bus.is_active else None
-        driver_cursor = nic_cursor = ready0
-        scatter_start, scatter_end = array("d"), array("d")
         try:
-            for row in range(len(dur)):
-                driver_cursor += launch_s
-                ready = driver_cursor
-                b = in_b[row]
-                if b > 0:
-                    x0 = ready if ready > nic_cursor else nic_cursor
-                    nic_cursor = x0 + lan_in[b]
-                    scatter_start.append(x0)
-                    scatter_end.append(nic_cursor)
-                    ready = nic_cursor
+            for row, ready in enumerate(ready_col):
                 if ready >= hw:
                     hw = ready
                     while busy and busy[0][0] <= ready:
@@ -395,7 +395,6 @@ class _JobRun:
                 s.free_at = f
             for i in live:
                 executors[i].pool.invalidate_cache()
-        return scatter_start, scatter_end, nic_cursor
 
     def _run_one(self, row: int, ready: float) -> None:
         fault_plan = self.fault_plan

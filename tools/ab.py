@@ -1,13 +1,14 @@
 """Paired A/B of the host-time benchmark: a revision against this tree.
 
     python tools/ab.py <rev> [--workload W ...] [--pairs N] [--seed S]
-                             [--seconds S] [--repin "reason"]
+                             [--repin "reason"]
 
 ``<rev>`` (the parent, usually ``HEAD~1``) is checked out with ``git worktree``
 under a temporary directory; the other side is this working tree.  For each
 workload (default: every one ``BENCHMARK.json`` lists) the two sides'
 ``perf/run.py --workload W --trace 0`` run alternately, ``--pairs`` times, odd
 pairs parent first, so drift in the machine's load falls on both sides.
+Each run lasts ``BENCHMARK.json``'s ``run_seconds``, ``perf/run.py``'s default.
 
 For each end-to-end metric it prints one verdict line: the median of the
 per-pair change/parent ratios, a bootstrap 95 % interval of that median, how
@@ -51,13 +52,10 @@ def load_spec(root: Path = REPO) -> dict:
     return json.loads((root / "BENCHMARK.json").read_text())
 
 
-def run_side(root: Path, workload: str, seed: int, trace: int,
-             seconds: float | None = None) -> dict:
+def run_side(root: Path, workload: str, seed: int, trace: int) -> dict:
     """One ``perf/run.py`` run of one tree; the JSON of its last line."""
     cmd = [sys.executable, str(root / "perf" / "run.py"), "--workload", workload,
            "--seed", str(seed), "--trace", str(trace)]
-    if seconds is not None:
-        cmd += ["--seconds", str(seconds)]
     with tempfile.TemporaryDirectory(prefix="ab-out-") as out:
         proc = subprocess.run(cmd + ["--out", out], cwd=root,
                               stdout=subprocess.PIPE, text=True)
@@ -155,22 +153,21 @@ def layer_shares(metrics: dict) -> dict[str, float]:
 
 
 def compare(parent_root: Path, change_root: Path, workloads: list[str],
-            pairs: int, seed: int, spec: dict, seconds: float | None = None,
-            repin: str | None = None,
+            pairs: int, seed: int, spec: dict, repin: str | None = None,
             say: Callable[[str], None] = print) -> tuple[int, dict]:
     """Run every workload both ways; (exit status, trajectory record)."""
     roots = {"parent": parent_root, "change": change_root}
     record: dict = {"workloads": {}, "repin": repin}
     status = 0
     for w in workloads:
-        results = paired(lambda side: run_side(roots[side], w, seed, 0, seconds),
+        results = paired(lambda side: run_side(roots[side], w, seed, 0),
                          pairs)
         summary = summarize(results, spec, seed)
         for name, s in summary.items():
             say(verdict_line(w, name, s))
         failed = [sum(r["failed"] for r in side) for side in zip(*results)]
         say(f"{w} failed ops: parent {failed[0]}, change {failed[1]}")
-        traced = {side: run_side(root, w, seed, 1, seconds)
+        traced = {side: run_side(root, w, seed, 1)
                   for side, root in roots.items()}
         moved = identity_diff(traced["parent"], traced["change"])
         for line in moved:
@@ -205,8 +202,6 @@ def main(argv: list[str], root: Path = REPO,
                     choices=[w["name"] for w in spec["workloads"]])
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--seconds", type=float, default=None,
-                    help="passed to perf/run.py (default: BENCHMARK.json's)")
     ap.add_argument("--repin", metavar="REASON",
                     help="accept moved simulated figures, for this reason")
     args = ap.parse_args(argv)
@@ -219,7 +214,7 @@ def main(argv: list[str], root: Path = REPO,
     _git(root, "worktree", "add", "--detach", str(tree), parent_commit)
     try:
         status, record = compare(tree, root, workloads, args.pairs, args.seed,
-                                 spec, args.seconds, args.repin)
+                                 spec, args.repin)
     finally:
         _git(root, "worktree", "remove", "--force", str(tree))
         shutil.rmtree(tmp, ignore_errors=True)
@@ -230,7 +225,7 @@ def main(argv: list[str], root: Path = REPO,
         "dirty": any(name != "tools/trajectory.jsonl" for name in _git(
             root, "diff", "--name-only", "HEAD").splitlines()),
         "parent": parent_commit, "seed": args.seed,
-        "machine": machine_stamp(args.seed, args.seconds or spec["run_seconds"]),
+        "machine": machine_stamp(args.seed, spec["run_seconds"]),
         **record,
     }
     with trajectory.open("a") as fh:
